@@ -27,9 +27,10 @@ print("\nfirst price: the quadratic program behind the randomized guarantee")
 g = AdditiveValuation((0.45, 0.35, 0.2))
 for B in (0.25, 0.5, 0.75):
     sol = simul.adversary_qp(g, B)
+    _, pg_value = simul.projected_gradient_qp(np.asarray(g.weights), B)
     print(
         f"  B = {B}: closed form {(1 - B) ** 2 / 2:.5f}, "
-        f"projected gradient {sol.pg_value:.5f}, rival ratios {sol.ratios}"
+        f"projected gradient {pg_value:.5f}, rival ratios {sol.ratios}"
     )
 g2 = np.array([0.9, 0.1])
 print(f"  two-item lattice search at B=0.25: {simul.qp_grid_search(g2, 0.25):.5f}")

@@ -395,10 +395,12 @@ def verify_simul(seed: int = 0, tol: float = 1e-9) -> SweepReport:
             m = 2 if trial < 2 else int(rng.integers(3, 7))
             w = rng.random(m) + 0.05
             g = AdditiveValuation(tuple(w / w.sum()))
-            sol = simul.adversary_qp(g, B, seed=int(rng.integers(2**31)))
-            note(1e-6 - abs(sol.pg_value - sol.value), ("qp_pg", B, m))
+            sol = simul.adversary_qp(g, B)
+            gw = np.asarray(g.weights)
+            _, pg_value = simul.projected_gradient_qp(gw, B, seed=int(rng.integers(2**31)))
+            note(1e-6 - abs(pg_value - sol.value), ("qp_pg", B, m))
             if m == 2:
-                lattice = simul.qp_grid_search(np.asarray(g.weights), B)
+                lattice = simul.qp_grid_search(gw, B)
                 note(1e-4 - abs(lattice - sol.value), ("qp_lattice", B))
 
     # Second price: truthful dominant-clause bidding nets at least 1 - B.

@@ -27,7 +27,3 @@ class StateSpaceError(RiskFreeError, RuntimeError):
 
 class PolicyContractError(RiskFreeError, ValueError):
     """Raised when a policy emits a bid violating its contract (e.g. budget)."""
-
-
-class LPError(RiskFreeError, RuntimeError):
-    """Raised when a linear program is infeasible or unbounded."""

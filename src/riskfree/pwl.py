@@ -13,7 +13,7 @@ redundant with the constant extension.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +25,9 @@ MERGE_TOL = 1e-12
 #: Abscissae closer than this are treated as one breakpoint.
 DEDUPE_TOL = 1e-13
 
-#: Hard cap on breakpoints; exceeded means the construction blew up.
-MAX_BREAKPOINTS = 100_000
+#: Hard cap on breakpoints; exceeded means the construction blew up.  The
+#: value ladder's levels up to m = 30 reach about 1.1M breakpoints.
+MAX_BREAKPOINTS = 6_000_000
 
 
 def _canonicalize(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,28 +111,7 @@ class PiecewiseLinear:
             new_xs, new_ys = new_xs[::-1], new_ys[::-1]
         return PiecewiseLinear(new_xs, new_ys)
 
-    def scale_clip(self, lo: float, hi: float) -> "PiecewiseLinear":
-        """Restrict the breakpoint list to [lo, hi], inserting exact endpoints."""
-        inside = (self.xs > lo) & (self.xs < hi)
-        xs = np.concatenate(([lo], self.xs[inside], [hi]))
-        ys = np.concatenate(([self(lo)], self.ys[inside], [self(hi)]))
-        return PiecewiseLinear(xs, ys)
-
-    def minimum(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return pointwise_extreme(self, other, "min")
-
-    def maximum(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return pointwise_extreme(self, other, "max")
-
     # -- introspection ------------------------------------------------------
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return self.xs
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.ys
 
     def piece_count(self) -> int:
         return max(len(self.xs) - 1, 1)
@@ -150,11 +130,6 @@ class PiecewiseLinear:
 
 
 # -- module-level operations ------------------------------------------------
-
-
-def evaluate(f: PiecewiseLinear, x):
-    """Functional alias for ``f(x)``."""
-    return f(x)
 
 
 def affine_transform(f: PiecewiseLinear, a: float, b: float, c: float, d: float) -> PiecewiseLinear:
@@ -223,8 +198,3 @@ def solve_equal(lhs: PiecewiseLinear, rhs: PiecewiseLinear,
             x0, x1, d0, d1 = grid[i - 1], grid[i], d[i - 1], d[i]
             return float(x0 + (x1 - x0) * (d0 / (d0 - d1)))
     return float(grid[-1])
-
-
-def from_samples(xs: Iterable[float], ys: Iterable[float]) -> PiecewiseLinear:
-    """Build a function from sampled points (canonicalized)."""
-    return PiecewiseLinear(np.asarray(list(xs)), np.asarray(list(ys)))

@@ -105,9 +105,6 @@ _ETA_TIGHT = 1e-12
 _ETA_COARSE = 1e-9
 _TIGHT_LEVELS = 30
 
-#: Construction-time breakpoint cap (the public default in pwl stays low).
-_LADDER_CAP = 6_000_000
-
 
 def _simplify(xs: np.ndarray, ys: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Drop breakpoints whose removal keeps the function within ``eta``.
@@ -201,13 +198,8 @@ def f_ladder(m: int) -> list[PiecewiseLinear]:
         raise ValueError("m must be at least 1")
     if not _ladder:
         _ladder.append(PiecewiseLinear([0.0, 1.0], [1.0, 0.0]))
-    previous_cap = pwl.MAX_BREAKPOINTS
-    pwl.MAX_BREAKPOINTS = max(previous_cap, _LADDER_CAP)
-    try:
-        while len(_ladder) < m:
-            _ladder.append(_level_up(_ladder[-1], len(_ladder) + 1))
-    finally:
-        pwl.MAX_BREAKPOINTS = previous_cap
+    while len(_ladder) < m:
+        _ladder.append(_level_up(_ladder[-1], len(_ladder) + 1))
     return _ladder[:m]
 
 
@@ -323,6 +315,8 @@ def simulate(
         )
         b1 = float(bidder(state))
         b2 = float(adversary(state))
+        if not (math.isfinite(b1) and math.isfinite(b2)):
+            raise PolicyContractError(f"bids must be finite, got {b1} and {b2}")
         if b1 < -_TOL:
             raise PolicyContractError("bidder emitted a negative bid")
         if b2 < -_TOL or b2 > budget_left + 1e-9:

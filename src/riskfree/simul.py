@@ -7,9 +7,11 @@ best response is the quadratic program
     minimize   (1/2) sum_i g_i (1 - b_i)^2
     subject to 0 <= b_i <= 1,  sum_i g_i b_i <= B
 
-whose optimum is the constant vector b_i = B with value (1 - B)^2 / 2 for a
-normalized weight vector g.  A projected-gradient refinement and a lattice
-search act as numeric cross-checks of the closed form.
+whose optimum, for a normalized weight vector g, is the constant vector
+b_i = B with value (1 - B)^2 / 2.  ``adversary_qp`` returns that closed form
+with its Lagrange multipliers and checks the KKT conditions on every call;
+the QP is convex, so they prove optimality.  A projected-gradient solver and
+a lattice search are kept as independent oracles for the verification sweep.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .valuations import AdditiveValuation, Valuation, XOSValuation, gamma_star
 
 _TOL = 1e-12
 
+#: How far a "normalized" weight vector may sum from 1; the QP's KKT
+#: residuals at the closed form are bounded by the same slack.
+_NORM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SimulOutcome:
@@ -37,8 +43,7 @@ class SimulOutcome:
 class QPSolution:
     ratios: tuple[float, ...]
     value: float
-    dual: tuple[float, ...]  # 2m box multipliers then the budget multiplier
-    pg_value: float
+    dual: tuple[float, ...]  # m lower-box, m upper-box, then the budget multiplier
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,8 @@ def resolve(
     b2 = np.asarray(list(bids2), dtype=float)
     if b1.shape != b2.shape or b1.shape != (v.m,):
         raise ValueError("bid vectors must both have one entry per item")
+    if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
+        raise ValueError("bids must be finite")
     bidder_wins = b1 > b2
     if price_rule == "first":
         paid1 = float(b1[bidder_wins].sum())
@@ -205,33 +212,47 @@ def qp_grid_search(g: np.ndarray, B: float, step: float = 0.001) -> float:
     return float(obj[feasible].min())
 
 
-def adversary_qp(gstar: AdditiveValuation, B: float, seed: int = 0) -> QPSolution:
+def adversary_qp(gstar: AdditiveValuation, B: float) -> QPSolution:
     """Optimal adversary ratios against the uniform-random bidder.
 
-    Stationarity forces a constant ratio, so b_i = B with value (1-B)^2 / 2;
-    a projected-gradient run must agree within 1e-6 or this raises.  The
-    returned dual is the feasible multiplier vector with 1-B on the budget
-    constraint, whose objective equals the primal value (strong duality).
+    Stationarity forces a constant ratio, so b_i = B with value (1-B)^2 / 2.
+    The multipliers are zero on every box constraint and 1-B on the budget
+    row; ``_check_kkt`` verifies feasibility, dual sign, stationarity,
+    complementary slackness and the value, which proves optimality.
     """
     g = np.asarray(gstar.weights)
-    if abs(float(g.sum()) - 1.0) > 1e-9:
+    if abs(float(g.sum()) - 1.0) > _NORM_TOL:
         raise ValueError("gstar must be normalized (weights summing to 1)")
     if not 0.0 < B < 1.0:
         raise ValueError("B must lie in (0, 1)")
-    value = 0.5 * (1.0 - B) ** 2
-    _, pg_value = projected_gradient_qp(g, B, seed=seed)
-    if abs(pg_value - value) > 1e-6:
-        raise ArithmeticError(
-            f"projected gradient ({pg_value}) disagrees with the closed form ({value})"
-        )
     m = len(g)
-    dual = (0.0,) * (2 * m) + (1.0 - B,)
-    dual_objective = value  # evaluated at this multiplier; weak duality check
-    if value < dual_objective - 1e-12:
-        raise ArithmeticError("weak duality violated")
-    return QPSolution(
-        ratios=(float(B),) * m, value=float(value), dual=dual, pg_value=float(pg_value)
+    sol = QPSolution(
+        ratios=(float(B),) * m,
+        value=float(0.5 * (1.0 - B) ** 2),
+        dual=(0.0,) * (2 * m) + (1.0 - B,),
     )
+    _check_kkt(g, B, sol)
+    return sol
+
+
+def _check_kkt(g: np.ndarray, B: float, sol: QPSolution) -> None:
+    """Raise unless ``sol`` satisfies the QP's KKT conditions (NaN fails)."""
+    m = len(g)
+    b = np.asarray(sol.ratios)
+    dual = np.asarray(sol.dual)
+    mu_lo, mu_hi, lam = dual[:m], dual[m : 2 * m], float(dual[2 * m])
+    spent = float(g @ b)
+    if not (np.all((b >= -_NORM_TOL) & (b <= 1.0 + _NORM_TOL)) and spent <= B + _NORM_TOL):
+        raise ArithmeticError("QP solution is infeasible")
+    if not np.all(dual >= 0.0):
+        raise ArithmeticError("QP multiplier has the wrong sign")
+    if not np.max(np.abs(-g * (1.0 - b) + lam * g - mu_lo + mu_hi)) <= _NORM_TOL:
+        raise ArithmeticError("QP solution is not stationary")
+    slack = np.concatenate((mu_lo * b, mu_hi * (1.0 - b), [lam * (B - spent)]))
+    if not np.max(np.abs(slack)) <= _NORM_TOL:
+        raise ArithmeticError("QP solution violates complementary slackness")
+    if not abs(float(np.sum(g * 0.5 * (1.0 - b) ** 2)) - sol.value) <= _NORM_TOL:
+        raise ArithmeticError("QP value does not match its ratios")
 
 
 def second_price_truthful_worst(

@@ -36,6 +36,8 @@ class AdditiveValuation:
         w = tuple(float(x) for x in weights)
         if not w:
             raise ValueError("need at least one item")
+        if not all(math.isfinite(x) for x in w):
+            raise ValueError("weights must be finite")
         if any(x < 0 for x in w):
             raise ValueError("weights must be non-negative")
         object.__setattr__(self, "weights", w)
@@ -83,8 +85,9 @@ class XOSValuation:
 class SubadditiveIdenticalValuation:
     """Identical items: any k-subset has value table[k].
 
-    Invariants checked at construction: table[0] = 0, monotone non-decreasing,
-    and subadditive (table[i+j] <= table[i] + table[j]).
+    Invariants checked at construction, to a tolerance relative to v(I):
+    table[0] = 0, monotone non-decreasing, and subadditive
+    (table[i+j] <= table[i] + table[j]).
     """
 
     table: tuple[float, ...]
@@ -93,14 +96,17 @@ class SubadditiveIdenticalValuation:
         t = tuple(float(x) for x in table)
         if len(t) < 2:
             raise ValueError("table must cover counts 0..m with m >= 1")
-        if abs(t[0]) > _TOL:
+        if not all(math.isfinite(x) for x in t):
+            raise ValueError("table entries must be finite")
+        tol = _TOL * abs(t[-1])
+        if abs(t[0]) > tol:
             raise ValueError("v(0) must be 0")
-        if any(t[i + 1] < t[i] - _TOL for i in range(len(t) - 1)):
+        if any(t[i + 1] < t[i] - tol for i in range(len(t) - 1)):
             raise ValueError("table must be non-decreasing")
         m = len(t) - 1
         for i in range(1, m):
             for j in range(1, m - i + 1):
-                if t[i + j] > t[i] + t[j] + _TOL:
+                if t[i + j] > t[i] + t[j] + tol:
                     raise ValueError(
                         f"not subadditive: v({i + j}) > v({i}) + v({j})"
                     )
@@ -248,10 +254,7 @@ def beta_cover(v: Valuation, max_m: int = 8) -> CoverCertificate:
     if vI <= _TOL:
         raise DegenerateValuationError("v(I) must be positive")
     if isinstance(v, SubadditiveIdenticalValuation):
-        if min(v.table[1:]) <= 0.0:
-            raise DegenerateValuationError(
-                "a non-empty set has value 0, so no bid vector covers v"
-            )
+        # subadditivity gives v(q) >= v(I) / ceil(m/q) > 0
         beta = max((q / m) * vI / v.table[q] for q in range(1, m + 1))  # q = m gives 1
         cert = CoverCertificate(r=(vI / m,) * m, beta=beta)
     else:
@@ -277,9 +280,10 @@ def random_subadditive_identical(
 
 def _check_certificate(v: Valuation, cert: CoverCertificate) -> None:
     r = np.asarray(cert.r)
-    if abs(float(r.sum()) - v.total()) > 1e-9:
+    vI = v.total()
+    if abs(float(r.sum()) - vI) > 1e-9 * vI:
         raise ArithmeticError("certificate violates sum(r) = v(I)")
     for mask in range(1, 1 << v.m):
         items = [i for i in range(v.m) if mask >> i & 1]
-        if float(r[items].sum()) > cert.beta * v.value(items) + 1e-7:
+        if float(r[items].sum()) > cert.beta * v.value(items) + 1e-7 * vI:
             raise ArithmeticError("certificate violates a cover constraint")

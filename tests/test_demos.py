@@ -1,0 +1,34 @@
+"""Smoke test: demos 01-03 run to completion.
+
+Each demo runs in a fresh interpreter with ``PYTHONPATH=src`` and must exit 0;
+each takes under a second.  Demo 04 is left out because it takes about 17 s.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_small_auction_tables.py",
+        "02_sqrt_bidding_guarantee.py",
+        "03_simultaneous_auctions.py",
+    ],
+)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

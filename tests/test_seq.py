@@ -133,7 +133,7 @@ class TestEqualization:
         assert val == pytest.approx(0.45, abs=1e-12)
 
     def test_matches_value_function(self):
-        for m in (2, 3, 5, 8):
+        for m in (2, 3, 5, 8, 18, 31):
             fm = uniform_additive_value(m)
             for x in np.linspace(0.01, 0.99, 23):
                 _, val = equalization_alpha(m, float(x))
@@ -215,6 +215,13 @@ class TestSimulate:
     def test_budget_contract_enforced(self):
         with pytest.raises(PolicyContractError):
             simulate(uniform(1), FixedBidsPolicy((0.0,)), FixedBidsPolicy((0.5,)), budget=0.1)
+
+    @pytest.mark.parametrize(
+        "b1, b2", [(math.nan, 0.0), (0.1, math.nan), (math.inf, 0.0), (0.1, -math.inf)]
+    )
+    def test_non_finite_bid_rejected(self, b1, b2):
+        with pytest.raises(PolicyContractError, match="finite"):
+            simulate(uniform(1), FixedBidsPolicy((b1,)), FixedBidsPolicy((b2,)), budget=0.4)
 
     def test_second_price_budget_decreases_by_bidder_bid(self):
         # adversary wins round one; his budget drops by the bidder's bid

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,15 @@ class TestResolve:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             resolve(AdditiveValuation((1.0,)), (0.1,), (0.1, 0.2))
+
+    @pytest.mark.parametrize(
+        "b1, b2",
+        [((math.nan, 0.1), (0.2, 0.2)), ((0.3, 0.1), (0.2, math.nan)), ((math.inf, 0.1), (0.2, 0.2))],
+        ids=["bidder-nan", "adversary-nan", "bidder-inf"],
+    )
+    def test_non_finite_bid_rejected(self, b1, b2):
+        with pytest.raises(ValueError, match="finite"):
+            resolve(AdditiveValuation((0.5, 0.5)), b1, b2, "first")
 
 
 class TestExpectedProfit:
@@ -114,6 +124,24 @@ class TestQP:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             adversary_qp(AdditiveValuation((0.9, 0.2)), 0.25)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(ratios=(0.3 + 1e-6,) * 3), "infeasible"),
+            (dict(ratios=(0.3 - 1e-6,) * 3), "not stationary"),
+            (dict(dual=(0.0,) * 6 + (0.7 + 1e-6,)), "not stationary"),
+            (dict(dual=(-1e-6,) + (0.0,) * 5 + (0.7,)), "wrong sign"),
+            (dict(value=0.245 + 1e-6), "value"),
+        ],
+        ids=["ratios-up", "ratios-down", "budget-multiplier", "negative-multiplier", "value"],
+    )
+    def test_kkt_check_rejects_perturbed_solution(self, change, message):
+        g = np.array([0.45, 0.35, 0.2])
+        sol = adversary_qp(AdditiveValuation(tuple(g)), 0.3)
+        simul._check_kkt(g, 0.3, sol)
+        with pytest.raises(ArithmeticError, match=message):
+            simul._check_kkt(g, 0.3, dataclasses.replace(sol, **change))
 
     def test_value_lower_bounds_random_feasible_vectors(self):
         rng = np.random.Generator(np.random.Philox(19))

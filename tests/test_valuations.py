@@ -6,8 +6,10 @@ import pytest
 from riskfree.errors import DegenerateValuationError, InfeasibleInstanceError
 from riskfree.valuations import (
     AdditiveValuation,
+    CoverCertificate,
     SubadditiveIdenticalValuation,
     XOSValuation,
+    _check_certificate,
     beta_cover,
     cover_lower_bound,
     gamma_star,
@@ -109,6 +111,22 @@ class TestNormalize:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateValuationError):
             normalize(AdditiveValuation((0.0, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AdditiveValuation((math.nan, 1.0)),
+        lambda: AdditiveValuation((math.inf, 1.0)),
+        lambda: XOSValuation([(0.5, 0.5), (0.2, math.nan)]),
+        lambda: SubadditiveIdenticalValuation((0.0, math.nan, 1.0)),
+        lambda: SubadditiveIdenticalValuation((0.0, 0.6, math.inf)),
+    ],
+    ids=["additive-nan", "additive-inf", "xos-nan", "table-nan", "table-inf"],
+)
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 class TestSInstance:
@@ -245,10 +263,17 @@ class TestBetaCover:
         assert sum(cert.r) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_valued_set_has_no_cover(self):
-        # within the construction tolerance, v(1) = 0 < v(I): every item lies
-        # in a set of value 0, so no r with sum(r) = v(I) covers v
-        with pytest.raises(DegenerateValuationError):
-            beta_cover(SubadditiveIdenticalValuation((0.0, 0.0, 1e-9, 2e-9)))
+        # v(1) = 0 < v(I) would leave no cover; the tolerance is relative to
+        # v(I), so construction sees v(2) > 2 v(1) even at this tiny scale
+        with pytest.raises(ValueError, match="not subadditive"):
+            SubadditiveIdenticalValuation((0.0, 0.0, 1e-9, 2e-9))
+
+    def test_check_is_relative_to_v_of_I(self):
+        # at v(I) = 2e-9 the true certificate passes and a bogus one fails
+        v = SubadditiveIdenticalValuation((0.0, 1e-9, 1.5e-9, 2e-9))
+        assert beta_cover(v).beta == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ArithmeticError, match="cover constraint"):
+            _check_certificate(v, CoverCertificate(r=(2e-9, 0.0, 0.0), beta=0.0))
 
     def test_m_cap(self):
         with pytest.raises(ValueError):
