@@ -51,7 +51,8 @@ class SweepReport:
     min_margin: float
     worst_point: tuple
     passed: bool
-    runtime_s: float
+    runtime_s: float  # the sweep itself
+    setup_s: float = 0.0  # building the value-ladder levels the sweep reads
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -63,6 +64,7 @@ class SweepReport:
             "worst_point": list(self.worst_point),
             "passed": self.passed,
             "runtime_s": self.runtime_s,
+            "setup_s": self.setup_s,
             "extra": self.extra,
         }
 
@@ -70,7 +72,7 @@ class SweepReport:
         verdict = "PASS" if self.passed else "FAIL"
         return (
             f"{self.name:<22} n={self.n_points:<7} min_margin={self.min_margin:+.3e} "
-            f"{verdict}  ({self.runtime_s:.2f}s)"
+            f"{verdict}  ({self.runtime_s:.2f}s, ladder {self.setup_s:.2f}s)"
         )
 
 
@@ -140,27 +142,41 @@ def table_A(m: int, B: float) -> float:
 # -- verification families ------------------------------------------------------
 
 
+def _timed_ladder(m: int) -> tuple[list, list, float]:
+    """Ladder levels f_1..f_m, their build records and the seconds spent building."""
+    t0 = time.perf_counter()
+    ladder = seq.f_ladder(m)
+    return ladder, seq.LADDER.records(m), time.perf_counter() - t0
+
+
 def verify_value_bound(m_max: int = 30, grid_step: float = 0.005, tol: float = 1e-9) -> SweepReport:
-    """(a) f_m(x) <= (1 - sqrt(x))^2 + 1/sqrt(m) on a budget grid."""
+    """(a) f_m(x) <= (1 - sqrt(x))^2 + 1/sqrt(m) on a budget grid.
+
+    Passes when the margin stays above -tol after subtracting the ladder's
+    certified error ``extra["ladder_err"]``.
+    """
+    ladder, records, setup_s = _timed_ladder(m_max)
     t0 = time.perf_counter()
     xs = np.arange(grid_step, 1.0, grid_step)
     bound_base = (1.0 - np.sqrt(xs)) ** 2
     worst, worst_pt, n = math.inf, (None, None), 0
-    ladder = seq.f_ladder(m_max)
     for m in range(1, m_max + 1):
         margins = bound_base + 1.0 / math.sqrt(m) - ladder[m - 1](xs)
         n += len(xs)
         i = int(np.argmin(margins))
         if margins[i] < worst:
             worst, worst_pt = float(margins[i]), (m, float(xs[i]))
+    ladder_err = max(rec.err for rec in records)
     return SweepReport(
         name="xos_value_bound",
         description=f"f_m <= f + 1/sqrt(m), m <= {m_max}, step {grid_step}",
         n_points=n,
         min_margin=worst,
         worst_point=worst_pt,
-        passed=worst >= -tol,
+        passed=worst - ladder_err >= -tol,
         runtime_s=time.perf_counter() - t0,
+        setup_s=setup_s,
+        extra={"ladder_err": ladder_err},
     )
 
 
@@ -196,10 +212,14 @@ def verify_alpha_feasibility(m_max: int = 30, grid_step: float = 0.002, tol: flo
 
 
 def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9) -> SweepReport:
-    """(c) g_m(x, alpha_tilde) and h_m(x, alpha_tilde) <= f(x) + 1/sqrt(m)."""
+    """(c) g_m(x, alpha_tilde) and h_m(x, alpha_tilde) <= f(x) + 1/sqrt(m).
+
+    g and h read f_{m-1} scaled by (m-1)/m, so the ladder's certified error
+    enters ``extra["ladder_err"]`` with that factor.
+    """
+    ladder, records, setup_s = _timed_ladder(max(m_max - 1, 1))
     t0 = time.perf_counter()
     worst, worst_pt, n = math.inf, (None, None), 0
-    ladder = seq.f_ladder(max(m_max - 1, 1))
     for m in range(2, m_max + 1):
         xs = _intermediate_grid(m, grid_step)
         one_minus = 1.0 - np.sqrt(xs)
@@ -215,14 +235,17 @@ def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9
         i = int(np.argmin(margins))
         if margins[i] < worst:
             worst, worst_pt = float(margins[i]), (m, float(xs[i]))
+    ladder_err = max([(m - 1.0) / m * records[m - 2].err for m in range(2, m_max + 1)], default=0.0)
     return SweepReport(
         name="gh_at_alpha_tilde",
         description=f"g, h at alpha_tilde <= f + 1/sqrt(m), m <= {m_max}, step {grid_step}",
         n_points=n,
         min_margin=worst,
         worst_point=worst_pt,
-        passed=worst >= -tol,
+        passed=worst - ladder_err >= -tol,
         runtime_s=time.perf_counter() - t0,
+        setup_s=setup_s,
+        extra={"ladder_err": ladder_err},
     )
 
 
@@ -263,8 +286,9 @@ def si_upper_response_value(x: float, m: int) -> dict:
     """Best response value of the bidder against the three-phase adversary on
     the hard instance, maximized over the first-win / first-loss classes.
 
-    Subgames are valued with the exact piecewise-linear solver.  Returns the
-    per-class maxima and the overall value.
+    Subgames are valued with the piecewise-linear ladder.  Returns the
+    per-class maxima, the overall value and ``ladder_err``, the ladder's
+    certified error scaled as the subgames enter the value.
     """
     si, params = make_s_instance(x, m)
     s, d = params.sigma, params.d
@@ -272,6 +296,7 @@ def si_upper_response_value(x: float, m: int) -> dict:
     p2 = params.phase2_bid
     v1 = 1.0 / (2.0 + s)
     ladder = seq.f_ladder(max(m - 2, 1))
+    records = seq.LADDER.records(max(m - 2, 1))
 
     concede_first, arg_j1 = 0.0, None  # adversary takes items 1..j1-1 free
     for j1 in range(2, m + 1):
@@ -298,6 +323,7 @@ def si_upper_response_value(x: float, m: int) -> dict:
     value = max(0.0, concede_first, buy_through, concede_later)
     return {
         "value": value,
+        "ladder_err": max((k * mu * records[k - 1].err for k in range(1, m - 1)), default=0.0),
         "concede_first": concede_first,
         "best_j1": arg_j1,
         "buy_through": buy_through,
@@ -312,27 +338,37 @@ def verify_si_upper(
 ) -> SweepReport:
     """(e) hard-instance response classes stay near t_1(x); the excess over
     t_1 is measured, reported as C = max (V - t_1) sqrt(m), and must shrink
-    between the smallest and largest m."""
+    between the smallest and largest m.  The ladder's certified error on
+    both ends of each gap is ``extra["ladder_err"]``; passing needs the
+    margin to exceed it."""
+    m_lists = {}
+    for x in x_list:
+        ms = sorted({max(math.ceil(l_threshold(x)), m_list[0]), *m_list[1:]})
+        m_lists[x] = [m for m in ms if m >= l_threshold(x)]
+    top = max((m for ms in m_lists.values() for m in ms), default=3)
+    _, _, setup_s = _timed_ladder(max(top - 2, 1))
     t0 = time.perf_counter()
     rows = []
     c_measured = 0.0
+    ladder_err = 0.0
     worst, worst_pt = math.inf, (None,)  # convergence gap, per x
-    for x in x_list:
-        ms = sorted({max(math.ceil(l_threshold(x)), m_list[0]), *m_list[1:]})
-        ms = [m for m in ms if m >= l_threshold(x)]
+    for x, ms in m_lists.items():
         t1 = tangent_value(1, x)
-        excesses = []
+        excesses, errs = [], []
         for m in ms:
-            val = si_upper_response_value(x, m)["value"]
+            resp = si_upper_response_value(x, m)
+            val = resp["value"]
             excess = val - t1
             c_measured = max(c_measured, excess * math.sqrt(m))
             excesses.append(excess)
+            errs.append(resp["ladder_err"])
             rows.append({"x": x, "m": m, "value": val, "excess": excess})
         if len(excesses) >= 2:
             gap = excesses[0] - excesses[-1]  # positive means shrinking excess
+            ladder_err = max(ladder_err, errs[0] + errs[-1])
             if gap < worst:
                 worst, worst_pt = gap, (x,)
-    passed = worst > 0.0 and math.isfinite(c_measured)
+    passed = worst - ladder_err > 0.0 and math.isfinite(c_measured)
     return SweepReport(
         name="si_upper_bound",
         description="three-phase adversary holds responses to t_1(x) + C/sqrt(m); "
@@ -342,7 +378,8 @@ def verify_si_upper(
         worst_point=worst_pt,
         passed=passed,
         runtime_s=time.perf_counter() - t0,
-        extra={"C_measured": c_measured, "rows": rows},
+        setup_s=setup_s,
+        extra={"C_measured": c_measured, "ladder_err": ladder_err, "rows": rows},
     )
 
 

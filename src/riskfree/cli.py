@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,8 +90,8 @@ def load_scenario(path: str) -> Scenario:
         raise ValueError(f"unknown auction kind: {sc.auction!r}")
     if sc.price_rule not in ("first", "second"):
         raise ValueError(f"unknown price rule: {sc.price_rule!r}")
-    if sc.budget < 0:
-        raise ValueError("budget must be non-negative")
+    if not (math.isfinite(sc.budget) and sc.budget >= 0):
+        raise ValueError("budget must be finite and non-negative")
     return sc
 
 
@@ -215,11 +216,9 @@ def run_scenario(sc: Scenario) -> dict:
 def _cmd_solve_uniform(args) -> int:
     fm = seq.uniform_additive_value(args.m)
     xs, ys = fm.xs, fm.ys
-    branches = []
-    for i in range(len(xs) - 1):
-        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        intercept = ys[i] - slope * xs[i]
-        branches.append([float(xs[i]), float(xs[i + 1]), float(slope), float(intercept)])
+    slope = np.diff(ys) / np.diff(xs)
+    intercept = ys[:-1] - slope * xs[:-1]
+    branches = np.column_stack((xs[:-1], xs[1:], slope, intercept)).tolist()
     print(json.dumps({"m": args.m, "branches": branches}))
     if args.dump_csv:
         _write_pwl_csv(fm, args.dump_csv)

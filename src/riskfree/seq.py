@@ -20,20 +20,30 @@ adversary bid a/m are
 
 and f_m(x) minimizes max(g, h) over feasible a.  Since g is strictly
 decreasing and h non-decreasing in a, the optimum is the equalization point
-clamped to [0, min(1, mx)].  Everything is solved segment-exactly; no
+clamped to [0, min(1, mx)].  Each level is lifted segment-exactly; no
 bisection is involved, so rational breakpoints (1/9, 5/9, ...) come out to
 machine accuracy.
+
+The piece count doubles per level, so each level is then simplified within
+a tolerance eta_m (measured, at most about 1e-9).  The errors do not simply
+add up: the lift T is monotone and T(f + c) = T f + r_m c with
+r_m = (m-1)/m, so T is an r_m-contraction in the sup norm (Blackwell's
+conditions) and the stored f_m is within err_m = r_m err_{m-1} + eta_m of the
+exact one.  ``LADDER.records(m)`` reports err_m with each level's piece
+counts and build time; levels 1..3 are exact.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from . import pwl
 from .errors import (
     ContractViolationError,
     PolicyContractError,
@@ -92,121 +102,227 @@ class AlphaParams:
 
 # -- exact uniform additive solver --------------------------------------------
 
-_ladder: list[PiecewiseLinear] = []
+#: Simplification tolerance, the same at every level.  The exact value
+#: function's piece count doubles with every level (2, 4, 7, 14, 28, 56, ...),
+#: so each level drops the breakpoints whose removal moves it by at most
+#: ``_ETA``.  Genuine kinks at small m are macroscopic, so levels 1..3 stay
+#: exact.  The error left in f_m is certified by the contraction bound
+#: documented on ``Ladder``: err_m <= r_m err_{m-1} + eta_m, about 1e-8 at
+#: m = 30 and under 1e-7 at m = 198.
+_ETA = 1e-9
 
-#: Per-level simplification tolerances.  The exact value function's piece
-#: count doubles with every level (measured: 2, 4, 7, 14, 28, 56, ...), so
-#: beyond small m the ladder prunes breakpoints whose removal moves the
-#: function by less than a certified tolerance.  Genuine kinks at small m are
-#: macroscopic, so levels 1..3 stay bit-exact.  The cumulative error is the
-#: sum of per-level tolerances: ~3e-11 by m = 34, ~2e-7 by m = 200, orders of
-#: magnitude inside every tolerance asserted downstream.
-_ETA_TIGHT = 1e-12
-_ETA_COARSE = 1e-9
-_TIGHT_LEVELS = 30
+#: Values this close to zero are snapped to it (a lossy step, so counted in
+#: the level's measured error).
+_ZERO_SNAP = 1e-12
+
+#: ``_simplify`` stops sweeping once a pair of sweeps removes fewer than this
+#: share of the remaining breakpoints.
+_SWEEP_STOP = 0.03
 
 
-def _simplify(xs: np.ndarray, ys: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Drop breakpoints whose removal keeps the function within ``eta``.
+@dataclass(frozen=True)
+class LevelRecord:
+    """How one level f_m of a :class:`Ladder` was built."""
 
-    Alternating-parity passes remove non-adjacent candidate points; the
-    result is certified against the input polyline and the threshold is
-    tightened if compounding ever exceeds the budget.
+    m: int
+    pieces_raw: int  # pieces of the exact lift, before the lossy steps
+    pieces: int  # pieces stored
+    eta: float  # measured sup error of this level's lossy steps
+    err: float  # certified bound on sup |stored f_m - exact f_m|
+    build_s: float
+
+
+def _simplify(xs: np.ndarray, ys: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Drop breakpoints that lie within ``threshold`` of their neighbours' chord.
+
+    Alternating-parity sweeps remove non-adjacent points, until a pair of
+    sweeps removes under ``_SWEEP_STOP`` of the points.  Removals compound,
+    so the caller certifies the result.
     """
-    if eta <= 0.0 or len(xs) <= 2:
-        return xs, ys
-    threshold = 0.4 * eta
-    for _ in range(3):  # certification retries
-        cx, cy = xs, ys
-        for sweep in range(60):
-            if len(cx) <= 2:
-                break
-            x0, x1, x2 = cx[:-2], cx[1:-1], cx[2:]
-            y0, y1, y2 = cy[:-2], cy[1:-1], cy[2:]
-            t = (x1 - x0) / (x2 - x0)
-            dev = np.abs(y1 - (y0 + t * (y2 - y0)))
-            rem = dev <= threshold
-            rem &= (np.arange(len(rem)) % 2) == (sweep % 2)
-            if not np.any(rem):
-                if sweep % 2 == 1:
-                    break
-                continue
-            keep = np.concatenate(([True], ~rem, [True]))
+    cx, cy = xs, ys
+    if threshold <= 0.0:
+        return cx, cy
+    pair_start = len(cx)
+    for sweep in range(60):
+        # candidates: interior points of index parity 1 + sweep % 2, each
+        # with its neighbours at index -1 and +1
+        mid = slice(1 + sweep % 2, len(cx) - 1, 2)
+        lo = slice(mid.start - 1, mid.stop - 1, 2)
+        hi = slice(mid.start + 1, mid.stop + 1, 2)
+        x0, x1, x2 = cx[lo], cx[mid], cx[hi]
+        y0, y1, y2 = cy[lo], cy[mid], cy[hi]
+        t = (x1 - x0) / (x2 - x0)
+        rem = np.abs(y1 - (y0 + t * (y2 - y0))) <= threshold
+        if np.any(rem):
+            keep = np.ones(len(cx), dtype=bool)
+            keep[mid] = ~rem
             cx, cy = cx[keep], cy[keep]
-        err = float(np.max(np.abs(np.interp(xs, cx, cy) - ys)))
-        if err <= eta:
-            return cx, cy
-        threshold *= 0.25
-    return xs, ys  # give up simplifying rather than exceed the budget
+        if sweep % 2 == 1:
+            if pair_start - len(cx) <= _SWEEP_STOP * pair_start:
+                break
+            pair_start = len(cx)
+    return cx, cy
 
 
-def _level_up(fp: PiecewiseLinear, m: int) -> PiecewiseLinear:
-    """Lift f_{m-1} to f_m, exactly, on the budget window [0, 1]."""
+def _with_knots(xs: np.ndarray, ys: np.ndarray, knots: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints of a polyline with sorted ``knots`` merged in, duplicates dropped."""
+    idx = np.searchsorted(xs, knots)
+    gx = np.insert(xs, idx, knots)
+    gy = np.insert(ys, idx, np.interp(knots, xs, ys))
+    keep = np.concatenate(([True], gx[1:] > gx[:-1]))
+    return gx[keep], gy[keep]
+
+
+def _lift(fp: PiecewiseLinear, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level map: f_m from f_{m-1}, exactly, as sorted raw arrays on [0, 1].
+
+    f_m = max(E_g, f_cross).  E_g(x) = max(1/m - x, 0) + B(x) with
+    B(x) = r f_{m-1}(x / r) is the value of committing to win round one at
+    the adversary's cap bid.  f_cross is the equalization value: substituting
+    u = (m x - a)/(m - 1) turns g = h into phi(u) = psi(x) with
+    phi(u) = f_{m-1}(u) - u and psi(x) = (1/m + B(x) - x)/r, both strictly
+    decreasing, so the crossing u(x) is unique, f_cross = r (psi + u) and it
+    is affine between the knots of psi and the events where u(x) passes a
+    breakpoint of f_{m-1}.  Where no feasible crossing exists the minimum of
+    max(g, h) sits at alpha_max with value E_g; otherwise the equalization
+    value applies and dominates E_g.  The two regimes meet at a grid point:
+    for x >= 1/m, alpha_max = 1 and g <= h there, so the crossing is always
+    feasible; for x < 1/m, the crossing leaves the feasible range where
+    u(x) = 0, the event of f_{m-1}'s breakpoint u = 0.  Every value is
+    computed from segment coefficients; nothing is bisected.
+    """
     r = (m - 1.0) / m
+    # knots of psi: those of B, E_g's kink at 1/m and the window ends
+    xs, b = _with_knots(r * fp.xs, r * fp.ys, [0.0, 1.0 / m, 1.0])
+    psi = (1.0 / m + b - xs) / r
+    us, fu = _with_knots(fp.xs, fp.ys, [0.0, 1.0])
+    phi = fu - us  # phi(0) = 1, phi(1) = -1
 
-    # Value of committing to win round one at the adversary's cap bid:
-    # E_g(x) = max(1/m - x, 0) + r * f_{m-1}(x / r).
-    scaled_prev = fp.affine(r, 1.0 / r, 0.0, 0.0)
-    first_round_margin = PiecewiseLinear([0.0, 1.0 / m], [1.0 / m, 0.0])
-    e_g = pwl.add(first_round_margin, scaled_prev)
+    u = np.interp(psi, phi[::-1], us[::-1])
+    cross = r * (psi + u)
+    cross[psi >= phi[0]] = r  # crossing needs a < 0: f_{m-1}(u) = 1
+    cross[psi <= phi[-1]] = 0.0  # crossing beyond u = 1: f_{m-1}(u) = 0
 
-    # Equalization value.  Substituting u = (m x - a)/(m - 1) turns
-    # g = h into  f_{m-1}(u) - u = psi(x),  psi(x) = (1/m + B(x) - x)/r,
-    # B(x) = r * f_{m-1}(x/r).  psi is strictly decreasing, phi(u) =
-    # f_{m-1}(u) - u strictly decreasing, so the crossing is unique and
-    # piecewise affine in x.
-    xs = np.union1d(scaled_prev.xs, [0.0, 1.0])
-    xs = xs[(xs >= 0.0) & (xs <= 1.0)]
-    psi_vals = (1.0 / m + scaled_prev(xs) - xs) / r
+    # events: x where psi(x) = phi(u_k) at a breakpoint u_k of f_{m-1}; there
+    # u = u_k, f_cross = r f_{m-1}(u_k) and B = r phi(u_k) - 1/m + x
+    inside = (phi < psi[0]) & (phi > psi[-1])
+    ev_phi = phi[inside]
+    ev_x = np.interp(ev_phi, psi[::-1], xs[::-1])
+    ev_at = np.searchsorted(xs, ev_x) + np.arange(len(ev_x))
+    xs_at = np.ones(len(xs) + len(ev_x), dtype=bool)
+    xs_at[ev_at] = False
+    xs_at = np.nonzero(xs_at)[0]
+    grid, e_g, f_cross = np.empty((3, len(xs_at) + len(ev_at)))
+    grid[xs_at], grid[ev_at] = xs, ev_x
+    f_cross[xs_at], f_cross[ev_at] = cross, r * fu[inside]
+    e_g[xs_at], e_g[ev_at] = b, r * ev_phi - 1.0 / m + ev_x
+    e_g += np.maximum(1.0 / m - grid, 0.0)
 
-    us = np.union1d(fp.xs, [0.0, 1.0])
-    us = us[(us >= 0.0) & (us <= 1.0)]
-    phi_vals = fp(us) - us  # strictly decreasing, phi(0)=1, phi(1)=-1
+    # E_g and f_cross meet only at grid points (see above), so their max is
+    # affine between grid points too
+    vals = np.maximum(e_g, f_cross)
+    keep = np.concatenate(([True], grid[1:] > grid[:-1]))
+    return grid[keep], vals[keep]
 
-    # x-locations where the crossing u(x) passes a breakpoint of f_{m-1}
-    # (exact inverse interpolation of the strictly decreasing psi).
-    events = np.interp(phi_vals, psi_vals[::-1], xs[::-1])
-    grid = np.union1d(xs, events)
 
-    psi_c = np.interp(grid, xs, psi_vals)
-    u = np.interp(psi_c, phi_vals[::-1], us[::-1])
-    cross = r * (psi_c + u)
-    cross[psi_c >= phi_vals[0]] = r  # crossing needs a < 0: f_{m-1}(u) = 1
-    cross[psi_c <= phi_vals[-1]] = 0.0  # crossing beyond u = 1: f_{m-1}(u) = 0
-    f_cross = PiecewiseLinear(grid, cross)
+def _level_up(fp: PiecewiseLinear, m: int, eta: float) -> tuple[PiecewiseLinear, int, float]:
+    """f_m from the stored f_{m-1}, within ``eta`` of the exact lift.
 
-    # Where no feasible crossing exists the minimum of max(g, h) sits at
-    # alpha_max with value E_g; otherwise the equalization value applies and
-    # dominates E_g.  Hence f_m = max(E_g, f_cross).
-    fm = pwl.pointwise_extreme(e_g, f_cross, "max")
+    Returns the level, the exact lift's piece count and the measured sup
+    error of every lossy step: the zero snap, ``_simplify`` and the one
+    canonicalization in the ``PiecewiseLinear`` constructor.  The stored
+    breakpoints are a subset of the lift's, so the lift's breakpoints are
+    where the error peaks.  If compounding removals exceed ``eta``, the
+    simplification threshold is tightened, down to none at all.
+    """
+    xs, exact = _lift(fp, m)
+    ys = exact.copy()
+    ys[np.abs(ys) <= _ZERO_SNAP] = 0.0
+    for threshold in (0.4 * eta, 0.1 * eta, 0.025 * eta, 0.0):
+        fm = PiecewiseLinear(*_simplify(xs, ys, threshold))
+        err = float(np.max(np.abs(fm(xs) - exact)))
+        if err <= eta or threshold == 0.0:
+            return fm, len(xs) - 1, err
 
-    xs2 = fm.xs.copy()
-    ys2 = fm.ys.copy()
-    ys2[np.abs(ys2) <= 1e-12] = 0.0
-    eta = _ETA_TIGHT if m <= _TIGHT_LEVELS else _ETA_COARSE
-    xs2, ys2 = _simplify(xs2, ys2, eta)
-    return PiecewiseLinear(xs2, ys2)
+
+class Ladder:
+    """The value functions f_1, f_2, ..., built on demand and cached.
+
+    Level m lifts the stored f_{m-1} exactly and then takes lossy steps (zero
+    snap, simplification within ``eta``, canonical form) whose sup error
+    eta_m is measured.  The exact lift T is monotone in f_{m-1}, and adding
+    a constant c to f_{m-1} shifts T f_{m-1} by exactly r_m c, r_m =
+    (m-1)/m, since both continuation values g and h carry f_{m-1} with the
+    factor r_m.  By Blackwell's sufficient conditions T is an r_m-contraction
+    in the sup norm, so the stored f_m is within
+
+        err_m = r_m err_{m-1} + eta_m,   err_1 = 0,
+
+    of the exact f_m, up to floating-point rounding in the lift (a few ulps
+    per level).  ``records`` reports each level's piece counts, eta_m,
+    err_m and build time.  Extension holds a lock, so threads sharing a
+    ladder see each level built once.
+    """
+
+    def __init__(self, eta: float = _ETA):
+        self.eta = eta
+        self._levels = [PiecewiseLinear([0.0, 1.0], [1.0, 0.0])]
+        self._records = [LevelRecord(m=1, pieces_raw=1, pieces=1, eta=0.0, err=0.0, build_s=0.0)]
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        """Number of levels built so far."""
+        with self._lock:
+            return len(self._levels)
+
+    def _upto(self, m: int) -> int:
+        if m < 1:
+            raise ValueError("m must be at least 1")
+        while len(self._levels) < m:
+            k = len(self._levels) + 1
+            t0 = time.perf_counter()
+            fk, pieces_raw, eta_k = _level_up(self._levels[-1], k, self.eta)
+            err = (k - 1.0) / k * self._records[-1].err + eta_k
+            self._records.append(LevelRecord(
+                m=k, pieces_raw=pieces_raw, pieces=fk.piece_count(), eta=eta_k, err=err,
+                build_s=time.perf_counter() - t0,
+            ))
+            self._levels.append(fk)
+        return m
+
+    def levels(self, m: int) -> list[PiecewiseLinear]:
+        """[f_1, ..., f_m], building missing levels."""
+        with self._lock:
+            return self._levels[: self._upto(m)]
+
+    def level(self, m: int) -> PiecewiseLinear:
+        """f_m, building missing levels."""
+        with self._lock:
+            return self._levels[self._upto(m) - 1]
+
+    def records(self, m: int) -> list[LevelRecord]:
+        """Build records of f_1, ..., f_m, building missing levels."""
+        with self._lock:
+            return self._records[: self._upto(m)]
+
+
+#: The process-wide ladder behind ``f_ladder`` and ``uniform_additive_value``.
+LADDER = Ladder()
 
 
 def f_ladder(m: int) -> list[PiecewiseLinear]:
-    """Value functions [f_1, ..., f_m]; cached across calls.
+    """Value functions [f_1, ..., f_m] from the process-wide ``LADDER``.
 
-    Segment-exact for small m; from level {tight} on, levels carry the
-    documented simplification tolerance.
+    Exact for m <= 3; beyond, f_m is within ``LADDER.records(m)[-1].err``
+    of the exact value function.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if not _ladder:
-        _ladder.append(PiecewiseLinear([0.0, 1.0], [1.0, 0.0]))
-    while len(_ladder) < m:
-        _ladder.append(_level_up(_ladder[-1], len(_ladder) + 1))
-    return _ladder[:m]
+    return LADDER.levels(m)
 
 
 def uniform_additive_value(m: int) -> PiecewiseLinear:
     """Game value f_m of the m-item uniform additive auction, as a function
     of the adversary budget.  f_m(0) = 1 and f_m(x) = 0 for x >= 1."""
-    return f_ladder(m)[-1]
+    return LADDER.level(m)
 
 
 def g_h(m: int, x: float, alpha: float, f_prev: PiecewiseLinear | None = None) -> tuple[float, float]:
@@ -217,11 +333,13 @@ def g_h(m: int, x: float, alpha: float, f_prev: PiecewiseLinear | None = None) -
     """
     if m < 2:
         raise ValueError("g/h need m >= 2")
+    if not (math.isfinite(x) and math.isfinite(alpha)):
+        raise ValueError("budget and bid ratio must be finite")
     if alpha < -_TOL or alpha > min(1.0, m * x) + 1e-9:
         raise ContractViolationError(
             f"alpha = {alpha} outside the feasible range [0, min(1, m x) = {min(1.0, m * x)}]"
         )
-    fp = f_prev if f_prev is not None else f_ladder(m - 1)[-1]
+    fp = f_prev if f_prev is not None else LADDER.level(m - 1)
     r = (m - 1.0) / m
     g = (1.0 - alpha) / m + r * fp(m * x / (m - 1.0))
     h = r * fp((m * x - alpha) / (m - 1.0))
@@ -243,22 +361,35 @@ def equalization_alpha(m: int, x: float) -> tuple[float, float]:
     """Optimal first-round bid ratio for the adversary in A_m at budget x.
 
     Returns (alpha, value) where value = f_m(x).  The optimum is the
-    equalization point of g and h when it is feasible, else alpha_max.
+    equalization point of g and h when it is feasible, else alpha_max.  In
+    u = (m x - alpha)/(m - 1), g - h = g(0) - x - r phi(u) with
+    phi(u) = f_{m-1}(u) - u strictly decreasing, so the crossing is found by
+    bisection over the breakpoints of f_{m-1} and solved exactly inside the
+    bracketing segment.
     """
     if m < 2:
         raise ValueError("equalization needs m >= 2")
+    if not math.isfinite(x):
+        raise ValueError("budget must be finite")
     alpha_max = min(1.0, m * x)
-    fp = f_ladder(m - 1)[-1]
+    fp = LADDER.level(m - 1)
     r = (m - 1.0) / m
     g0 = 1.0 / m + r * fp(m * x / (m - 1.0))
     if alpha_max <= 0.0:
         return 0.0, g0
-    g_line = PiecewiseLinear([0.0, alpha_max], [g0, g0 - alpha_max / m])
-    h_curve = fp.affine(r, -1.0 / (m - 1.0), m * x / (m - 1.0), 0.0)
-    crossing = pwl.solve_equal(g_line, h_curve, 0.0, alpha_max)
-    if crossing is None:
-        return alpha_max, g0 - alpha_max / m
-    return crossing, float(g_line(crossing))
+    g_end = g0 - alpha_max / m
+    if g_end - r * fp((m * x - alpha_max) / (m - 1.0)) >= -_TOL:
+        return alpha_max, g_end  # g - h stays above -_TOL on the feasible range
+    c = (g0 - x) / r  # the crossing solves phi(u) = c
+    xs, ys = fp.xs, fp.ys
+    i = bisect.bisect_left(range(len(xs)), -c, key=lambda k: xs[k] - ys[k])
+    if i == 0 or i == len(xs):  # beyond the breakpoints f_{m-1} is constant
+        u = float(ys[min(i, len(xs) - 1)]) - c
+    else:
+        phi0, phi1 = ys[i - 1] - xs[i - 1], ys[i] - xs[i]
+        u = float(xs[i - 1] + (phi0 - c) / (phi0 - phi1) * (xs[i] - xs[i - 1]))
+    alpha = min(max(m * x - (m - 1.0) * u, 0.0), alpha_max)
+    return alpha, g0 - alpha / m
 
 
 # -- simulation ---------------------------------------------------------------

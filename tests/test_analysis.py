@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from riskfree import analysis as A
+from riskfree import seq
 from riskfree.strategies import tangent_value
 from riskfree.valuations import l_threshold
 
@@ -96,6 +99,30 @@ class TestSweeps:
         assert rep.extra["C_measured"] >= 0.0
         rows = rep.extra["rows"]
         assert rows[-1]["excess"] < rows[0]["excess"]
+
+    def test_ladder_build_and_error_are_reported(self, monkeypatch):
+        ladder = seq.Ladder()
+        monkeypatch.setattr(seq, "LADDER", ladder)
+        sweeps = [
+            (A.verify_value_bound, dict(m_max=8, grid_step=0.02)),
+            (A.verify_gh_bound, dict(m_max=8, grid_step=0.02)),
+            (A.verify_si_upper, dict(x_list=(0.1,), m_list=(30, 60))),
+        ]
+        reps = [fn(**kw) for fn, kw in sweeps]
+        assert reps[0].setup_s > 0.0  # the first sweep built the cold ladder
+        for rep in reps:
+            assert rep.passed
+            assert 0.0 <= rep.extra["ladder_err"] <= 1e-7
+            assert rep.to_dict()["setup_s"] == rep.setup_s
+            assert "ladder" in rep.summary_line()
+        # a certified error as large as the margin fails the sweep; the
+        # margin itself is unchanged
+        records = [dataclasses.replace(r, err=1.0) for r in ladder.records(58)]
+        monkeypatch.setattr(ladder, "records", lambda m: records[:m])
+        for (fn, kw), rep in zip(sweeps, reps):
+            worse = fn(**kw)
+            assert not worse.passed
+            assert worse.min_margin == rep.min_margin
 
     def test_simul(self):
         rep = A.verify_simul(seed=0)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,3 +178,37 @@ def test_out_of_domain_budget_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", "--scenario", str(path))
     assert code == 1
     assert "budget" in err
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "auction",
+    [
+        {"auction": "sequential"},
+        {"auction": "simultaneous", "bidder": "truthful", "adversary": "fixed(0.1,0.1)"},
+    ],
+    ids=["sequential", "simultaneous"],
+)
+def test_non_finite_budget_exits_1(capsys, tmp_path, auction, budget):
+    path = scenario_file(tmp_path, budget=budget, **auction)
+    assert ("NaN" if budget != budget else "Infinity") in Path(path).read_text()
+    code, _, err = run(capsys, "simulate", "--scenario", path)
+    assert code == 1
+    assert "budget must be finite and non-negative" in err
+
+
+def test_solve_uniform_json_matches_per_branch_loop(capsys):
+    # reference: the per-branch loop the vectorized emission replaced
+    from riskfree.seq import uniform_additive_value
+
+    m = 12
+    fm = uniform_additive_value(m)
+    xs, ys = fm.xs, fm.ys
+    branches = []
+    for i in range(len(xs) - 1):
+        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+        intercept = ys[i] - slope * xs[i]
+        branches.append([float(xs[i]), float(xs[i + 1]), float(slope), float(intercept)])
+    code, out, _ = run(capsys, "solve-uniform", "--m", str(m))
+    assert code == 0
+    assert out == json.dumps({"m": m, "branches": branches}) + "\n"

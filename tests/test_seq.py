@@ -1,10 +1,15 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from riskfree import seq
+from riskfree import pwl, seq
 from riskfree.errors import ContractViolationError, PolicyContractError
+from riskfree.pwl import PiecewiseLinear
 from riskfree.seq import (
     SeqGameState,
     alpha_params,
@@ -99,6 +104,14 @@ class TestGH:
         with pytest.raises(ContractViolationError):
             g_h(2, 0.1, 0.5)  # alpha > m x = 0.2
 
+    @pytest.mark.parametrize("x, alpha", [(math.nan, 0.0), (math.inf, 0.0), (0.3, math.nan)])
+    def test_non_finite_input_rejected(self, x, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            g_h(5, x, alpha)
+        if math.isfinite(alpha):
+            with pytest.raises(ValueError, match="finite"):
+                equalization_alpha(5, x)
+
 
 class TestAlphaParams:
     def test_quarter(self):
@@ -144,6 +157,32 @@ class TestEqualization:
         alpha, val = equalization_alpha(2, 0.1)
         assert alpha == pytest.approx(0.2, abs=1e-12)
         assert val == pytest.approx(0.8, abs=1e-12)
+
+    @staticmethod
+    def solve_equal_oracle(m, x):
+        """The crossing of g and h by the general solver on the union grid."""
+        alpha_max = min(1.0, m * x)
+        fp = f_ladder(m - 1)[-1]
+        r = (m - 1.0) / m
+        g0 = 1.0 / m + r * fp(m * x / (m - 1.0))
+        if alpha_max <= 0.0:
+            return 0.0, g0
+        g_line = PiecewiseLinear([0.0, alpha_max], [g0, g0 - alpha_max / m])
+        h_curve = fp.affine(r, -1.0 / (m - 1.0), m * x / (m - 1.0), 0.0)
+        crossing = pwl.solve_equal(g_line, h_curve, 0.0, alpha_max)
+        if crossing is None:
+            return alpha_max, g0 - alpha_max / m
+        return crossing, float(g_line(crossing))
+
+    def test_matches_solve_equal_oracle(self):
+        rng = np.random.Generator(np.random.Philox(4))
+        for m in (*range(2, 18), 18, 31, 39):
+            edges = (0.0, 0.5 / m**2, 1.0 / m**2, (m - 1.0) / m, 1.0, 1.1)
+            for x in (*edges, *rng.uniform(0.0, 1.2, 12)):
+                alpha, val = equalization_alpha(m, float(x))
+                want_alpha, want_val = self.solve_equal_oracle(m, float(x))
+                assert alpha == pytest.approx(want_alpha, abs=1e-9), (m, x)
+                assert val == pytest.approx(want_val, abs=1e-12), (m, x)
 
 
 class TestOracle:
@@ -311,3 +350,107 @@ def test_state_properties():
         m=4,
     )
     assert st.adversary_wins == 1
+
+
+def composed_lift(fp, m):
+    """The level map built from general pwl operations, each canonicalizing
+    its result: the reference for the fused kernel ``seq._lift``."""
+    r = (m - 1.0) / m
+    scaled_prev = fp.affine(r, 1.0 / r, 0.0, 0.0)
+    e_g = pwl.add(PiecewiseLinear([0.0, 1.0 / m], [1.0 / m, 0.0]), scaled_prev)
+    xs = np.union1d(scaled_prev.xs, [0.0, 1.0])
+    xs = xs[(xs >= 0.0) & (xs <= 1.0)]
+    psi = (1.0 / m + scaled_prev(xs) - xs) / r
+    us = np.union1d(fp.xs, [0.0, 1.0])
+    us = us[(us >= 0.0) & (us <= 1.0)]
+    phi = fp(us) - us
+    grid = np.union1d(xs, np.interp(phi, psi[::-1], xs[::-1]))
+    psi_c = np.interp(grid, xs, psi)
+    cross = r * (psi_c + np.interp(psi_c, phi[::-1], us[::-1]))
+    cross[psi_c >= phi[0]] = r
+    cross[psi_c <= phi[-1]] = 0.0
+    return pwl.pointwise_extreme(e_g, PiecewiseLinear(grid, cross), "max")
+
+
+class TestLadder:
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 12, 20, 31, 60])
+    def test_lift_matches_composed_pwl_operations(self, m):
+        fp = uniform_additive_value(m - 1)
+        xs, ys = seq._lift(fp, m)
+        assert np.all(np.diff(xs) > 0.0)
+        want = composed_lift(fp, m)
+        grid = np.union1d(xs, want.xs)
+        assert float(np.max(np.abs(np.interp(grid, xs, ys) - want(grid)))) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=hst.integers(2, 12),
+        knots=hst.lists(hst.floats(0.01, 0.99), min_size=1, max_size=8, unique=True),
+        drops=hst.lists(hst.floats(0.0, 1.0), min_size=9, max_size=9),
+    )
+    def test_lift_of_any_value_curve_matches_composed_operations(self, m, knots, drops):
+        # a non-increasing curve from f(0) = 1 to f(1) = 0, not a ladder level
+        xs = np.array([0.0, *sorted(knots), 1.0])
+        steps = np.asarray(drops[: len(xs) - 1]) + 1e-3
+        ys = np.concatenate(([1.0], 1.0 - np.cumsum(steps) / steps.sum()))
+        ys[-1] = 0.0
+        fp = PiecewiseLinear(xs, ys)
+        gx, gy = seq._lift(fp, m)
+        want = composed_lift(fp, m)
+        grid = np.union1d(gx, want.xs)
+        assert float(np.max(np.abs(np.interp(grid, gx, gy) - want(grid)))) <= 1e-12
+
+    def test_records_follow_the_contraction_bound(self):
+        records = seq.LADDER.records(198)
+        assert [r.m for r in records] == list(range(1, 199))
+        assert records[0].err == 0.0
+        for prev, rec in zip(records, records[1:]):
+            assert rec.err == (rec.m - 1.0) / rec.m * prev.err + rec.eta
+            assert rec.pieces <= rec.pieces_raw
+            assert 0.0 <= rec.eta <= 2 * seq._ETA
+        assert max(r.eta for r in records[:3]) <= 1e-15  # levels 1..3 are exact
+        assert records[29].err <= 2e-8
+        assert records[197].err <= 1e-7
+
+    def test_concurrent_extension_builds_each_level_once(self, monkeypatch):
+        cold = seq.Ladder()
+        monkeypatch.setattr(seq, "LADDER", cold)
+        results = [None] * 4
+
+        def work(i):
+            results[i] = f_ladder(18)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(cold) == 18
+        serial = seq.Ladder().levels(18)
+        for got in results:
+            assert len(got) == 18
+            for f, want in zip(got, serial):
+                np.testing.assert_array_equal(f.xs, want.xs)
+                np.testing.assert_array_equal(f.ys, want.ys)
+
+
+@pytest.fixture(scope="module")
+def unsimplified_ladder():
+    return seq.Ladder(eta=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=hst.integers(1, 16), budgets=hst.lists(hst.floats(0.0, 1.2), min_size=1, max_size=20))
+def test_simplified_ladder_within_certified_error(unsimplified_ladder, m, budgets):
+    exact, coarse = unsimplified_ladder.level(m), uniform_additive_value(m)
+    bound = seq.LADDER.records(m)[-1].err + unsimplified_ladder.records(m)[-1].err
+    xs = np.concatenate((exact.xs, coarse.xs, budgets))
+    # float rounding in the lift and in evaluation, a few ulps per level,
+    # lies outside the certified bound
+    assert float(np.max(np.abs(coarse(xs) - exact(xs)))) <= bound + 1e-14
