@@ -66,10 +66,21 @@ def _canonicalize(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return xs, ys
 
 
-class PiecewiseLinear:
-    """Immutable continuous piecewise-linear function with constant extension."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
-    __slots__ = ("xs", "ys")
+
+class PiecewiseLinear:
+    """Immutable continuous piecewise-linear function with constant extension.
+
+    ``xs`` and ``ys`` are read-only views of private writeable arrays, which
+    evaluation hands to ``np.interp``: it copies read-only inputs, which
+    would make every scalar read O(breakpoints).
+    """
+
+    __slots__ = ("_xs", "_ys", "xs", "ys")
 
     def __init__(self, xs: Sequence[float] | np.ndarray, ys: Sequence[float] | np.ndarray):
         xs = np.asarray(xs, dtype=float).ravel()
@@ -83,10 +94,10 @@ class PiecewiseLinear:
             raise BreakpointOverflowError(
                 f"{len(xs)} breakpoints exceed the cap of {MAX_BREAKPOINTS}"
             )
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "xs", _read_only(xs))
+        object.__setattr__(self, "ys", _read_only(ys))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PiecewiseLinear is immutable")
@@ -97,7 +108,7 @@ class PiecewiseLinear:
         """Evaluate at a scalar or array; constant beyond both ends."""
         if self.xs.size == 1:
             return np.full_like(np.asarray(x, dtype=float), self.ys[0]) if np.ndim(x) else float(self.ys[0])
-        out = np.interp(x, self.xs, self.ys)
+        out = np.interp(x, self._xs, self._ys)
         return float(out) if np.ndim(x) == 0 else out
 
     # -- transforms ---------------------------------------------------------

@@ -51,10 +51,12 @@ from .errors import (
 )
 from .pwl import PiecewiseLinear
 from .valuations import (
+    MAX_ENUM_M,
     AdditiveValuation,
     SubadditiveIdenticalValuation,
     Valuation,
-    XOSValuation,
+    item_vector,
+    subset_sums,
 )
 
 _TOL = 1e-12
@@ -519,7 +521,7 @@ def solve_discretized(
         final = [v.value(range(k)) for k in range(m + 1)]
     else:
         won_space = 1 << m
-        final = [v.value([i for i in range(m) if mask >> i & 1]) for mask in range(1 << m)]
+        final = v.values_all().tolist()
     loop = (bu0 + 1) if leader == "adversary" else (n_max + 1)
     if m * won_space * (bu0 + 1) * loop > max_ops:
         raise StateSpaceError("discretized state space exceeds the cap")
@@ -562,18 +564,6 @@ def solve_discretized(
 
 # -- exact adversary best response to fixed bids --------------------------------
 
-_CHUNK = 1 << 16
-
-
-def _won_values(v: Valuation, won_bits: np.ndarray) -> np.ndarray:
-    if isinstance(v, AdditiveValuation):
-        return won_bits @ np.asarray(v.weights)
-    if isinstance(v, XOSValuation):
-        clause_mat = np.array([c.weights for c in v.clauses])  # (ell, m)
-        return (won_bits @ clause_mat.T).max(axis=1)
-    table = np.asarray(v.table)
-    return table[won_bits.sum(axis=1).astype(int)]
-
 
 def best_response_to_fixed_bids(
     v: Valuation,
@@ -586,49 +576,42 @@ def best_response_to_fixed_bids(
     The adversary can win a set T exactly when its limit cost sum(bids1[T])
     is strictly below B (he must outbid by a vanishing margin, so spending
     exactly B is out of reach).  Under second price his losing bids also
-    drain the bidder, capped by the budget remaining at each round.
+    drain the bidder, capped by the budget remaining at each round.  Every
+    take-set is tried (m capped at 20, except the additive first-price
+    knapsack); ties go to the smallest mask.
 
     Returns (winning plan as a sorted index tuple, Bidder 1's profit).
     """
-    bids = np.asarray(list(bids1), dtype=float)
+    if price_rule not in ("first", "second"):
+        raise ValueError("price_rule must be 'first' or 'second'")
     m = v.m
-    if bids.shape != (m,):
-        raise ValueError("bid vector length must match the item count")
+    bids = item_vector(bids1, m, "bids")
     if np.any(bids < -_TOL):
         raise ValueError("bids must be non-negative")
-    if m > 20:
-        if isinstance(v, AdditiveValuation) and price_rule == "first":
-            return _best_response_knapsack(v, bids, B)
-        raise ValueError("exhaustive enumeration is capped at m = 20")
+    if not math.isfinite(B):
+        raise ValueError("budget must be finite")
+    if m > MAX_ENUM_M and isinstance(v, AdditiveValuation) and price_rule == "first":
+        return _best_response_knapsack(v, bids, B)
 
-    budget_cap = B - 1e-12
-    best_profit = math.inf
-    best_mask = 0
-    for start in range(0, 1 << m, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, 1 << m), dtype=np.int64)
-        tbits = ((masks[:, None] >> np.arange(m)) & 1).astype(float)
-        cost = tbits @ bids
-        feasible = (cost < budget_cap) | (masks == 0)
-        if not np.any(feasible):
-            continue
-        tbits = tbits[feasible]
-        masks = masks[feasible]
-        won_bits = 1.0 - tbits
-        values = _won_values(v, won_bits)
-        if price_rule == "first":
-            pay = won_bits @ bids
-        else:
-            spend = tbits * bids
-            before = np.cumsum(spend, axis=1) - spend
-            drain = np.clip(np.minimum(bids, B - before), 0.0, None)
-            pay = (won_bits * drain).sum(axis=1)
-        profit = values - pay
-        i = int(np.argmin(profit))
-        if profit[i] < best_profit:
-            best_profit = float(profit[i])
-            best_mask = int(masks[i])
+    cost = subset_sums(bids)  # the adversary's limit cost of each take-set
+    if price_rule == "first":
+        pay = cost[::-1]  # the bidder pays her bids on the complement
+    else:
+        # round-order drain: extending the masks below 2^i by item i, the
+        # half where the bidder wins it pays min(b_i, budget left), the half
+        # where the adversary takes it spends b_i, which cost already holds
+        pay = np.empty(1 << m)
+        pay[0] = 0.0
+        for i, bi in enumerate(bids.tolist()):
+            n = 1 << i
+            pay[n : 2 * n] = pay[:n]
+            pay[:n] += np.clip(np.minimum(bi, B - cost[:n]), 0.0, None)
+    profit = v.values_all()[::-1] - pay
+    feasible = cost < B - 1e-12
+    feasible[0] = True  # the empty plan is always available
+    best_mask = int(np.argmin(np.where(feasible, profit, math.inf)))
     plan = tuple(i for i in range(m) if best_mask >> i & 1)
-    return plan, best_profit
+    return plan, float(profit[best_mask])
 
 
 def _best_response_knapsack(v: AdditiveValuation, bids: np.ndarray, B: float) -> tuple[tuple[int, ...], float]:

@@ -22,7 +22,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .valuations import AdditiveValuation, Valuation, XOSValuation, gamma_star
+from .valuations import (
+    AdditiveValuation,
+    Valuation,
+    XOSValuation,
+    gamma_star,
+    item_vector,
+    subset_sums,
+)
 
 _TOL = 1e-12
 
@@ -82,12 +89,8 @@ def resolve(
     """Resolve one simultaneous auction; per-item ties go to the adversary."""
     if price_rule not in ("first", "second"):
         raise ValueError("price_rule must be 'first' or 'second'")
-    b1 = np.asarray(list(bids1), dtype=float)
-    b2 = np.asarray(list(bids2), dtype=float)
-    if b1.shape != b2.shape or b1.shape != (v.m,):
-        raise ValueError("bid vectors must both have one entry per item")
-    if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
-        raise ValueError("bids must be finite")
+    b1 = item_vector(bids1, v.m, "bids")
+    b2 = item_vector(bids2, v.m, "bids")
     bidder_wins = b1 > b2
     if price_rule == "first":
         paid1 = float(b1[bidder_wins].sum())
@@ -125,26 +128,24 @@ def expected_profit_uniform_random(gstar: AdditiveValuation, ratios: Sequence[fl
 def exact_xos_expected_profit(v: XOSValuation, ratios: Sequence[float]) -> float:
     """Exact expected profit of the uniform-random bidder against ratio bids.
 
-    Enumerates all win sets (2^m terms, m capped at 20): the bidder wins item
-    i with probability 1 - b_i and pays her own bid, in expectation
-    g_i (1 - b_i^2) / 2 per item.
+    The bidder wins item i with probability 1 - b_i and pays her own bid, in
+    expectation g_i (1 - b_i^2) / 2 per item.  The expected value sums
+    P(win set S) v(S) over every mask S (m capped at 20); the probabilities
+    double like ``subset_sums``, the masks with bit i set winning item i.
     """
-    m = v.m
-    if m > 20:
-        raise ValueError("exact enumeration is capped at m = 20")
+    b = item_vector(ratios, v.m, "ratios")
+    if np.any((b < 0.0) | (b > 1.0)):
+        raise ValueError("ratios must lie in [0, 1]")
+    vals = v.values_all()
     g = np.asarray(gamma_star(v).weights)
-    b = np.asarray(list(ratios), dtype=float)
-    expected_value = 0.0
-    chunk = 1 << 16
-    clause_mat = np.array([c.weights for c in v.clauses])
-    for start in range(0, 1 << m, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << m), dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(m)) & 1).astype(float)
-        probs = np.prod(bits * (1.0 - b) + (1.0 - bits) * b, axis=1)
-        vals = (bits @ clause_mat.T).max(axis=1)
-        expected_value += float(probs @ vals)
+    p = np.empty(1 << v.m)
+    p[0] = 1.0
+    for i, bi in enumerate(b.tolist()):
+        n = 1 << i
+        np.multiply(p[:n], 1.0 - bi, out=p[n : 2 * n])
+        p[:n] *= bi
     expected_pay = float(np.sum(g * (1.0 - b**2) / 2.0))
-    return expected_value - expected_pay
+    return float(p @ vals) - expected_pay
 
 
 # -- the adversarial quadratic program ------------------------------------------
@@ -264,35 +265,18 @@ def second_price_truthful_worst(
     The adversary takes any set whose dominant-clause mass fits his budget
     (ties go to him, so exactly B is enough) and spends whatever budget is
     left driving up the prices of the remaining items, each capped by the
-    bidder's bid on it.  Enumerates all 2^m take-sets.
+    bidder's bid on it.  Every take-set is tried (m capped at 20); ties go
+    to the smallest mask.
     """
-    g = np.asarray(gamma_star(v).weights)
-    m = v.m
-    if m > 20:
-        raise ValueError("enumeration capped at m = 20")
-    worst, worst_mask = math.inf, 0
-    chunk = 1 << 16
-    if isinstance(v, XOSValuation):
-        clause_mat = np.array([c.weights for c in v.clauses])
-    else:
-        clause_mat = np.array([v.weights])
-    for start in range(0, 1 << m, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << m), dtype=np.int64)
-        tbits = ((masks[:, None] >> np.arange(m)) & 1).astype(float)
-        cost = tbits @ g
-        feasible = cost <= B + 1e-12
-        if not np.any(feasible):
-            continue
-        tbits, masks, cost = tbits[feasible], masks[feasible], cost[feasible]
-        won_bits = 1.0 - tbits
-        values = (won_bits @ clause_mat.T).max(axis=1)
-        drain = np.minimum(B - cost, won_bits @ g)
-        profit = values - drain
-        i = int(np.argmin(profit))
-        if profit[i] < worst:
-            worst, worst_mask = float(profit[i]), int(masks[i])
-    plan = tuple(i for i in range(m) if worst_mask >> i & 1)
-    return worst, plan
+    if not (math.isfinite(B) and B >= 0.0):
+        raise ValueError("budget must be finite and non-negative")
+    cost = subset_sums(gamma_star(v).weights)  # dominant-clause mass of each take-set
+    won_mass = cost[::-1]  # the same mass over the complement, which the bidder wins
+    drain = np.minimum(B - cost, won_mass)
+    profit = np.where(cost <= B + 1e-12, v.values_all()[::-1] - drain, math.inf)
+    worst_mask = int(np.argmin(profit))
+    plan = tuple(i for i in range(v.m) if worst_mask >> i & 1)
+    return float(profit[worst_mask]), plan
 
 
 # -- deterministic counter-strategies -------------------------------------------
@@ -396,9 +380,7 @@ def bidder_counter_to_pure(
     profit is at least 1 - sum(bids2); violation raises.
     """
     g = np.asarray(gamma_star(v).weights)
-    b2 = np.asarray(list(bids2), dtype=float)
-    if b2.shape != g.shape:
-        raise ValueError("bid vector length mismatch")
+    b2 = item_vector(bids2, v.m, "bids")
     wins = b2 < g
     bids1 = np.where(wins, b2, 0.0)
     won = tuple(np.nonzero(wins)[0].tolist())

@@ -43,13 +43,19 @@ class ConstantBidPolicy:
         return self.bid
 
 
+def _finite_budget(B: float) -> float:
+    if not math.isfinite(B):
+        raise ValueError(f"budget must be finite, got {B}")
+    return float(B)
+
+
 def xos_sqrt_policy(gstar: AdditiveValuation, B: float) -> FixedBidsPolicy:
     """Bid sqrt(B) times the dominant additive clause's weight on every item.
 
     Guarantees (1 - sqrt(B))^2 on any normalized XOS valuation whose
     dominant clause is ``gstar``, against any budget-B adversary.
     """
-    if B < 0:
+    if _finite_budget(B) < 0:
         raise ValueError("budget must be non-negative")
     root = math.sqrt(B)
     return FixedBidsPolicy(bids=tuple(root * w for w in gstar.weights))
@@ -57,6 +63,7 @@ def xos_sqrt_policy(gstar: AdditiveValuation, B: float) -> FixedBidsPolicy:
 
 def low_budget_policy(B: float, m: int | None = None) -> ConstantBidPolicy:
     """Bid the adversary's whole budget on every item (meant for B < 1/m^2)."""
+    _finite_budget(B)
     if m is not None and B >= 1.0 / m**2:
         warnings.warn("low_budget_policy outside its intended range B < 1/m^2")
     return ConstantBidPolicy(bid=float(B))
@@ -64,6 +71,7 @@ def low_budget_policy(B: float, m: int | None = None) -> ConstantBidPolicy:
 
 def high_budget_policy(m: int, B: float) -> ConstantBidPolicy:
     """Bid B/m on every item (meant for B > (m-1)/m)."""
+    _finite_budget(B)
     if B <= (m - 1) / m:
         warnings.warn("high_budget_policy outside its intended range B > (m-1)/m")
     return ConstantBidPolicy(bid=float(B) / m)
@@ -100,7 +108,7 @@ class AlphaTildeAdversary:
 
 
 def alpha_tilde_adversary(m: int, x: float) -> AlphaTildeAdversary:
-    return AlphaTildeAdversary(m=m, budget=float(x))
+    return AlphaTildeAdversary(m=m, budget=_finite_budget(x))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,41 @@ from .errors import DegenerateValuationError, InfeasibleInstanceError
 
 _TOL = 1e-9
 
+#: Largest item count for which a 2^m enumeration is allowed; each array
+#: over the masks then takes 8 MB.
+MAX_ENUM_M = 20
+
+
+def subset_sums(w: Sequence[float] | np.ndarray) -> np.ndarray:
+    """s[S] = sum of ``w`` over the item set S, for every mask S.
+
+    Bit i of S stands for item i, so mask 0 is the empty set and the full
+    set is ``2^m - 1``; the complement of S is ``2^m - 1 - S``, hence
+    ``s[::-1][S]`` is the sum over the complement of S.  Built by doubling:
+    the masks below 2^i are extended by item i, so the cost is O(2^m) and
+    each s[S] adds its items in increasing index order, like ``value``.
+    """
+    w = np.asarray(w, dtype=float)
+    m = len(w)
+    if m > MAX_ENUM_M:
+        raise ValueError(f"2^m enumeration is capped at m = {MAX_ENUM_M}, got m = {m}")
+    s = np.empty(1 << m)
+    s[0] = 0.0
+    for i, wi in enumerate(w.tolist()):
+        n = 1 << i
+        np.add(s[:n], wi, out=s[n : 2 * n])
+    return s
+
+
+def item_vector(values: Iterable[float], m: int, name: str) -> np.ndarray:
+    """``values`` as a finite float array of shape (m,); ValueError otherwise."""
+    out = np.asarray(list(values), dtype=float)
+    if out.shape != (m,):
+        raise ValueError(f"{name} must have one entry per item ({m})")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be finite")
+    return out
+
 
 def _as_index_tuple(subset: Iterable[int], m: int) -> tuple[int, ...]:
     items = tuple(sorted(set(int(i) for i in subset)))
@@ -41,6 +76,7 @@ class AdditiveValuation:
         if any(x < 0 for x in w):
             raise ValueError("weights must be non-negative")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_total", float(sum(w)))
 
     @property
     def m(self) -> int:
@@ -49,8 +85,12 @@ class AdditiveValuation:
     def value(self, subset: Iterable[int]) -> float:
         return float(sum(self.weights[i] for i in _as_index_tuple(subset, self.m)))
 
+    def values_all(self) -> np.ndarray:
+        """v(S) for every mask S (bit order of ``subset_sums``)."""
+        return subset_sums(self.weights)
+
     def total(self) -> float:
-        return float(sum(self.weights))
+        return self._total
 
 
 @dataclass(frozen=True)
@@ -68,6 +108,7 @@ class XOSValuation:
         if len({c.m for c in built}) != 1:
             raise ValueError("all clauses must cover the same item count")
         object.__setattr__(self, "clauses", built)
+        object.__setattr__(self, "_total", max(c.total() for c in built))
 
     @property
     def m(self) -> int:
@@ -77,8 +118,15 @@ class XOSValuation:
         items = _as_index_tuple(subset, self.m)
         return float(max(sum(c.weights[i] for i in items) for c in self.clauses))
 
+    def values_all(self) -> np.ndarray:
+        """v(S) for every mask S: the elementwise max of the clauses' sums."""
+        out = self.clauses[0].values_all()
+        for c in self.clauses[1:]:
+            np.maximum(out, c.values_all(), out=out)
+        return out
+
     def total(self) -> float:
-        return self.value(range(self.m))
+        return self._total
 
 
 @dataclass(frozen=True)
@@ -118,6 +166,11 @@ class SubadditiveIdenticalValuation:
 
     def value(self, subset: Iterable[int]) -> float:
         return float(self.table[len(_as_index_tuple(subset, self.m))])
+
+    def values_all(self) -> np.ndarray:
+        """v(S) = table[|S|] for every mask S; |S| is the subset sum of ones."""
+        counts = subset_sums(np.ones(self.m)).astype(np.intp)
+        return np.asarray(self.table)[counts]
 
     def value_of_count(self, k: int) -> float:
         if not 0 <= k <= self.m:
@@ -283,7 +336,5 @@ def _check_certificate(v: Valuation, cert: CoverCertificate) -> None:
     vI = v.total()
     if abs(float(r.sum()) - vI) > 1e-9 * vI:
         raise ArithmeticError("certificate violates sum(r) = v(I)")
-    for mask in range(1, 1 << v.m):
-        items = [i for i in range(v.m) if mask >> i & 1]
-        if float(r[items].sum()) > cert.beta * v.value(items) + 1e-7 * vI:
-            raise ArithmeticError("certificate violates a cover constraint")
+    if np.any(subset_sums(r) > cert.beta * v.values_all() + 1e-7 * vI):
+        raise ArithmeticError("certificate violates a cover constraint")

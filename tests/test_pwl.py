@@ -32,6 +32,13 @@ class TestEval:
         xs = np.array([-1.0, 0.0, 0.25, 0.9, 2.0])
         np.testing.assert_allclose(ramp()(xs), [1.0, 1.0, 0.75, 0.1, 0.0], atol=1e-15)
 
+    def test_breakpoints_reject_writes(self):
+        f = f2_table()
+        for arr in (f.xs, f.ys):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1] = 0.3
+        assert f(0.3) == pytest.approx(0.45, abs=1e-15)
+
 
 class TestAffine:
     def test_identity(self):

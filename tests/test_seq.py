@@ -330,6 +330,23 @@ class TestBestResponse:
         assert plan == ()
         assert profit == pytest.approx(1.0 - 0.5)
 
+    @pytest.mark.parametrize(
+        "bids, B, rule",
+        [
+            ((0.1, 0.2), 0.3, "third"),
+            ((math.nan, 0.2), 0.3, "first"),
+            ((0.1, math.inf), 0.3, "second"),
+            ((0.1,), 0.3, "first"),
+            ((0.1, 0.2, 0.3), 0.3, "second"),
+            ((0.1, 0.2), math.nan, "first"),
+            ((0.1, 0.2), math.inf, "second"),
+        ],
+        ids=["rule", "bid-nan", "bid-inf", "bids-short", "bids-long", "budget-nan", "budget-inf"],
+    )
+    def test_bad_input_rejected(self, bids, B, rule):
+        with pytest.raises(ValueError):
+            best_response_to_fixed_bids(AdditiveValuation((0.5, 0.5)), bids, B, rule)
+
 
 def test_theorem2_bound_at_breakpoints():
     for m in range(1, 31):

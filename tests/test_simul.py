@@ -269,6 +269,12 @@ class TestCounterToPure:
             _, profit = bidder_counter_to_pure(v, bids2)
             assert profit >= 1 - B - 1e-9
 
+    @pytest.mark.parametrize("bids2", [(math.nan, 0.2), (0.1, math.inf), (0.1,)],
+                             ids=["nan", "inf", "short"])
+    def test_bad_bids_rejected(self, bids2):
+        with pytest.raises(ValueError):
+            bidder_counter_to_pure(XOSValuation([(0.5, 0.5)]), bids2)
+
 
 def test_second_price_truthful_worst_floor():
     rng = np.random.Generator(np.random.Philox(37))
@@ -281,3 +287,19 @@ def test_second_price_truthful_worst_floor():
         B = float(rng.uniform(0.05, 0.9))
         worst, _ = second_price_truthful_worst(v, B)
         assert worst >= 1 - B - 1e-9
+
+
+@pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf, -0.1], ids=["nan", "inf", "-inf", "negative"])
+def test_second_price_truthful_worst_bad_budget_rejected(B):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        second_price_truthful_worst(XOSValuation([(0.5, 0.5)]), B)
+
+
+@pytest.mark.parametrize(
+    "ratios",
+    [(math.nan, 0.5), (0.5, math.inf), (1.5, 0.5), (0.5, -0.1), (0.5,), (0.5, 0.5, 0.5)],
+    ids=["nan", "inf", "above-1", "below-0", "short", "long"],
+)
+def test_exact_xos_expected_profit_bad_ratios_rejected(ratios):
+    with pytest.raises(ValueError):
+        exact_xos_expected_profit(XOSValuation([(0.5, 0.5), (0.7, 0.1)]), ratios)

@@ -139,6 +139,21 @@ class TestConstantPrice:
         with pytest.raises(ValueError):
             constant_price_policy(si, 0.2, 1)
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda B: xos_sqrt_policy(AdditiveValuation((0.5, 0.5)), B),
+            lambda B: low_budget_policy(B, 4),
+            lambda B: high_budget_policy(4, B),
+            lambda B: alpha_tilde_adversary(4, B),
+        ],
+        ids=["xos_sqrt", "low_budget", "high_budget", "alpha_tilde"],
+    )
+    def test_non_finite_budget_rejected(self, build, B):
+        with pytest.raises(ValueError, match="finite"):
+            build(B)
+
     def test_choose_k_tie_breaks_small(self):
         assert choose_k(0.5) == 3  # t_2(1/2) = t_3(1/2) = 1/12
         assert choose_k(0.1) == 2

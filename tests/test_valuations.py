@@ -129,6 +129,20 @@ def test_non_finite_input_rejected(build):
         build()
 
 
+def test_stored_total_keeps_equality_and_repr():
+    a = AdditiveValuation((0.25, 0.5))
+    x = XOSValuation([(0.25, 0.5), (0.7, 0.1)])
+    assert a.total() == a.value(range(2)) == 0.75
+    assert x.total() == x.value(range(2)) == pytest.approx(0.8)
+    assert a == AdditiveValuation([0.25, 0.5]) and hash(a) == hash(AdditiveValuation([0.25, 0.5]))
+    assert x == XOSValuation([a, (0.7, 0.1)])
+    assert repr(a) == "AdditiveValuation(weights=(0.25, 0.5))"
+    assert repr(x) == (
+        "XOSValuation(clauses=(AdditiveValuation(weights=(0.25, 0.5)), "
+        "AdditiveValuation(weights=(0.7, 0.1))))"
+    )
+
+
 class TestSInstance:
     def test_reference_values(self):
         v, params = make_s_instance(0.125, 10)
