@@ -21,6 +21,7 @@ from . import seq, simul
 from .strategies import (
     choose_k,
     constant_price_worst_profit,
+    tangent_peak,
     tangent_value,
 )
 from .valuations import (
@@ -100,11 +101,7 @@ def t_star(B: float) -> tuple[float, int]:
         raise ValueError("B must be non-negative")
     root = math.sqrt(B)
     k_hi = 64 if root >= 1.0 else math.ceil(1.0 / (1.0 - root)) + 2
-    best_val, best_k = tangent_value(1, B), 1
-    for k in range(2, k_hi + 1):
-        v = tangent_value(k, B)
-        if v > best_val + 1e-15:
-            best_val, best_k = v, k
+    best_k, best_val = tangent_peak(B, k_hi)
     return best_val, best_k
 
 
@@ -485,6 +482,14 @@ def _random_xos(m: int, rng: np.random.Generator, max_clauses: int = 5) -> XOSVa
     return XOSValuation(tuple(clauses))
 
 
+#: Families that never read ``seq.LADDER``; ``verify_all`` runs them in a worker.
+_LADDER_FREE = (verify_alpha_feasibility, verify_tangency, verify_si_lower, verify_simul)
+
+
+def _run_sweeps(calls: list[tuple]) -> list[SweepReport]:
+    return [fn(**kwargs) for fn, kwargs in calls]
+
+
 def verify_all(
     suites: Iterable[str] = ("xos", "si", "simul"),
     m_max: int = 30,
@@ -492,19 +497,44 @@ def verify_all(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> list[SweepReport]:
-    reports: list[SweepReport] = []
+    """Run the families of the chosen suites; reports come in a fixed order.
+
+    The ladder build (f_1..f_198 for ``si_upper_bound``) is the longest
+    step, so the families that never read the ladder (``alpha_feasibility``,
+    ``tangency``, ``si_lower_bound``, ``simultaneous``) run beside it in one
+    worker process, while this process runs ``xos_value_bound``,
+    ``gh_at_alpha_tilde`` and ``si_upper_bound``: it stays the only builder
+    of levels and keeps its ladder cache warm.  There is always exactly one
+    worker and no setting for it.  Each report's ``runtime_s`` and
+    ``setup_s`` time its own sweep and ladder build, in whichever process
+    ran it.  The worker is started with ``spawn`` (``fork`` would copy a
+    process that may hold other threads' locks), so a script that calls
+    this needs an ``if __name__ == "__main__":`` guard.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     wanted = set(suites)
+    calls: list[tuple] = []
     if "xos" in wanted:
-        reports.append(verify_value_bound(m_max=m_max, grid_step=grid_step, tol=tol))
-        reports.append(verify_alpha_feasibility(m_max=m_max, grid_step=grid_step, tol=tol))
-        reports.append(verify_gh_bound(m_max=m_max, grid_step=grid_step, tol=tol))
-        reports.append(verify_tangency(tol=tol))
+        grid = dict(m_max=m_max, grid_step=grid_step, tol=tol)
+        calls += [
+            (verify_value_bound, grid),
+            (verify_alpha_feasibility, grid),
+            (verify_gh_bound, grid),
+            (verify_tangency, dict(tol=tol)),
+        ]
     if "si" in wanted:
-        reports.append(verify_si_lower(n_instances=200, seed=seed, tol=tol))
-        reports.append(verify_si_upper())
+        calls += [(verify_si_lower, dict(n_instances=200, seed=seed, tol=tol)), (verify_si_upper, {})]
     if "simul" in wanted:
-        reports.append(verify_simul(seed=seed, tol=tol))
-    return reports
+        calls.append((verify_simul, dict(seed=seed, tol=tol)))
+    remote = [c for c in calls if c[0] in _LADDER_FREE]
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+        future = pool.submit(_run_sweeps, remote)
+        local = iter(_run_sweeps([c for c in calls if c[0] not in _LADDER_FREE]))
+        done = iter(future.result())
+    return [next(done) if fn in _LADDER_FREE else next(local) for fn, _ in calls]
 
 
 # -- figure reproduction ----------------------------------------------------------

@@ -203,14 +203,40 @@ def projected_gradient_qp(
 
 
 def qp_grid_search(g: np.ndarray, B: float, step: float = 0.001) -> float:
-    """Independent lattice oracle for the two-item QP."""
+    """Independent lattice oracle for the two-item QP.
+
+    The minimum of the objective over the lattice points (b1, b2) that pass
+    ``g[0]*b1 + g[1]*b2 <= B + 1e-12``.  With g >= 0 that test holds on a
+    prefix of each b1 row, and the objective falls as b2 rises to 1, so a
+    row needs only its last feasible b2 and the point before it (the last
+    lattice point may pass 1, and its objective can then round above the
+    one before it).  That index is estimated with ``searchsorted`` and
+    walked to the exact boundary of the same float test, so the value is
+    the full lattice's to the bit, in O(1/step).
+    """
     if len(g) != 2:
         raise ValueError("the lattice oracle is for m = 2")
+    if not (g[0] >= 0.0 and g[1] >= 0.0):
+        raise ValueError("weights must be non-negative")
     axis = np.arange(0.0, 1.0 + step / 2, step)
-    b1, b2 = np.meshgrid(axis, axis, indexing="ij")
-    feasible = g[0] * b1 + g[1] * b2 <= B + 1e-12
-    obj = 0.5 * (g[0] * (1.0 - b1) ** 2 + g[1] * (1.0 - b2) ** 2)
-    return float(obj[feasible].min())
+    last = len(axis) - 1
+    cap = B + 1e-12
+
+    def fits(j: np.ndarray) -> np.ndarray:
+        return g[0] * axis + g[1] * axis[j] <= cap
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = np.searchsorted(axis, (cap - g[0] * axis) / g[1], side="right") - 1
+    while (down := (j >= 0) & ~fits(np.maximum(j, 0))).any():
+        j = j - down
+    while (up := (j < last) & fits(np.minimum(j + 1, last))).any():
+        j = j + up
+    b1, j = axis[j >= 0], j[j >= 0]
+
+    def obj(b2: np.ndarray) -> np.ndarray:
+        return 0.5 * (g[0] * (1.0 - b1) ** 2 + g[1] * (1.0 - b2) ** 2)
+
+    return float(np.minimum(obj(axis[j]), obj(axis[np.maximum(j - 1, 0)])).min())
 
 
 def adversary_qp(gstar: AdditiveValuation, B: float) -> QPSolution:

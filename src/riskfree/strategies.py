@@ -156,17 +156,38 @@ def tangent_value(k: int, B: float) -> float:
     return 1.0 / (k + 1) - B / k
 
 
+def tangent_peak(B: float, j_max: int) -> tuple[int, float]:
+    """Index and value of the highest tangent t_j(B) over 1 <= j <= j_max.
+
+    Returns what the scan j = 1, 2, ..., j_max finds when it moves only on a
+    gain above 1e-15, so near-ties break toward smaller j.  Since
+    t_j - t_{j+1} = (j - B(j+2)) / (j(j+1)(j+2)), t_j rises while
+    j < c = 2B/(1-B) and falls after it (for B >= 1 it rises for every j).
+    With j* = max(1, ceil(c)), each step below j* - 1 gains more than
+    2/((j*+2) j*^3), which clears the margin while j* < 6000, so the scan
+    ends at j* - 1 or j*.  The float c is off by under 3e-16 c; where that
+    moves ceil(c), the step between j* - 1 and j* gains under 1e-15.  So
+    ``top`` is min(j*, j_max) up to one, and the scan is replayed on
+    top - 1 and top.
+    """
+    if not math.isfinite(B):
+        raise ValueError(f"budget must be finite, got {B}")
+    top = j_max if B >= 1.0 else min(j_max, math.ceil(2.0 * B / (1.0 - B)))
+    best_j = max(1, top - 1)
+    best_val = tangent_value(best_j, B)
+    if top > best_j:
+        val = tangent_value(top, B)
+        if val > best_val + 1e-15:
+            best_j, best_val = top, val
+    return best_j, best_val
+
+
 def choose_k(B: float, k_cap: int = 400) -> int:
     """Allocation coarseness whose tangent bound is highest at budget B.
 
-    Maximizes t_{k-1}(B) over k >= 2; ties break toward smaller k.
+    Maximizes t_{k-1}(B) over 2 <= k <= k_cap; ties break toward smaller k.
     """
-    best_k, best_val = 2, tangent_value(1, B)
-    for k in range(3, k_cap + 1):
-        val = tangent_value(k - 1, B)
-        if val > best_val + 1e-15:
-            best_k, best_val = k, val
-    return best_k
+    return tangent_peak(B, k_cap - 1)[0] + 1
 
 
 def constant_price_worst_profit(

@@ -1,7 +1,15 @@
 import dataclasses
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from riskfree import analysis as A
 from riskfree import seq
@@ -30,6 +38,23 @@ def table_transcription(m, B):
     return 0.0
 
 
+def t_star_scan(B):
+    """The scan ``t_star`` replaced: move to k only on a gain above 1e-15."""
+    root = math.sqrt(B)
+    k_hi = 64 if root >= 1.0 else math.ceil(1.0 / (1.0 - root)) + 2
+    best_val, best_k = tangent_value(1, B), 1
+    for k in range(2, k_hi + 1):
+        v = tangent_value(k, B)
+        if v > best_val + 1e-15:
+            best_val, best_k = v, k
+    return best_val, best_k
+
+
+def switch_point(j, ulps):
+    """B = j/(j+2), where t_j = t_{j+1}, moved by ``ulps`` floats."""
+    return j / (j + 2.0) + ulps * math.ulp(j / (j + 2.0))
+
+
 class TestClosedForms:
     def test_f_bound_tangency(self):
         assert A.f_bound(0.25) == pytest.approx(0.25)
@@ -43,6 +68,27 @@ class TestClosedForms:
         val, k = A.t_star(0.5)
         assert val == pytest.approx(1 / 12)
         assert k == 2  # tie with k = 3 breaks toward the smaller index
+
+    def test_t_star_matches_the_scan_at_switch_points(self):
+        for j in [*range(1, 300), 500, 1000, 2000, 4000, 5000]:
+            for u in range(-3, 4):
+                B = switch_point(j, u)
+                assert A.t_star(B) == t_star_scan(B), B
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        B=hst.one_of(
+            hst.builds(switch_point, hst.integers(1, 2000), hst.integers(-4, 4)),
+            hst.floats(0.0, 0.999),
+            hst.floats(1.0, 1e6),
+        )
+    )
+    def test_t_star_matches_the_scan(self, B):
+        assert A.t_star(B) == t_star_scan(B)
+
+    def test_t_star_reaches_k_hi_above_one(self):
+        assert A.t_star(1.5) == t_star_scan(1.5)
+        assert A.t_star(1.5)[1] == 64
 
     def test_tangent_bound_fields(self):
         tb = A.tangent_bound(3, 0.5)
@@ -134,6 +180,58 @@ class TestSweeps:
         d = reps[0].to_dict()
         assert set(d) >= {"name", "min_margin", "passed", "runtime_s"}
         assert isinstance(reps[0].summary_line(), str)
+
+
+def serial_reports(suites, m_max, grid_step, seed, tol=1e-9):
+    """Every family of ``suites`` called here, in ``verify_all``'s order."""
+    grid = dict(m_max=m_max, grid_step=grid_step, tol=tol)
+    calls = []
+    if "xos" in suites:
+        calls += [
+            (A.verify_value_bound, grid),
+            (A.verify_alpha_feasibility, grid),
+            (A.verify_gh_bound, grid),
+            (A.verify_tangency, dict(tol=tol)),
+        ]
+    if "si" in suites:
+        calls += [(A.verify_si_lower, dict(n_instances=200, seed=seed, tol=tol)), (A.verify_si_upper, {})]
+    if "simul" in suites:
+        calls.append((A.verify_simul, dict(seed=seed, tol=tol)))
+    return [fn(**kw) for fn, kw in calls]
+
+
+def untimed(rep):
+    d = rep.to_dict()
+    del d["runtime_s"], d["setup_s"]
+    return d
+
+
+class TestVerifyAll:
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("suites", [("xos", "si", "simul"), ("xos",), ("si",), ("simul",)])
+    def test_reports_equal_direct_calls(self, suites, seed):
+        got = A.verify_all(suites=suites, m_max=6, grid_step=0.05, seed=seed)
+        want = serial_reports(suites, m_max=6, grid_step=0.05, seed=seed)
+        assert [r.name for r in got] == [r.name for r in want]
+        assert [untimed(r) for r in got] == [untimed(r) for r in want]
+
+    def test_worker_error_reaches_the_caller(self):
+        with pytest.raises(ValueError) as direct:
+            A.verify_simul(seed=-1)
+        with pytest.raises(ValueError, match=re.escape(str(direct.value))):
+            A.verify_all(suites=("simul",), seed=-1)
+
+    def test_cli_import_leaves_the_pool_modules_out(self):
+        code = (
+            "import sys, riskfree.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSiUpperClasses:

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from riskfree import pwl, seq
@@ -402,9 +402,14 @@ class TestLadder:
     @settings(max_examples=40, deadline=None)
     @given(
         m=hst.integers(2, 12),
-        knots=hst.lists(hst.floats(0.01, 0.99), min_size=1, max_size=8, unique=True),
+        # distinct floats closer than pwl.DEDUPE_TOL would make a jump, which
+        # PiecewiseLinear rightly rejects; keep the knots 1e-9 apart
+        knots=hst.lists(hst.floats(0.01, 0.99), min_size=1, max_size=8, unique=True).filter(
+            lambda ks: bool(np.all(np.diff(sorted(ks)) >= 1e-9))
+        ),
         drops=hst.lists(hst.floats(0.0, 1.0), min_size=9, max_size=9),
     )
+    @example(m=2, knots=[0.01, 0.01 + 1e-9], drops=[0.5] * 9)
     def test_lift_of_any_value_curve_matches_composed_operations(self, m, knots, drops):
         # a non-increasing curve from f(0) = 1 to f(1) = 0, not a ladder level
         xs = np.array([0.0, *sorted(knots), 1.0])

@@ -24,6 +24,15 @@ from riskfree.simul import (
 from riskfree.valuations import AdditiveValuation, XOSValuation
 
 
+def full_lattice(g, B, step):
+    """Every lattice point at once: the O(1/step^2) form of ``qp_grid_search``."""
+    axis = np.arange(0.0, 1.0 + step / 2, step)
+    b1, b2 = np.meshgrid(axis, axis, indexing="ij")
+    feasible = g[0] * b1 + g[1] * b2 <= B + 1e-12
+    obj = 0.5 * (g[0] * (1.0 - b1) ** 2 + g[1] * (1.0 - b2) ** 2)
+    return float(obj[feasible].min())
+
+
 class TestResolve:
     def test_second_price_win_both(self):
         out = resolve(AdditiveValuation((0.5, 0.5)), (0.5, 0.5), (0.3, 0.2), "second")
@@ -120,6 +129,42 @@ class TestQP:
         assert sol.value == pytest.approx(0.28125)
         lattice = qp_grid_search(np.array([0.9, 0.1]), 0.25)
         assert abs(lattice - sol.value) <= 1e-4
+
+    # at step 2/87 the last lattice point passes 1, and its objective
+    # rounds above that of the point before it
+    @pytest.mark.parametrize("step", [0.001, 0.01, 0.05, 2 / 87])
+    def test_lattice_oracle_matches_the_full_lattice(self, step):
+        rng = np.random.Generator(np.random.Philox(21))
+        axis = np.arange(0.0, 1.0 + step / 2, step)
+        for trial in range(12):
+            w = rng.random(2) + 0.05
+            if trial == 0:
+                w[1] = 0.0
+            g = w / w.sum()
+            on_lattice = float(g[0] * axis[rng.integers(len(axis))] + g[1] * axis[rng.integers(len(axis))])
+            for B in (on_lattice, float(rng.uniform(0.0, 1.0)), 1.0):
+                assert qp_grid_search(g, B, step) == full_lattice(g, B, step)
+
+    def test_lattice_oracle_on_the_feasibility_boundary(self):
+        # budgets within two ulps of putting the boundary of the feasibility
+        # test (slack 1e-12 included) on a diagonal lattice point, where the
+        # searchsorted estimate is off by one in either direction
+        rng = np.random.Generator(np.random.Philox(22))
+        step = 0.05
+        axis = np.arange(0.0, 1.0 + step / 2, step)
+        for _ in range(20):
+            w = rng.random(2) + 0.05
+            g = w / w.sum()
+            for a in axis[1:]:
+                edge = float(g[0] * a + g[1] * a) - 1e-12
+                for ulps in range(-2, 3):
+                    B = edge + ulps * math.ulp(edge)
+                    assert qp_grid_search(g, B, step) == full_lattice(g, B, step)
+
+    @pytest.mark.parametrize("g", [(-0.1, 1.1), (0.5, float("nan"))])
+    def test_lattice_oracle_needs_non_negative_weights(self, g):
+        with pytest.raises(ValueError, match="non-negative"):
+            qp_grid_search(np.array(g), 0.3)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from riskfree import seq
 from riskfree.errors import InfeasibleInstanceError
@@ -40,6 +42,27 @@ def state(m, remaining, budget, won=(), paid=0.0, rule="first"):
         price_rule=rule,
         m=m,
     )
+
+
+def choose_k_scan(B, k_cap=400):
+    """The scan ``choose_k`` replaced: move to k only on a gain above 1e-15."""
+    best_k, best_val = 2, tangent_value(1, B)
+    for k in range(3, k_cap + 1):
+        val = tangent_value(k - 1, B)
+        if val > best_val + 1e-15:
+            best_k, best_val = k, val
+    return best_k
+
+
+def switch_point(j, ulps):
+    """B = j/(j+2), where t_j = t_{j+1}, moved by ``ulps`` floats."""
+    return j / (j + 2.0) + ulps * math.ulp(j / (j + 2.0))
+
+
+switch_points = hst.builds(switch_point, hst.integers(1, 500), hst.integers(-4, 4))
+budgets = hst.one_of(
+    switch_points, hst.floats(-1.0, 1.0), hst.floats(1.0, 1e6), hst.sampled_from([0.0, 1.0])
+)
 
 
 class TestXosSqrt:
@@ -157,6 +180,28 @@ class TestConstantPrice:
     def test_choose_k_tie_breaks_small(self):
         assert choose_k(0.5) == 3  # t_2(1/2) = t_3(1/2) = 1/12
         assert choose_k(0.1) == 2
+
+    def test_choose_k_matches_the_scan_at_every_switch_point(self):
+        for j in range(1, 400):  # the default cap reaches t_399
+            for u in range(-3, 4):
+                B = switch_point(j, u)
+                assert choose_k(B) == choose_k_scan(B), B
+
+    @settings(max_examples=300, deadline=None)
+    @given(B=budgets, k_cap=hst.integers(1, 400))
+    def test_choose_k_matches_the_scan(self, B, k_cap):
+        k = choose_k(B, k_cap)
+        assert k == choose_k_scan(B, k_cap)
+        assert tangent_value(k - 1, B) == tangent_value(choose_k_scan(B, k_cap) - 1, B)
+
+    def test_choose_k_reaches_the_cap(self):
+        assert choose_k(0.999) == choose_k_scan(0.999) == 400
+        assert choose_k(2.0, k_cap=37) == choose_k_scan(2.0, k_cap=37) == 37
+
+    @pytest.mark.parametrize("B", [math.nan, math.inf])
+    def test_choose_k_rejects_non_finite_budget(self, B):
+        with pytest.raises(ValueError, match="finite"):
+            choose_k(B)
 
     def test_worst_profit_meets_partition_chain(self):
         rng = np.random.Generator(np.random.Philox(55))
