@@ -24,13 +24,15 @@ clamped to [0, min(1, mx)].  Each level is lifted segment-exactly; no
 bisection is involved, so rational breakpoints (1/9, 5/9, ...) come out to
 machine accuracy.
 
-The piece count doubles per level, so each level is then simplified within
-a tolerance eta_m (measured, at most about 1e-9).  The errors do not simply
-add up: the lift T is monotone and T(f + c) = T f + r_m c with
-r_m = (m-1)/m, so T is an r_m-contraction in the sup norm (Blackwell's
-conditions) and the stored f_m is within err_m = r_m err_{m-1} + eta_m of the
-exact one.  ``LADDER.records(m)`` reports err_m with each level's piece
-counts and build time; levels 1..3 are exact.
+The piece count doubles per level, so each level is then simplified in one
+pass, a band greedy that holds every dropped breakpoint within 0.9e-9 of the
+result; the measured sup error eta_m <= 1e-9 is the level's certificate.
+The errors do not simply add up: the lift T is monotone and
+T(f + c) = T f + r_m c with r_m = (m-1)/m, so T is an r_m-contraction in
+the sup norm (Blackwell's conditions) and the stored f_m is within
+err_m = r_m err_{m-1} + eta_m of the exact one.  ``LADDER.records(m)``
+reports err_m with each level's piece counts and build time; levels 1..3
+are exact.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ContractViolationError,
@@ -106,20 +109,25 @@ class AlphaParams:
 
 #: Simplification tolerance, the same at every level.  The exact value
 #: function's piece count doubles with every level (2, 4, 7, 14, 28, 56, ...),
-#: so each level drops the breakpoints whose removal moves it by at most
-#: ``_ETA``.  Genuine kinks at small m are macroscopic, so levels 1..3 stay
-#: exact.  The error left in f_m is certified by the contraction bound
-#: documented on ``Ladder``: err_m <= r_m err_{m-1} + eta_m, about 1e-8 at
-#: m = 30 and under 1e-7 at m = 198.
+#: so each level keeps the breakpoints of a polyline that stays within
+#: ``_BAND * _ETA`` of every breakpoint of the lift; the measured sup error
+#: eta_m <= ``_ETA`` is the level's certificate.  Genuine kinks at small m
+#: are macroscopic, so levels 1..3 stay exact.  The error left in f_m is
+#: certified by the contraction bound documented on ``Ladder``:
+#: err_m <= r_m err_{m-1} + eta_m, about 1e-8 at m = 30 and under 1e-7 at
+#: m = 198.
 _ETA = 1e-9
+
+#: Share of eta given to ``_simplify``'s band; the rest absorbs rounding in
+#: the chords, the zero snap and canonicalization.
+_BAND = 0.9
+
+#: Segments per ``_simplify`` block; block ends are always kept.
+_BLOCK = 32
 
 #: Values this close to zero are snapped to it (a lossy step, so counted in
 #: the level's measured error).
 _ZERO_SNAP = 1e-12
-
-#: ``_simplify`` stops sweeping once a pair of sweeps removes fewer than this
-#: share of the remaining breakpoints.
-_SWEEP_STOP = 0.03
 
 
 @dataclass(frozen=True)
@@ -134,36 +142,66 @@ class LevelRecord:
     build_s: float
 
 
-def _simplify(xs: np.ndarray, ys: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Drop breakpoints that lie within ``threshold`` of their neighbours' chord.
+def _simplify(xs: np.ndarray, ys: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints of a polyline through a subset of ``(xs, ys)`` within
+    ``band`` of every dropped point, in one pass; ``xs`` strictly increase.
 
-    Alternating-parity sweeps remove non-adjacent points, until a pair of
-    sweeps removes under ``_SWEEP_STOP`` of the points.  Removals compound,
-    so the caller certifies the result.
+    The breakpoints are cut into blocks of ``_BLOCK`` segments whose ends are
+    kept, and each block runs the slope-window greedy: an anchor keeps the
+    interval [lo, hi] of chord slopes that hold every point skipped since it
+    within ``band``; when the next point's chord slope leaves the interval,
+    the previous point is kept and becomes the anchor.  Each dropped point is
+    thus within ``band`` of the output's chord over it, up to the rounding of
+    one slope.  All blocks step in lockstep, as rows of a transposed
+    ``(_BLOCK + 1, blocks)`` layout.
     """
-    cx, cy = xs, ys
-    if threshold <= 0.0:
-        return cx, cy
-    pair_start = len(cx)
-    for sweep in range(60):
-        # candidates: interior points of index parity 1 + sweep % 2, each
-        # with its neighbours at index -1 and +1
-        mid = slice(1 + sweep % 2, len(cx) - 1, 2)
-        lo = slice(mid.start - 1, mid.stop - 1, 2)
-        hi = slice(mid.start + 1, mid.stop + 1, 2)
-        x0, x1, x2 = cx[lo], cx[mid], cx[hi]
-        y0, y1, y2 = cy[lo], cy[mid], cy[hi]
-        t = (x1 - x0) / (x2 - x0)
-        rem = np.abs(y1 - (y0 + t * (y2 - y0))) <= threshold
-        if np.any(rem):
-            keep = np.ones(len(cx), dtype=bool)
-            keep[mid] = ~rem
-            cx, cy = cx[keep], cy[keep]
-        if sweep % 2 == 1:
-            if pair_start - len(cx) <= _SWEEP_STOP * pair_start:
-                break
-            pair_start = len(cx)
-    return cx, cy
+    n = len(xs) - 1
+    if band <= 0.0 or n < 2:
+        return xs, ys
+    nb = -(-n // _BLOCK)
+    # pad the last block with points past the end: they decide only whether
+    # points from the last one on are kept, and that one always is
+    pad = nb * _BLOCK - n
+    px = np.concatenate((xs, xs[-1] + np.arange(1.0, pad + 1.0)))
+    py = np.concatenate((ys, np.full(pad, ys[-1])))
+    # column b holds the points b * _BLOCK .. (b + 1) * _BLOCK
+    bx = sliding_window_view(px, _BLOCK + 1)[::_BLOCK].T.copy()
+    by = sliding_window_view(py, _BLOCK + 1)[::_BLOCK].T.copy()
+    # the window of an anchor at point t - 1 once point t is skipped
+    step_x, step_lo = np.diff(bx, axis=0), np.diff(by, axis=0)
+    step_hi = step_lo + band
+    step_lo -= band
+    step_lo /= step_x
+    step_hi /= step_x
+    keep = np.zeros((_BLOCK, nb), dtype=bool)
+    ax, ay = bx[0].copy(), by[0].copy()
+    lo, hi = np.full(nb, -np.inf), np.full(nb, np.inf)
+    dx, dy, s, w = np.empty((4, nb))
+    above = np.empty(nb, dtype=bool)
+    for t in range(1, _BLOCK + 1):
+        # blocks whose chord to point t leaves the window keep point t - 1
+        brk = keep[t - 1]
+        np.subtract(bx[t], ax, out=dx)
+        np.subtract(by[t], ay, out=dy)
+        np.divide(dy, dx, out=s)
+        np.less(s, lo, out=brk)
+        np.greater(s, hi, out=above)
+        brk |= above
+        np.subtract(dy, band, out=w)
+        w /= dx
+        np.maximum(lo, w, out=lo)
+        np.add(dy, band, out=w)
+        w /= dx
+        np.minimum(hi, w, out=hi)
+        # and restart from it with the window of the one segment to point t
+        np.putmask(ax, brk, bx[t - 1])
+        np.putmask(ay, brk, by[t - 1])
+        np.putmask(lo, brk, step_lo[t - 1])
+        np.putmask(hi, brk, step_hi[t - 1])
+    keep[0] = True
+    mask = np.append(keep.T.ravel(), True)[: n + 1]
+    mask[n] = True
+    return xs[mask], ys[mask]
 
 
 def _with_knots(xs: np.ndarray, ys: np.ndarray, knots: list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -231,20 +269,21 @@ def _level_up(fp: PiecewiseLinear, m: int, eta: float) -> tuple[PiecewiseLinear,
     """f_m from the stored f_{m-1}, within ``eta`` of the exact lift.
 
     Returns the level, the exact lift's piece count and the measured sup
-    error of every lossy step: the zero snap, ``_simplify`` and the one
-    canonicalization in the ``PiecewiseLinear`` constructor.  The stored
-    breakpoints are a subset of the lift's, so the lift's breakpoints are
-    where the error peaks.  If compounding removals exceed ``eta``, the
-    simplification threshold is tightened, down to none at all.
+    error of every lossy step: the zero snap, one ``_simplify`` within
+    ``_BAND * eta`` and the canonicalization in the ``PiecewiseLinear``
+    constructor.  The stored breakpoints are a subset of the lift's, so the
+    lift's breakpoints are where the error peaks.  The measured error is the
+    certificate; should it exceed ``eta``, the unsimplified lift is stored.
     """
     xs, exact = _lift(fp, m)
     ys = exact.copy()
     ys[np.abs(ys) <= _ZERO_SNAP] = 0.0
-    for threshold in (0.4 * eta, 0.1 * eta, 0.025 * eta, 0.0):
-        fm = PiecewiseLinear(*_simplify(xs, ys, threshold))
+    fm = PiecewiseLinear(*_simplify(xs, ys, _BAND * eta))
+    err = float(np.max(np.abs(fm(xs) - exact)))
+    if err > eta:
+        fm = PiecewiseLinear(xs, ys)
         err = float(np.max(np.abs(fm(xs) - exact)))
-        if err <= eta or threshold == 0.0:
-            return fm, len(xs) - 1, err
+    return fm, len(xs) - 1, err
 
 
 class Ladder:
@@ -267,6 +306,8 @@ class Ladder:
     """
 
     def __init__(self, eta: float = _ETA):
+        if not (math.isfinite(eta) and eta >= 0.0):
+            raise ValueError(f"eta must be finite and non-negative, got {eta}")
         self.eta = eta
         self._levels = [PiecewiseLinear([0.0, 1.0], [1.0, 0.0])]
         self._records = [LevelRecord(m=1, pieces_raw=1, pieces=1, eta=0.0, err=0.0, build_s=0.0)]

@@ -429,10 +429,28 @@ class TestLadder:
         for prev, rec in zip(records, records[1:]):
             assert rec.err == (rec.m - 1.0) / rec.m * prev.err + rec.eta
             assert rec.pieces <= rec.pieces_raw
-            assert 0.0 <= rec.eta <= 2 * seq._ETA
+            assert 0.0 <= rec.eta <= seq._ETA
         assert max(r.eta for r in records[:3]) <= 1e-15  # levels 1..3 are exact
         assert records[29].err <= 2e-8
         assert records[197].err <= 1e-7
+
+    @pytest.mark.parametrize("eta", [math.inf, math.nan, -1e-9])
+    def test_bad_tolerance_rejected(self, eta):
+        with pytest.raises(ValueError):
+            seq.Ladder(eta=eta)
+
+    def test_level_up_stores_the_lift_when_the_certificate_fails(self, monkeypatch):
+        fp = uniform_additive_value(9)
+        xs, exact = seq._lift(fp, 10)
+        monkeypatch.setattr(seq, "_simplify", lambda xs, ys, band: (xs[[0, -1]], ys[[0, -1]]))
+        fm, pieces_raw, eta = seq._level_up(fp, 10, seq.LADDER.eta)
+        assert pieces_raw == len(xs) - 1
+        lift = PiecewiseLinear(xs, np.where(np.abs(exact) <= seq._ZERO_SNAP, 0.0, exact))
+        assert fm.piece_count() > 1
+        np.testing.assert_array_equal(fm.xs, lift.xs)
+        np.testing.assert_array_equal(fm.ys, lift.ys)
+        assert eta == float(np.max(np.abs(fm(xs) - exact)))
+        assert 0.0 <= eta <= seq.LADDER.eta
 
     def test_concurrent_extension_builds_each_level_once(self, monkeypatch):
         cold = seq.Ladder()
@@ -476,3 +494,42 @@ def test_simplified_ladder_within_certified_error(unsimplified_ladder, m, budget
     # float rounding in the lift and in evaluation, a few ulps per level,
     # lies outside the certified bound
     assert float(np.max(np.abs(coarse(xs) - exact(xs)))) <= bound + 1e-14
+
+
+def blocked_greedy_oracle(xs, ys, band, block=32):
+    """Indices kept by the slope-window greedy, one block at a time."""
+    n = len(xs) - 1
+    if band <= 0.0 or n < 2:
+        return list(range(n + 1))
+    kept = []
+    for start in range(0, n, block):
+        kept.append(start)
+        anchor, lo, hi = start, -math.inf, math.inf
+        for p in range(start + 1, min(start + block, n) + 1):
+            dx, dy = xs[p] - xs[anchor], ys[p] - ys[anchor]
+            if not lo <= dy / dx <= hi:
+                anchor, lo, hi = p - 1, -math.inf, math.inf
+                kept.append(anchor)
+                dx, dy = xs[p] - xs[anchor], ys[p] - ys[anchor]
+            lo, hi = max(lo, (dy - band) / dx), min(hi, (dy + band) / dx)
+    return kept + [n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 33, 65])
+@settings(max_examples=30, deadline=None)
+@given(data=hst.data(), band=hst.floats(0.0, 0.05))
+def test_simplify_matches_blocked_greedy_oracle(n, data, band):
+    # a non-increasing polyline on [0, 1] with n segments
+    gaps = data.draw(hst.lists(hst.floats(1e-6, 1.0), min_size=n, max_size=n))
+    drops = data.draw(hst.lists(hst.floats(0.0, 1.0), min_size=n, max_size=n))
+    xs = np.concatenate(([0.0], np.cumsum(gaps) / sum(gaps)))
+    ys = 1.0 - np.concatenate(([0.0], np.cumsum(drops))) / max(sum(drops), 1.0)
+    gx, gy = seq._simplify(xs, ys, band)
+    want = blocked_greedy_oracle(xs.tolist(), ys.tolist(), band)
+    np.testing.assert_array_equal(gx, xs[want])
+    np.testing.assert_array_equal(gy, ys[want])
+    assert (gx[0], gx[-1]) == (xs[0], xs[-1])
+    # every dropped point lies within the band of the output, up to rounding
+    assert float(np.max(np.abs(np.interp(xs, gx, gy) - ys))) <= band + 1e-12
+    if band == 0.0:
+        np.testing.assert_array_equal(gx, xs)
