@@ -26,8 +26,8 @@ MERGE_TOL = 1e-12
 DEDUPE_TOL = 1e-13
 
 #: Hard cap on breakpoints; exceeded means the construction blew up.  The
-#: value ladder's levels stay under 30k breakpoints (their exact lifts
-#: under 60k) at every m up to 200.
+#: value ladder's levels stay under 22k breakpoints (their exact lifts
+#: under 43k) at every m up to 200.
 MAX_BREAKPOINTS = 6_000_000
 
 

@@ -24,9 +24,14 @@ clamped to [0, min(1, mx)].  Each level is lifted segment-exactly; no
 bisection is involved, so rational breakpoints (1/9, 5/9, ...) come out to
 machine accuracy.
 
-The piece count doubles per level, so each level is then simplified in one
-pass, a band greedy that holds every dropped breakpoint within 0.9e-9 of the
-result; the measured sup error eta_m <= 1e-9 is the level's certificate.
+The piece count doubles per level, so each level is then simplified.  Every
+level is convex, so a chord through kept breakpoints lies on or above the
+points it skips and its error is one-sided: a one-pass band greedy runs
+within 2 * 0.9e-9, and the kept breakpoints that span its skipping chords
+are lowered by 0.9e-9, which centres that error.  Should the lowered
+polyline miss the tolerance, the level falls back to the greedy within
+0.9e-9, then to the unsimplified lift; the measured sup error eta_m <= 1e-9
+of what is stored is the level's certificate.
 The errors do not simply add up: the lift T is monotone and
 T(f + c) = T f + r_m c with r_m = (m-1)/m, so T is an r_m-contraction in
 the sup norm (Blackwell's conditions) and the stored f_m is within
@@ -109,8 +114,9 @@ class AlphaParams:
 
 #: Simplification tolerance, the same at every level.  The exact value
 #: function's piece count doubles with every level (2, 4, 7, 14, 28, 56, ...),
-#: so each level keeps the breakpoints of a polyline that stays within
-#: ``_BAND * _ETA`` of every breakpoint of the lift; the measured sup error
+#: so each level keeps a subset of the lift's breakpoints: the chords of a
+#: band greedy within ``2 * _BAND * _ETA``, lowered by ``_BAND * _ETA``
+#: where they skip points (see ``_store``); the measured sup error
 #: eta_m <= ``_ETA`` is the level's certificate.  Genuine kinks at small m
 #: are macroscopic, so levels 1..3 stay exact.  The error left in f_m is
 #: certified by the contraction bound documented on ``Ladder``:
@@ -118,8 +124,10 @@ class AlphaParams:
 #: m = 198.
 _ETA = 1e-9
 
-#: Share of eta given to ``_simplify``'s band; the rest absorbs rounding in
-#: the chords, the zero snap and canonicalization.
+#: Share of eta given to the stored polyline's band.  Chords on a convex
+#: level err on one side only, so ``_simplify`` runs within twice this band
+#: and the chords are lowered by it; the rest of eta absorbs rounding in the
+#: chords, the zero snap and canonicalization.
 _BAND = 0.9
 
 #: Segments per ``_simplify`` block; block ends are always kept.
@@ -265,24 +273,69 @@ def _lift(fp: PiecewiseLinear, m: int) -> tuple[np.ndarray, np.ndarray]:
     return grid[keep], vals[keep]
 
 
+def _lowered(xs: np.ndarray, gx: np.ndarray, gy: np.ndarray, band: float) -> np.ndarray:
+    """Values of the kept breakpoints ``(gx, gy)`` of ``xs`` lowered by
+    ``band`` from the first to the last kept segment that skips a point,
+    never at the two endpoints."""
+    k = len(gx)
+    low = gy.copy()
+    if k < len(xs):
+        # the kept points match xs up to the first skip, and from the end
+        # back to the last one
+        first = int(np.argmax(gx != xs[:k])) - 1
+        last = k - 1 - int(np.argmax(gx[::-1] != xs[::-1][:k]))
+        low[max(first, 1) : min(last + 2, k - 1)] -= band
+    return low
+
+
+def _store(xs: np.ndarray, exact: np.ndarray, eta: float) -> tuple[PiecewiseLinear, float]:
+    """The polyline stored for the exact breakpoints ``(xs, exact)`` and its
+    measured sup error, at most ``eta``.
+
+    The error counts every lossy step: the zero snap, the simplification and
+    the canonicalization in the ``PiecewiseLinear`` constructor.  The stored
+    breakpoints are a subset of ``xs``, so the error peaks there, and the
+    measured error is the certificate.
+
+    With ``band = _BAND * eta``, the breakpoints are simplified within
+    ``2 band``.  On a convex level every chord lies on or above the points
+    it skips, by at most ``2 band``, so lowering the kept breakpoints that
+    span the skipping chords by ``band`` centres them: the lowered polyline
+    is within ``band`` of every point, with chords about sqrt 2 times as
+    long as those within ``band``.  That polyline is stored unlowered when it is
+    already within ``band`` (at levels 1..3 only collinear points drop), and
+    lowered when its error is at most ``eta``.  Otherwise (a non-convex
+    curve, or a skipping chord at an endpoint, which is never lowered) the
+    ``_simplify(xs, ys, band)`` polyline is stored, and should its error
+    exceed ``eta`` too, the unsimplified breakpoints.
+    """
+    ys = exact.copy()
+    ys[np.abs(ys) <= _ZERO_SNAP] = 0.0
+
+    def measured(px: np.ndarray, py: np.ndarray) -> tuple[PiecewiseLinear, float]:
+        f = PiecewiseLinear(px, py)
+        return f, float(np.max(np.abs(f(xs) - exact)))
+
+    band = _BAND * eta
+    gx, gy = _simplify(xs, ys, 2.0 * band)
+    fm, err = measured(gx, gy)
+    if err > band:
+        fm, err = measured(gx, _lowered(xs, gx, gy, band))
+    if err > eta:
+        fm, err = measured(*_simplify(xs, ys, band))
+    if err > eta:
+        fm, err = measured(xs, ys)
+    return fm, err
+
+
 def _level_up(fp: PiecewiseLinear, m: int, eta: float) -> tuple[PiecewiseLinear, int, float]:
     """f_m from the stored f_{m-1}, within ``eta`` of the exact lift.
 
-    Returns the level, the exact lift's piece count and the measured sup
-    error of every lossy step: the zero snap, one ``_simplify`` within
-    ``_BAND * eta`` and the canonicalization in the ``PiecewiseLinear``
-    constructor.  The stored breakpoints are a subset of the lift's, so the
-    lift's breakpoints are where the error peaks.  The measured error is the
-    certificate; should it exceed ``eta``, the unsimplified lift is stored.
+    Returns the level ``_store`` keeps of the exact lift, the lift's piece
+    count and the measured sup error, the level's certificate.
     """
     xs, exact = _lift(fp, m)
-    ys = exact.copy()
-    ys[np.abs(ys) <= _ZERO_SNAP] = 0.0
-    fm = PiecewiseLinear(*_simplify(xs, ys, _BAND * eta))
-    err = float(np.max(np.abs(fm(xs) - exact)))
-    if err > eta:
-        fm = PiecewiseLinear(xs, ys)
-        err = float(np.max(np.abs(fm(xs) - exact)))
+    fm, err = _store(xs, exact, eta)
     return fm, len(xs) - 1, err
 
 
@@ -412,8 +465,8 @@ def equalization_alpha(m: int, x: float) -> tuple[float, float]:
     """
     if m < 2:
         raise ValueError("equalization needs m >= 2")
-    if not math.isfinite(x):
-        raise ValueError("budget must be finite")
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError(f"budget must be finite and non-negative, got {x}")
     alpha_max = min(1.0, m * x)
     fp = LADDER.level(m - 1)
     r = (m - 1.0) / m

@@ -140,6 +140,15 @@ class TestAlphaParams:
 
 
 class TestEqualization:
+    @pytest.mark.parametrize("x", [-0.1, -1e-300, -math.inf])
+    def test_negative_budget_rejected(self, x):
+        with pytest.raises(ValueError, match="non-negative"):
+            equalization_alpha(5, x)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_zero_budget(self, x):
+        assert equalization_alpha(5, x) == (0.0, 1.0)
+
     def test_two_item_interior_crossing(self):
         alpha, val = equalization_alpha(2, 0.3)
         assert alpha == pytest.approx(0.5, abs=1e-12)
@@ -434,6 +443,17 @@ class TestLadder:
         assert records[29].err <= 2e-8
         assert records[197].err <= 1e-7
 
+    def test_levels_are_convex_with_exact_anchors(self):
+        for m, fm in enumerate(f_ladder(198), start=1):
+            assert fm(0.0) == 1.0 and fm(1.0) == 0.0, m
+            assert np.all(np.diff(np.diff(fm.ys) / np.diff(fm.xs)) >= 0.0), m
+
+    def test_lowered_chords_keep_fewer_pieces(self):
+        records = seq.LADDER.records(198)
+        assert records[29].pieces <= 19_000
+        assert records[99].pieces <= 22_000
+        assert records[197].pieces <= 22_000
+
     @pytest.mark.parametrize("eta", [math.inf, math.nan, -1e-9])
     def test_bad_tolerance_rejected(self, eta):
         with pytest.raises(ValueError):
@@ -451,6 +471,24 @@ class TestLadder:
         np.testing.assert_array_equal(fm.ys, lift.ys)
         assert eta == float(np.max(np.abs(fm(xs) - exact)))
         assert 0.0 <= eta <= seq.LADDER.eta
+
+    def test_store_falls_back_to_the_band_polyline_when_the_lowered_one_fails(self, monkeypatch):
+        xs, exact = seq._lift(uniform_additive_value(29), 30)
+        eta, band = seq.LADDER.eta, seq._BAND * seq.LADDER.eta
+        ys = np.where(np.abs(exact) <= seq._ZERO_SNAP, 0.0, exact)
+        gx, gy = seq._simplify(xs, ys, 2.0 * band)
+        lowered = PiecewiseLinear(gx, seq._lowered(xs, gx, gy, band))
+        fm, err = seq._store(xs, exact, eta)
+        np.testing.assert_array_equal(fm.xs, lowered.xs)
+        np.testing.assert_array_equal(fm.ys, lowered.ys)
+        monkeypatch.setattr(seq, "_lowered", lambda xs, gx, gy, band: gy + 1.0)
+        fm, err = seq._store(xs, exact, eta)
+        want = PiecewiseLinear(*seq._simplify(xs, ys, band))
+        np.testing.assert_array_equal(fm.xs, want.xs)
+        np.testing.assert_array_equal(fm.ys, want.ys)
+        assert want.piece_count() > lowered.piece_count()
+        assert err == float(np.max(np.abs(fm(xs) - exact)))
+        assert 0.0 <= err <= eta
 
     def test_concurrent_extension_builds_each_level_once(self, monkeypatch):
         cold = seq.Ladder()
@@ -533,3 +571,43 @@ def test_simplify_matches_blocked_greedy_oracle(n, data, band):
     assert float(np.max(np.abs(np.interp(xs, gx, gy) - ys))) <= band + 1e-12
     if band == 0.0:
         np.testing.assert_array_equal(gx, xs)
+
+
+def drawn_curve(data, n, convex):
+    """n segments on [0, 1], strictly decreasing and convex, or arbitrary."""
+    gaps = np.asarray(data.draw(hst.lists(hst.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    xs = np.concatenate(([0.0], np.cumsum(gaps) / gaps.sum()))
+    if convex:
+        # slopes rise from the first segment to the last, which is at most -flat
+        flat = data.draw(hst.floats(1e-3, 1.0))
+        bends = np.asarray(data.draw(hst.lists(hst.floats(0.0, 1e-2), min_size=n, max_size=n)))
+        slopes = -flat - np.cumsum(bends[::-1])[::-1]
+    else:
+        slopes = np.asarray(data.draw(hst.lists(hst.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    ys = np.concatenate(([0.0], np.cumsum(slopes * np.diff(xs))))
+    return xs, ys + 1.0 - ys.min()
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 200])
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), eta=hst.floats(1e-7, 1e-3))
+def test_store_of_a_convex_curve_lowers_its_chords(n, data, eta):
+    xs, exact = drawn_curve(data, n, convex=True)
+    fm, err = seq._store(xs, exact, eta)
+    assert err == float(np.max(np.abs(fm(xs) - exact)))
+    assert 0.0 <= err <= eta
+    assert (fm(xs[0]), fm(xs[-1])) == (exact[0], exact[-1])
+    assert np.all(np.isin(fm.xs, xs))
+    # chords within twice the band reach at least as far on a convex curve
+    assert fm.piece_count() <= len(seq._simplify(xs, exact, seq._BAND * eta)[0]) - 1
+
+
+@pytest.mark.parametrize("n", [2, 40, 200])
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), eta=hst.floats(1e-7, 1e-3))
+def test_store_of_any_curve_stays_within_eta(n, data, eta):
+    xs, exact = drawn_curve(data, n, convex=False)
+    fm, err = seq._store(xs, exact, eta)
+    assert err == float(np.max(np.abs(fm(xs) - exact)))
+    assert 0.0 <= err <= eta
+    assert np.all(np.isin(fm.xs, xs))
