@@ -82,8 +82,8 @@ class SweepReport:
 
 def f_bound(B: float) -> float:
     """The fair-split bound (1 - sqrt(B))^2."""
-    if B < 0:
-        raise ValueError("B must be non-negative")
+    if not (math.isfinite(B) and B >= 0.0):
+        raise ValueError(f"B must be finite and non-negative, got {B}")
     return (1.0 - math.sqrt(B)) ** 2
 
 
@@ -107,8 +107,8 @@ def t_star(B: float) -> tuple[float, int]:
 
 def table_A(m: int, B: float) -> float:
     """Exact guaranteed-profit tables for the 1/2/3-item uniform auctions."""
-    if B < 0:
-        raise ValueError("B must be non-negative")
+    if not (math.isfinite(B) and B >= 0.0):
+        raise ValueError(f"B must be finite and non-negative, got {B}")
     if m == 1:
         return 1.0 - B if B < 1.0 else 0.0
     if m == 2:
@@ -189,8 +189,7 @@ def verify_alpha_feasibility(m_max: int = 30, grid_step: float = 0.002, tol: flo
     worst, worst_pt, n = math.inf, (None, None), 0
     for m in range(2, m_max + 1):
         xs = _intermediate_grid(m, grid_step)
-        one_minus = 1.0 - np.sqrt(xs)
-        at = 1.0 - 2.0 * m * one_minus + 2.0 * math.sqrt(m * (m - 1.0)) * one_minus
+        at = seq.alpha_tilde(m, xs)
         amax = np.minimum(1.0, m * xs)
         margins = np.minimum(at, amax - at)
         n += len(xs)
@@ -219,9 +218,7 @@ def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9
     worst, worst_pt, n = math.inf, (None, None), 0
     for m in range(2, m_max + 1):
         xs = _intermediate_grid(m, grid_step)
-        one_minus = 1.0 - np.sqrt(xs)
-        at = 1.0 - 2.0 * m * one_minus + 2.0 * math.sqrt(m * (m - 1.0)) * one_minus
-        at = np.clip(at, 0.0, np.minimum(1.0, m * xs))
+        at = np.clip(seq.alpha_tilde(m, xs), 0.0, np.minimum(1.0, m * xs))
         fp = ladder[m - 2]
         r = (m - 1.0) / m
         g = (1.0 - at) / m + r * fp(m * xs / (m - 1.0))

@@ -5,8 +5,9 @@ Three solvers live here:
 * an exact backward induction for the uniform additive auction on m identical
   items, producing the game value as a piecewise-linear function of the
   adversary budget (``uniform_additive_value``);
-* a discretized game-tree oracle for small instances and arbitrary
-  valuations (``solve_discretized``), with ties awarded to the adversary;
+* a grid game-tree oracle for small instances and arbitrary valuations,
+  ties to the adversary, by backward induction over a (won, budget) table
+  per round (``solve_discretized``);
 * a strategy-profile simulator (``simulate``) plus the adversary's exact
   best response to a fixed bid vector (``best_response_to_fixed_bids``).
 
@@ -302,12 +303,12 @@ def _store(xs: np.ndarray, exact: np.ndarray, eta: float) -> tuple[PiecewiseLine
     it skips, by at most ``2 band``, so lowering the kept breakpoints that
     span the skipping chords by ``band`` centres them: the lowered polyline
     is within ``band`` of every point, with chords about sqrt 2 times as
-    long as those within ``band``.  That polyline is stored unlowered when it is
-    already within ``band`` (at levels 1..3 only collinear points drop), and
-    lowered when its error is at most ``eta``.  Otherwise (a non-convex
-    curve, or a skipping chord at an endpoint, which is never lowered) the
-    ``_simplify(xs, ys, band)`` polyline is stored, and should its error
-    exceed ``eta`` too, the unsimplified breakpoints.
+    long as those within ``band``.  A screen of its chords picks the
+    candidate: unlowered if within ``band`` (at levels 1..10 only
+    near-collinear points drop), else lowered.  Should its error exceed
+    ``eta`` (a non-convex curve, or a skipping chord at an endpoint, never
+    lowered) the ``_simplify(xs, ys, band)`` polyline is stored, and should
+    its error exceed ``eta`` too, the unsimplified breakpoints.
     """
     ys = exact.copy()
     ys[np.abs(ys) <= _ZERO_SNAP] = 0.0
@@ -318,9 +319,9 @@ def _store(xs: np.ndarray, exact: np.ndarray, eta: float) -> tuple[PiecewiseLine
 
     band = _BAND * eta
     gx, gy = _simplify(xs, ys, 2.0 * band)
+    if np.max(np.abs(np.interp(xs, gx, gy) - exact)) > band:
+        gy = _lowered(xs, gx, gy, band)
     fm, err = measured(gx, gy)
-    if err > band:
-        fm, err = measured(gx, _lowered(xs, gx, gy, band))
     if err > eta:
         fm, err = measured(*_simplify(xs, ys, band))
     if err > eta:
@@ -442,15 +443,19 @@ def g_h(m: int, x: float, alpha: float, f_prev: PiecewiseLinear | None = None) -
     return float(g), float(h)
 
 
+def alpha_tilde(m: int, x):
+    """The sufficient first-round bid ratio at a budget or array of budgets x."""
+    if m < 2 or not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise ValueError(f"need m >= 2 and finite budgets x >= 0, got m = {m}, x = {x}")
+    one_minus_sqrt = 1.0 - np.sqrt(x)
+    return 1.0 - 2.0 * m * one_minus_sqrt + 2.0 * math.sqrt(m * (m - 1.0)) * one_minus_sqrt
+
+
 def alpha_params(m: int, x: float) -> AlphaParams:
     """The sufficient first-round bid ratio and its feasibility cap."""
-    if m < 2 or x < 0:
-        raise ValueError("need m >= 2 and x >= 0")
-    one_minus_sqrt = 1.0 - math.sqrt(x)
-    alpha_tilde = 1.0 - 2.0 * m * one_minus_sqrt + 2.0 * math.sqrt(m * (m - 1.0)) * one_minus_sqrt
-    alpha_max = min(1.0, m * x)
+    at, alpha_max = float(alpha_tilde(m, x)), min(1.0, m * x)
     inter = 1.0 / m**2 <= x <= (m - 1.0) / m
-    return AlphaParams(m=m, x=float(x), alpha_tilde=alpha_tilde, alpha_max=alpha_max, intermediate=inter)
+    return AlphaParams(m=m, x=float(x), alpha_tilde=at, alpha_max=alpha_max, intermediate=inter)
 
 
 def equalization_alpha(m: int, x: float) -> tuple[float, float]:
@@ -581,13 +586,16 @@ def _is_symmetric(v: Valuation) -> bool:
     return False
 
 
+#: Cap on the grid oracle's work: rounds * won states * budget units * bids.
+_MAX_GRID_OPS = 2e8
+
+
 def solve_discretized(
     v: Valuation,
     B: float,
     delta: float,
     price_rule: str = "first",
     leader: str = "adversary",
-    max_ops: float = 2e8,
 ) -> float:
     """Value of the grid game where each round the leader commits a bid on a
     delta-grid and the follower best-responds (win or lose).
@@ -596,11 +604,23 @@ def solve_discretized(
     above the adversary's bid under first price: this is the conservative
     worst-case reading of the limit-bid convention.  ``leader='adversary'``
     realizes the min-max order; ``leader='bidder'`` the max-min order.
+
+    Backward induction over a table val[w, u], won states w (counts if v is
+    symmetric, else masks) by budget units u, one array operation per bid;
+    rows a round cannot reach are computed but never read.  With won =
+    val[next(w), u]: adversary leading, min over a <= u of max(won - (a +
+    [first]) delta, val[w, u - a]); bidder leading, max over b <= 1/delta
+    of min(won - pay delta, val[w, u - b] if b <= u), pay = b under first
+    price and the drain min(b - 1, u) under second.
     """
     if price_rule not in ("first", "second"):
         raise ValueError("price_rule must be 'first' or 'second'")
     if leader not in ("adversary", "bidder"):
         raise ValueError("leader must be 'adversary' or 'bidder'")
+    if not (math.isfinite(B) and B >= 0.0):
+        raise ValueError(f"budget must be finite and non-negative, got {B}")
+    if not (math.isfinite(delta) and 0.0 < delta <= 1.0):
+        raise ValueError(f"delta must be finite and in (0, 1], got {delta}")
     m = v.m
     if m > 6:
         raise ValueError("the game-tree oracle is capped at m = 6")
@@ -610,50 +630,32 @@ def solve_discretized(
     bu0 = int(math.floor(B / delta + 1e-9))
 
     symmetric = _is_symmetric(v)
-    if symmetric:
-        won_space = m + 1
-        final = [v.value(range(k)) for k in range(m + 1)]
-    else:
-        won_space = 1 << m
-        final = v.values_all().tolist()
+    final = np.array([v.value(range(k)) for k in range(m + 1)]) if symmetric else v.values_all()
     loop = (bu0 + 1) if leader == "adversary" else (n_max + 1)
-    if m * won_space * (bu0 + 1) * loop > max_ops:
+    if m * len(final) * (bu0 + 1) * loop > _MAX_GRID_OPS:
         raise StateSpaceError("discretized state space exceeds the cap")
+    if leader == "bidder":  # the adversary pays at most n_max units a round
+        bu0 = min(bu0, m * n_max)
 
-    memo: dict[tuple[int, int, int], float] = {}
-
-    def val(t: int, won: int, bu: int) -> float:
-        if t == m:
-            return final[won]
-        key = (t, won, bu)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        next_won = won + 1 if symmetric else won | (1 << t)
+    w, units = np.arange(len(final)), np.arange(bu0 + 1)
+    first = int(price_rule == "first")
+    val = np.repeat(final[:, None], bu0 + 1, axis=1)
+    for t in reversed(range(m)):
+        won = val[np.minimum(w + 1, m) if symmetric else w | (1 << t)]
         if leader == "adversary":
-            best = math.inf
-            for a in range(bu + 1):
-                pay_units = a + 1 if price_rule == "first" else a
-                win_branch = val(t + 1, next_won, bu) - pay_units * delta
-                lose_branch = val(t + 1, won, bu - a)
-                follower = max(win_branch, lose_branch)
-                if follower < best:
-                    best = follower
+            new = np.full_like(val, math.inf)
+            for a in range(bu0 + 1):
+                follower = np.maximum(won[:, a:] - (a + first) * delta, val[:, : bu0 + 1 - a])
+                np.minimum(new[:, a:], follower, out=new[:, a:])
         else:
-            best = -math.inf
-            for bid in range(n_max + 1):
-                drain = min(bid - 1, bu) if bid >= 1 else 0
-                pay_units = bid if price_rule == "first" else drain
-                options = [val(t + 1, next_won, bu) - pay_units * delta]
-                if bu >= bid:
-                    options.append(val(t + 1, won, bu - bid))
-                follower = min(options)
-                if follower > best:
-                    best = follower
-        memo[key] = best
-        return best
-
-    return float(val(0, 0, bu0))
+            new = np.full_like(val, -math.inf)
+            for b in range(n_max + 1):
+                follower = won - (b if first or b == 0 else np.minimum(b - 1, units)) * delta
+                if b <= bu0:
+                    np.minimum(follower[:, b:], val[:, : bu0 + 1 - b], out=follower[:, b:])
+                np.maximum(new, follower, out=new)
+        val = new
+    return float(val[0, bu0])
 
 
 # -- exact adversary best response to fixed bids --------------------------------

@@ -111,6 +111,18 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             A.table_A(4, 0.3)
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf, -0.1])
+    def test_closed_forms_reject_bad_budgets(self, B):
+        for m in (1, 2, 3):
+            with pytest.raises(ValueError):
+                A.table_A(m, B)
+        with pytest.raises(ValueError):
+            A.f_bound(B)
+        with pytest.raises(ValueError):
+            seq.alpha_params(3, B)
+        with pytest.raises(ValueError):
+            seq.alpha_tilde(3, np.array([0.5, B]))
+
     def test_budget_split_examples(self):
         s = A.budget_split(0.1)
         assert (s.w1, s.w2) == (pytest.approx(0.2), pytest.approx(0.0))

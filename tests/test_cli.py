@@ -63,6 +63,32 @@ def test_oracle(capsys):
     assert abs(float(out.strip()) - 0.45) <= 0.05
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--b=-0.5",),
+        ("--b=-0.5", "--leader", "bidder"),
+        ("--b", "0.3", "--delta=-1"),
+        ("--b", "0.3", "--delta", "0"),
+        ("--b", "inf"),
+        ("--b", "nan"),
+    ],
+)
+def test_oracle_out_of_domain_exits_1(capsys, argv):
+    code, out, err = run(capsys, "oracle", "--m", "2", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("riskfree: error: ")
+
+
+@pytest.mark.parametrize("b", ["nan", "inf", "-0.1"])
+def test_tables_non_finite_budget_exits_1(capsys, b):
+    code, out, err = run(capsys, "tables", "--m", "1", f"--b={b}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("riskfree: error: ")
+
+
 def test_verify_quick(capsys, tmp_path):
     report = tmp_path / "rep.json"
     code, out, _ = run(

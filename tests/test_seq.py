@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from riskfree import pwl, seq
-from riskfree.errors import ContractViolationError, PolicyContractError
+from riskfree.errors import ContractViolationError, PolicyContractError, StateSpaceError
 from riskfree.pwl import PiecewiseLinear
 from riskfree.seq import (
     SeqGameState,
@@ -22,7 +23,7 @@ from riskfree.seq import (
     uniform_additive_value,
 )
 from riskfree.strategies import FixedBidsPolicy
-from riskfree.valuations import AdditiveValuation, XOSValuation
+from riskfree.valuations import AdditiveValuation, SubadditiveIdenticalValuation, XOSValuation
 
 
 def uniform(m):
@@ -138,6 +139,17 @@ class TestAlphaParams:
                 p = alpha_params(m, float(x))
                 assert -1e-9 <= p.alpha_tilde <= p.alpha_max + 1e-9
 
+    def test_array_form_matches_the_scalar_formula_bitwise(self):
+        for m in (2, 3, 7, 30):
+            xs = np.linspace(0.0, 1.2, 61)
+            at = seq.alpha_tilde(m, xs)
+            for x, got in zip(xs.tolist(), at.tolist()):
+                one_minus = 1.0 - math.sqrt(x)
+                want = 1.0 - 2.0 * m * one_minus + 2.0 * math.sqrt(m * (m - 1.0)) * one_minus
+                p = alpha_params(m, x)
+                assert type(p.alpha_tilde) is float
+                assert got == want == p.alpha_tilde, (m, x)
+
 
 class TestEqualization:
     @pytest.mark.parametrize("x", [-0.1, -1e-300, -math.inf])
@@ -194,6 +206,52 @@ class TestEqualization:
                 assert val == pytest.approx(want_val, abs=1e-12), (m, x)
 
 
+def game_tree_reference(v, B, delta, price_rule, leader):
+    """The grid game of ``solve_discretized`` by memoised recursion over
+    (round, won, budget units): won is an item count for symmetric
+    valuations, else a mask."""
+    m, n_max = v.m, round(1.0 / delta)
+    symmetric = seq._is_symmetric(v)
+    final = [v.value(range(k)) for k in range(m + 1)] if symmetric else v.values_all().tolist()
+
+    @functools.cache
+    def val(t, won, bu):
+        if t == m:
+            return final[won]
+        next_won = won + 1 if symmetric else won | (1 << t)
+        if leader == "adversary":
+            return min(
+                max(val(t + 1, next_won, bu) - (a + (price_rule == "first")) * delta,
+                    val(t + 1, won, bu - a))
+                for a in range(bu + 1)
+            )
+        best = -math.inf
+        for bid in range(n_max + 1):
+            # under second price a losing adversary is drained by bid - 1
+            # units, or by all he has left
+            pay = bid if price_rule == "first" else min(bid - 1, bu) if bid else 0
+            options = [val(t + 1, next_won, bu) - pay * delta]
+            if bid <= bu:
+                options.append(val(t + 1, won, bu - bid))
+            best = max(best, min(options))
+        return best
+
+    return float(val(0, 0, math.floor(B / delta + 1e-9)))
+
+
+#: Count states (uniform additive, identical-item table) and mask states
+#: (distinct additive weights, XOS) at m <= 3.
+ORACLE_VALUATIONS = {
+    "one_item": uniform(1),
+    "uniform3": uniform(3),
+    "additive3": AdditiveValuation((0.5, 0.3, 0.2)),
+    "xos2": XOSValuation([(0.7, 0.3), (0.2, 0.8)]),
+    "xos3": XOSValuation([(0.5, 0.3, 0.2), (0.1, 0.3, 0.6), (0.3, 0.35, 0.3)]),
+    "table2": SubadditiveIdenticalValuation([0.0, 0.7, 1.0]),
+    "table3": SubadditiveIdenticalValuation([0.0, 0.5, 0.8, 1.0]),
+}
+
+
 class TestOracle:
     def test_two_items_first_price(self):
         val = solve_discretized(uniform(2), 0.3, 0.001, "first", "adversary")
@@ -229,6 +287,32 @@ class TestOracle:
     def test_m_cap(self):
         with pytest.raises(ValueError):
             solve_discretized(uniform(7), 0.3, 0.01)
+
+    def test_state_space_cap(self):
+        # 6 rounds * 64 masks * 1001 budget units * 1001 bids exceeds the cap
+        xos = XOSValuation([(0.3, 0.1, 0.2, 0.1, 0.2, 0.1), (0.1,) * 6])
+        with pytest.raises(StateSpaceError):
+            solve_discretized(xos, 1.0, 0.001)
+
+    @pytest.mark.parametrize("leader", ["adversary", "bidder"])
+    @pytest.mark.parametrize(
+        "B, delta",
+        [(-0.5, 0.01), (-1e-300, 0.01), (math.nan, 0.01), (math.inf, 0.01),
+         (0.3, -1.0), (0.3, 0.0), (0.3, math.nan), (0.3, math.inf), (0.3, 1.5)],
+    )
+    def test_out_of_domain_input_rejected(self, B, delta, leader):
+        with pytest.raises(ValueError):
+            solve_discretized(uniform(2), B, delta, leader=leader)
+
+    @pytest.mark.parametrize("leader", ["adversary", "bidder"])
+    @pytest.mark.parametrize("price_rule", ["first", "second"])
+    @pytest.mark.parametrize("v", ORACLE_VALUATIONS.values(), ids=ORACLE_VALUATIONS.keys())
+    def test_matches_the_game_tree_recursion(self, v, price_rule, leader):
+        # budgets from none to beyond every bid the bidder can make (B > m)
+        for delta in (0.05, 0.1):
+            for B in (0.0, 0.04, 0.15, 0.5, 0.95, v.m + 0.3):
+                got = solve_discretized(v, B, delta, price_rule, leader)
+                assert got == game_tree_reference(v, B, delta, price_rule, leader), (delta, B)
 
 
 class TestSimulate:
