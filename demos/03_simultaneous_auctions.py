@@ -4,7 +4,8 @@ Second price: truthful bidding of the dominant clause guarantees 1 - B flat.
 First price: pure strategies are hopeless (a prefix counter holds them near
 the sequential value), but drawing each bid uniformly at random guarantees
 (1 - B)^2 / 2 in expectation; the rival's best reply is the solution of a
-small quadratic program whose value we verify three independent ways.
+small quadratic program.  Its closed-form value is checked against an exact
+breakpoint-scan solver, a lattice search and a Monte Carlo estimate.
 """
 
 import math
@@ -27,10 +28,10 @@ print("\nfirst price: the quadratic program behind the randomized guarantee")
 g = AdditiveValuation((0.45, 0.35, 0.2))
 for B in (0.25, 0.5, 0.75):
     sol = simul.adversary_qp(g, B)
-    _, pg_value = simul.projected_gradient_qp(np.asarray(g.weights), B)
+    _, scan_value = simul.exact_qp(g.weights, B)
     print(
         f"  B = {B}: closed form {(1 - B) ** 2 / 2:.5f}, "
-        f"projected gradient {pg_value:.5f}, rival ratios {sol.ratios}"
+        f"breakpoint scan {scan_value:.5f}, rival ratios {sol.ratios}"
     )
 g2 = np.array([0.9, 0.1])
 print(f"  two-item lattice search at B=0.25: {simul.qp_grid_search(g2, 0.25):.5f}")

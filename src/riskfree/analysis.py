@@ -80,14 +80,19 @@ class SweepReport:
 # -- closed forms --------------------------------------------------------------
 
 
+def _check_budget(B: float) -> None:
+    if not (math.isfinite(B) and B >= 0.0):
+        raise ValueError(f"budget must be finite and non-negative, got {B}")
+
+
 def f_bound(B: float) -> float:
     """The fair-split bound (1 - sqrt(B))^2."""
-    if not (math.isfinite(B) and B >= 0.0):
-        raise ValueError(f"B must be finite and non-negative, got {B}")
+    _check_budget(B)
     return (1.0 - math.sqrt(B)) ** 2
 
 
 def tangent_bound(k: int, B: float) -> TangentBound:
+    _check_budget(B)
     return TangentBound(k=k, value=tangent_value(k, B), tangency=(k / (k + 1.0)) ** 2)
 
 
@@ -97,8 +102,7 @@ def t_star(B: float) -> tuple[float, int]:
     Tangency points (k/(k+1))^2 accumulate at 1, so searching k up to
     ceil(1/(1 - sqrt(B))) + 2 is sufficient; ties break toward smaller k.
     """
-    if B < 0:
-        raise ValueError("B must be non-negative")
+    _check_budget(B)
     root = math.sqrt(B)
     k_hi = 64 if root >= 1.0 else math.ceil(1.0 / (1.0 - root)) + 2
     best_k, best_val = tangent_peak(B, k_hi)
@@ -107,8 +111,7 @@ def t_star(B: float) -> tuple[float, int]:
 
 def table_A(m: int, B: float) -> float:
     """Exact guaranteed-profit tables for the 1/2/3-item uniform auctions."""
-    if not (math.isfinite(B) and B >= 0.0):
-        raise ValueError(f"B must be finite and non-negative, got {B}")
+    _check_budget(B)
     if m == 1:
         return 1.0 - B if B < 1.0 else 0.0
     if m == 2:
@@ -219,10 +222,7 @@ def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9
     for m in range(2, m_max + 1):
         xs = _intermediate_grid(m, grid_step)
         at = np.clip(seq.alpha_tilde(m, xs), 0.0, np.minimum(1.0, m * xs))
-        fp = ladder[m - 2]
-        r = (m - 1.0) / m
-        g = (1.0 - at) / m + r * fp(m * xs / (m - 1.0))
-        h = r * fp((m * xs - at) / (m - 1.0))
+        g, h = seq.g_h(m, xs, at, ladder[m - 2])
         bound = (1.0 - np.sqrt(xs)) ** 2 + 1.0 / math.sqrt(m)
         margins = bound - np.maximum(g, h)
         n += len(xs)
@@ -419,7 +419,7 @@ def verify_simul(seed: int = 0, tol: float = 1e-9) -> SweepReport:
         if margin < worst:
             worst, worst_pt = float(margin), pt
 
-    # QP: closed form vs projected gradient (and lattice at m = 2).
+    # QP: closed form vs the exact breakpoint-scan oracle (and lattice at m = 2).
     for B in np.arange(0.1, 0.95, 0.1):
         B = float(B)
         for trial in range(3):
@@ -428,8 +428,11 @@ def verify_simul(seed: int = 0, tol: float = 1e-9) -> SweepReport:
             g = AdditiveValuation(tuple(w / w.sum()))
             sol = simul.adversary_qp(g, B)
             gw = np.asarray(g.weights)
-            _, pg_value = simul.projected_gradient_qp(gw, B, seed=int(rng.integers(2**31)))
-            note(1e-6 - abs(pg_value - sol.value), ("qp_pg", B, m))
+            # An iterative oracle once drew its seed here; the draw stays so
+            # that every later draw, and each seed's margins, stay put.
+            rng.integers(2**31)
+            _, qp_value = simul.exact_qp(gw, B)
+            note(1e-6 - abs(qp_value - sol.value), ("qp_pg", B, m))
             if m == 2:
                 lattice = simul.qp_grid_search(gw, B)
                 note(1e-4 - abs(lattice - sol.value), ("qp_lattice", B))
@@ -479,14 +482,6 @@ def _random_xos(m: int, rng: np.random.Generator, max_clauses: int = 5) -> XOSVa
     return XOSValuation(tuple(clauses))
 
 
-#: Families that never read ``seq.LADDER``; ``verify_all`` runs them in a worker.
-_LADDER_FREE = (verify_alpha_feasibility, verify_tangency, verify_si_lower, verify_simul)
-
-
-def _run_sweeps(calls: list[tuple]) -> list[SweepReport]:
-    return [fn(**kwargs) for fn, kwargs in calls]
-
-
 def verify_all(
     suites: Iterable[str] = ("xos", "si", "simul"),
     m_max: int = 30,
@@ -494,23 +489,12 @@ def verify_all(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> list[SweepReport]:
-    """Run the families of the chosen suites; reports come in a fixed order.
+    """Run the families of the chosen suites, in order, in this process.
 
-    The ladder build (f_1..f_198 for ``si_upper_bound``) is the longest
-    step, so the families that never read the ladder (``alpha_feasibility``,
-    ``tangency``, ``si_lower_bound``, ``simultaneous``) run beside it in one
-    worker process, while this process runs ``xos_value_bound``,
-    ``gh_at_alpha_tilde`` and ``si_upper_bound``: it stays the only builder
-    of levels and keeps its ladder cache warm.  There is always exactly one
-    worker and no setting for it.  Each report's ``runtime_s`` and
-    ``setup_s`` time its own sweep and ladder build, in whichever process
-    ran it.  The worker is started with ``spawn`` (``fork`` would copy a
-    process that may hold other threads' locks), so a script that calls
-    this needs an ``if __name__ == "__main__":`` guard.
+    Each report's ``runtime_s`` times its own sweep and ``setup_s`` the
+    ladder levels it built; the levels are cached, so f_1..f_198 are built
+    once however many families read them.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     wanted = set(suites)
     calls: list[tuple] = []
     if "xos" in wanted:
@@ -525,13 +509,7 @@ def verify_all(
         calls += [(verify_si_lower, dict(n_instances=200, seed=seed, tol=tol)), (verify_si_upper, {})]
     if "simul" in wanted:
         calls.append((verify_simul, dict(seed=seed, tol=tol)))
-    remote = [c for c in calls if c[0] in _LADDER_FREE]
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-        future = pool.submit(_run_sweeps, remote)
-        local = iter(_run_sweeps([c for c in calls if c[0] not in _LADDER_FREE]))
-        done = iter(future.result())
-    return [next(done) if fn in _LADDER_FREE else next(local) for fn, _ in calls]
+    return [fn(**kwargs) for fn, kwargs in calls]
 
 
 # -- figure reproduction ----------------------------------------------------------

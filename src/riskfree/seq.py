@@ -426,21 +426,29 @@ def g_h(m: int, x: float, alpha: float, f_prev: PiecewiseLinear | None = None) -
     """Continuation values (g, h) after round one of the m-item auction.
 
     ``alpha`` is the adversary's first-round bid in units of the per-item
-    value 1/m; it must satisfy 0 <= alpha <= min(1, m*x).
+    value 1/m; it must satisfy 0 <= alpha <= min(1, m*x).  ``x`` and
+    ``alpha`` may be arrays (broadcast together); g and h then are too.
     """
     if m < 2:
         raise ValueError("g/h need m >= 2")
-    if not (math.isfinite(x) and math.isfinite(alpha)):
+    array = isinstance(x, np.ndarray) or isinstance(alpha, np.ndarray)
+    if array:
+        finite = np.all(np.isfinite(x) & np.isfinite(alpha))
+        cap = np.minimum(1.0, m * x)
+        feasible = np.all((alpha >= -_TOL) & (alpha <= cap + 1e-9))
+    else:  # the same tests without numpy's per-call overhead on scalars
+        finite = math.isfinite(x) and math.isfinite(alpha)
+        cap = min(1.0, m * x)
+        feasible = -_TOL <= alpha <= cap + 1e-9
+    if not finite:
         raise ValueError("budget and bid ratio must be finite")
-    if alpha < -_TOL or alpha > min(1.0, m * x) + 1e-9:
-        raise ContractViolationError(
-            f"alpha = {alpha} outside the feasible range [0, min(1, m x) = {min(1.0, m * x)}]"
-        )
+    if not feasible:
+        raise ContractViolationError(f"alpha = {alpha} outside the feasible range [0, min(1, m x) = {cap}]")
     fp = f_prev if f_prev is not None else LADDER.level(m - 1)
     r = (m - 1.0) / m
     g = (1.0 - alpha) / m + r * fp(m * x / (m - 1.0))
     h = r * fp((m * x - alpha) / (m - 1.0))
-    return float(g), float(h)
+    return (g, h) if array else (float(g), float(h))
 
 
 def alpha_tilde(m: int, x):
@@ -609,9 +617,10 @@ def solve_discretized(
     symmetric, else masks) by budget units u, one array operation per bid;
     rows a round cannot reach are computed but never read.  With won =
     val[next(w), u]: adversary leading, min over a <= u of max(won - (a +
-    [first]) delta, val[w, u - a]); bidder leading, max over b <= 1/delta
-    of min(won - pay delta, val[w, u - b] if b <= u), pay = b under first
-    price and the drain min(b - 1, u) under second.
+    [first]) delta, val[w, u - a]); bidder leading, max over b <= min(1/delta,
+    u0 + 1) (u0 the starting units) of min(won - pay delta, val[w, u - b] if
+    b <= u), pay = b under first price and the drain min(b - 1, u) under
+    second.
     """
     if price_rule not in ("first", "second"):
         raise ValueError("price_rule must be 'first' or 'second'")
@@ -631,7 +640,10 @@ def solve_discretized(
 
     symmetric = _is_symmetric(v)
     final = np.array([v.value(range(k)) for k in range(m + 1)]) if symmetric else v.values_all()
-    loop = (bu0 + 1) if leader == "adversary" else (n_max + 1)
+    # Bidder leading: at budget u a bid above u + 1 is worth no more than
+    # u + 1 (it pays more under first price and drains u under second), so
+    # her bids stop at bu0 + 1.
+    loop = (bu0 + 1) if leader == "adversary" else min(n_max, bu0 + 1) + 1
     if m * len(final) * (bu0 + 1) * loop > _MAX_GRID_OPS:
         raise StateSpaceError("discretized state space exceeds the cap")
     if leader == "bidder":  # the adversary pays at most n_max units a round
@@ -649,7 +661,7 @@ def solve_discretized(
                 np.minimum(new[:, a:], follower, out=new[:, a:])
         else:
             new = np.full_like(val, -math.inf)
-            for b in range(n_max + 1):
+            for b in range(loop):
                 follower = won - (b if first or b == 0 else np.minimum(b - 1, units)) * delta
                 if b <= bu0:
                     np.minimum(follower[:, b:], val[:, : bu0 + 1 - b], out=follower[:, b:])

@@ -10,8 +10,9 @@ best response is the quadratic program
 whose optimum, for a normalized weight vector g, is the constant vector
 b_i = B with value (1 - B)^2 / 2.  ``adversary_qp`` returns that closed form
 with its Lagrange multipliers and checks the KKT conditions on every call;
-the QP is convex, so they prove optimality.  A projected-gradient solver and
-a lattice search are kept as independent oracles for the verification sweep.
+the QP is convex, so they prove optimality.  An exact breakpoint-scan solver
+(``exact_qp``) and a lattice search are kept as independent oracles for the
+verification sweep.
 """
 
 from __future__ import annotations
@@ -151,19 +152,20 @@ def exact_xos_expected_profit(v: XOSValuation, ratios: Sequence[float]) -> float
 # -- the adversarial quadratic program ------------------------------------------
 
 
-def project_budget_box(z: np.ndarray, g: np.ndarray, B: float) -> np.ndarray:
-    """Euclidean projection onto {0 <= b <= 1, g . b <= B}.
+def _budget_scan(z: np.ndarray, d: np.ndarray, g: np.ndarray, B: float) -> np.ndarray:
+    """clip(z - theta * d, 0, 1) at the least theta >= 0 with spend g . b <= B.
 
-    If the clipped point violates the budget plane, the projection is
-    clip(z - theta * g) for the unique theta > 0 putting it on the plane;
-    theta is found exactly by scanning the clip breakpoints.
+    For d >= 0 the spend is piecewise linear and non-increasing in theta,
+    with a breakpoint wherever a coordinate leaves 1 or reaches 0; theta is
+    found exactly by scanning those breakpoints and interpolating inside
+    the first piece that fits the budget.
     """
     b = np.clip(z, 0.0, 1.0)
     if float(g @ b) <= B + _TOL:
         return b
-    thetas = np.concatenate(([0.0], (z - 1.0) / g, z / g))
+    thetas = np.concatenate(([0.0], (z - 1.0) / d, z / d))
     thetas = np.unique(thetas[thetas >= 0.0])
-    vals = g @ np.clip(z[:, None] - thetas[None, :] * g[:, None], 0.0, 1.0)
+    vals = g @ np.clip(z[:, None] - thetas[None, :] * d[:, None], 0.0, 1.0)
     below = np.nonzero(vals <= B)[0]
     if below.size == 0:
         return np.zeros_like(z)  # B <= 0: only the origin is feasible
@@ -173,33 +175,31 @@ def project_budget_box(z: np.ndarray, g: np.ndarray, B: float) -> np.ndarray:
     else:
         frac = (vals[i - 1] - B) / (vals[i - 1] - vals[i])
         theta = float(thetas[i - 1] + frac * (thetas[i] - thetas[i - 1]))
-    return np.clip(z - theta * g, 0.0, 1.0)
+    return np.clip(z - theta * d, 0.0, 1.0)
 
 
-def projected_gradient_qp(
-    g: np.ndarray, B: float, iters: int = 50000, starts: int = 3, seed: int = 0
-) -> tuple[np.ndarray, float]:
-    """Minimize (1/2) sum g_i (1-b_i)^2 over the budget box by PG descent.
+def project_budget_box(z: np.ndarray, g: np.ndarray, B: float) -> np.ndarray:
+    """Euclidean projection onto {0 <= b <= 1, g . b <= B}: the scan with d = g."""
+    return _budget_scan(z, g, g, B)
 
-    Step 1/L with L = max g_i; the iteration stops early once the iterate is
-    stationary to machine precision.
+
+def exact_qp(g: np.ndarray, B: float) -> tuple[np.ndarray, float]:
+    """Exact minimizer of (1/2) sum g_i (1 - b_i)^2 over {0 <= b <= 1, g . b <= B}.
+
+    With a multiplier theta on the budget row, coordinate i minimizes
+    (1/2) g_i (1 - b_i)^2 + theta g_i b_i on [0, 1] at clip(1 - theta).  The
+    optimal theta is the least one whose point fits the budget, which is
+    the breakpoint scan with z = d = 1.  ``g`` may be any finite
+    non-negative vector; it need not sum to 1.  Returns (b, value).
     """
-    rng = np.random.Generator(np.random.Philox(seed))
-    step = 1.0 / float(np.max(g))
-    best_b, best_v = None, math.inf
-    for s in range(starts):
-        b = project_budget_box(rng.random(len(g)) if s else np.full(len(g), B), g, B)
-        for it in range(iters):
-            grad = -g * (1.0 - b)
-            nxt = project_budget_box(b - step * grad, g, B)
-            if it % 16 == 0 and float(np.max(np.abs(nxt - b))) < 1e-13:
-                b = nxt
-                break
-            b = nxt
-        val = float(np.sum(g * 0.5 * (1.0 - b) ** 2))
-        if val < best_v:
-            best_b, best_v = b, val
-    return best_b, best_v
+    g = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(g) & (g >= 0.0)):
+        raise ValueError("weights must be finite and non-negative")
+    if not (math.isfinite(B) and B >= 0.0):
+        raise ValueError(f"budget must be finite and non-negative, got {B}")
+    ones = np.ones_like(g)
+    b = _budget_scan(ones, ones, g, B)
+    return b, float(np.sum(g * 0.5 * (1.0 - b) ** 2))
 
 
 def qp_grid_search(g: np.ndarray, B: float, step: float = 0.001) -> float:

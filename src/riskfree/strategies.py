@@ -150,9 +150,14 @@ def constant_price_policy(
 
 
 def tangent_value(k: int, B: float) -> float:
-    """t_k(B) = 1/(k+1) - B/k, tangent to (1-sqrt(B))^2 at B = (k/(k+1))^2."""
+    """t_k(B) = 1/(k+1) - B/k, tangent to (1-sqrt(B))^2 at B = (k/(k+1))^2.
+
+    The line is defined for every finite B (``choose_k`` scans it below 0).
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if not math.isfinite(B):
+        raise ValueError(f"budget must be finite, got {B}")
     return 1.0 / (k + 1) - B / k
 
 

@@ -95,6 +95,13 @@ class TestClosedForms:
         assert tb.tangency == pytest.approx(9 / 16)
         assert tb.value == pytest.approx(0.25 - 0.5 / 3)
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf, -0.5])
+    def test_tangent_forms_reject_bad_budgets(self, B):
+        with pytest.raises(ValueError, match="budget"):
+            A.tangent_bound(3, B)
+        with pytest.raises(ValueError, match="budget"):
+            A.t_star(B)
+
     def test_tables_examples(self):
         assert A.table_A(2, 0.6) == pytest.approx(0.2)
         assert A.table_A(3, 0.125) == pytest.approx(8 / 9 - 0.25)
@@ -241,6 +248,19 @@ class TestVerifyAll:
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_verify_all_runs_in_the_calling_process(self):
+        code = (
+            "import sys; from riskfree import analysis; "
+            "analysis.verify_all(suites=('simul',)); "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

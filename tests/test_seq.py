@@ -113,6 +113,26 @@ class TestGH:
             with pytest.raises(ValueError, match="finite"):
                 equalization_alpha(5, x)
 
+    def test_arrays_match_scalar_calls(self):
+        rng = np.random.Generator(np.random.Philox(12))
+        for m in (2, 5, 17):
+            fp = f_ladder(m - 1)[-1]
+            xs = rng.uniform(0.0, 1.2, 64)
+            alphas = rng.random(64) * np.minimum(1.0, m * xs)
+            g, h = g_h(m, xs, alphas, fp)
+            want = [g_h(m, float(x), float(a), fp) for x, a in zip(xs, alphas)]
+            assert g.tolist() == [w[0] for w in want]
+            assert h.tolist() == [w[1] for w in want]
+
+    def test_arrays_are_checked_elementwise(self):
+        xs = np.array([0.3, 0.1, 0.4])
+        with pytest.raises(ContractViolationError):
+            g_h(2, xs, np.array([0.0, 0.5, 0.0]))  # 0.5 > m x = 0.2
+        with pytest.raises(ValueError, match="finite"):
+            g_h(2, np.array([0.3, math.nan]), 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            g_h(2, xs, np.array([0.0, math.inf, 0.0]))
+
 
 class TestAlphaParams:
     def test_quarter(self):

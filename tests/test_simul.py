@@ -11,6 +11,7 @@ from riskfree.simul import (
     bidder_counter_to_pure,
     budget_split,
     deterministic_counter,
+    exact_qp,
     exact_xos_expected_profit,
     exhaustive_best_response_split,
     expected_profit_uniform_random,
@@ -169,6 +170,60 @@ class TestQP:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             adversary_qp(AdditiveValuation((0.9, 0.2)), 0.25)
+
+    def test_exact_oracle_matches_the_closed_form(self):
+        rng = np.random.Generator(np.random.Philox(23))
+        for m in range(1, 9):
+            for _ in range(5):
+                w = rng.random(m) + 0.05
+                g = w / w.sum()
+                for B in np.arange(0.05, 1.0, 0.05):
+                    sol = adversary_qp(AdditiveValuation(tuple(g)), float(B))
+                    b, value = exact_qp(g, float(B))
+                    assert abs(value - sol.value) <= 1e-15
+                    assert float(g @ b) <= B + 1e-12
+
+    def test_exact_oracle_beats_sampled_feasible_points(self):
+        rng = np.random.Generator(np.random.Philox(24))
+        for _ in range(50):
+            m = int(rng.integers(1, 6))
+            g = rng.random(m) * float(rng.uniform(0.2, 3.0))
+            B = float(rng.uniform(0.0, 1.2 * g.sum()))
+            b, value = exact_qp(g, B)
+            assert np.all((b >= 0.0) & (b <= 1.0)) and float(g @ b) <= B + 1e-12
+            pts = rng.uniform(0, 1, (4000, m))
+            pts = pts[pts @ g <= B]
+            if len(pts):
+                sampled = np.min(np.sum(g * 0.5 * (1.0 - pts) ** 2, axis=1))
+                assert value <= sampled + 1e-12
+
+    def test_exact_oracle_at_the_budget_ends(self):
+        g = np.array([0.7, 0.2, 0.6])
+        b, value = exact_qp(g, 0.0)
+        assert np.all(b == 0.0) and value == pytest.approx(float(g.sum()) / 2, abs=1e-15)
+        for B in (float(g.sum()), 2.0 * float(g.sum())):
+            b, value = exact_qp(g, B)
+            assert np.all(b == 1.0) and value == 0.0
+
+    def test_exact_oracle_takes_unnormalized_weights(self):
+        # multiplier theta = 3/4 puts every ratio at 1/4, spending 6/4 = B
+        b, value = exact_qp((2.0, 1.0, 3.0), 1.5)
+        np.testing.assert_allclose(b, 0.25, atol=1e-15)
+        assert value == pytest.approx(0.5 * 6.0 * 0.75**2, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "g, B, message",
+        [
+            ((0.5, 0.5), math.nan, "budget"),
+            ((0.5, 0.5), math.inf, "budget"),
+            ((0.5, 0.5), -0.1, "budget"),
+            ((0.5, -0.5), 0.3, "weights"),
+            ((0.5, math.nan), 0.3, "weights"),
+        ],
+    )
+    def test_exact_oracle_rejects_bad_input(self, g, B, message):
+        with pytest.raises(ValueError, match=message):
+            exact_qp(g, B)
 
     @pytest.mark.parametrize(
         "change, message",

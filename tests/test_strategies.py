@@ -198,6 +198,11 @@ class TestConstantPrice:
         assert choose_k(0.999) == choose_k_scan(0.999) == 400
         assert choose_k(2.0, k_cap=37) == choose_k_scan(2.0, k_cap=37) == 37
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf])
+    def test_tangent_value_rejects_non_finite_budgets(self, B):
+        with pytest.raises(ValueError, match="budget must be finite"):
+            tangent_value(3, B)
+
     @pytest.mark.parametrize("B", [math.nan, math.inf])
     def test_choose_k_rejects_non_finite_budget(self, B):
         with pytest.raises(ValueError, match="finite"):
