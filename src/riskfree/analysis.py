@@ -19,6 +19,7 @@ import numpy as np
 
 from . import seq, simul
 from .strategies import (
+    _check_budget,
     choose_k,
     constant_price_worst_profit,
     tangent_peak,
@@ -80,11 +81,6 @@ class SweepReport:
 # -- closed forms --------------------------------------------------------------
 
 
-def _check_budget(B: float) -> None:
-    if not (math.isfinite(B) and B >= 0.0):
-        raise ValueError(f"budget must be finite and non-negative, got {B}")
-
-
 def f_bound(B: float) -> float:
     """The fair-split bound (1 - sqrt(B))^2."""
     _check_budget(B)
@@ -142,11 +138,23 @@ def table_A(m: int, B: float) -> float:
 # -- verification families ------------------------------------------------------
 
 
-def _timed_ladder(m: int) -> tuple[list, list, float]:
-    """Ladder levels f_1..f_m, their build records and the seconds spent building."""
+#: Simplification tolerance of the identical-item ``si_upper`` family's own
+#: ladder.  Its pass rule is margin > ladder_err, with a margin of about
+#: 0.0141 at the default grid; at this eta the contraction bound
+#: err_m <= eta (m + 1) / 2 gives err_198 of about 8.9e-7, four orders below
+#: it.  Every other reader stays on ``seq.LADDER`` at ``seq._ETA``.  A coarser
+#: eta (1e-7) would move ``si_upper_response_value`` by about 6e-7.
+_SI_ETA = 1e-8
+
+#: The si family's ladder, built lazily on its first read.
+_SI_LADDER = seq.Ladder(eta=_SI_ETA)
+
+
+def _timed_ladder(ladder: seq.Ladder, m: int) -> tuple[list, list, float]:
+    """Levels f_1..f_m of ``ladder``, their build records and the seconds spent building."""
     t0 = time.perf_counter()
-    ladder = seq.f_ladder(m)
-    return ladder, seq.LADDER.records(m), time.perf_counter() - t0
+    levels = ladder.levels(m)
+    return levels, ladder.records(m), time.perf_counter() - t0
 
 
 def verify_value_bound(m_max: int = 30, grid_step: float = 0.005, tol: float = 1e-9) -> SweepReport:
@@ -155,7 +163,7 @@ def verify_value_bound(m_max: int = 30, grid_step: float = 0.005, tol: float = 1
     Passes when the margin stays above -tol after subtracting the ladder's
     certified error ``extra["ladder_err"]``.
     """
-    ladder, records, setup_s = _timed_ladder(m_max)
+    ladder, records, setup_s = _timed_ladder(seq.LADDER, m_max)
     t0 = time.perf_counter()
     xs = np.arange(grid_step, 1.0, grid_step)
     bound_base = (1.0 - np.sqrt(xs)) ** 2
@@ -176,7 +184,7 @@ def verify_value_bound(m_max: int = 30, grid_step: float = 0.005, tol: float = 1
         passed=worst - ladder_err >= -tol,
         runtime_s=time.perf_counter() - t0,
         setup_s=setup_s,
-        extra={"ladder_err": ladder_err},
+        extra={"ladder_err": ladder_err, "eta": seq.LADDER.eta},
     )
 
 
@@ -216,7 +224,7 @@ def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9
     g and h read f_{m-1} scaled by (m-1)/m, so the ladder's certified error
     enters ``extra["ladder_err"]`` with that factor.
     """
-    ladder, records, setup_s = _timed_ladder(max(m_max - 1, 1))
+    ladder, records, setup_s = _timed_ladder(seq.LADDER, max(m_max - 1, 1))
     t0 = time.perf_counter()
     worst, worst_pt, n = math.inf, (None, None), 0
     for m in range(2, m_max + 1):
@@ -239,7 +247,7 @@ def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9
         passed=worst - ladder_err >= -tol,
         runtime_s=time.perf_counter() - t0,
         setup_s=setup_s,
-        extra={"ladder_err": ladder_err},
+        extra={"ladder_err": ladder_err, "eta": seq.LADDER.eta},
     )
 
 
@@ -280,8 +288,9 @@ def si_upper_response_value(x: float, m: int) -> dict:
     """Best response value of the bidder against the three-phase adversary on
     the hard instance, maximized over the first-win / first-loss classes.
 
-    Subgames are valued with the piecewise-linear ladder.  Returns the
-    per-class maxima, the overall value and ``ladder_err``, the ladder's
+    Subgames are valued with the si family's own ladder ``_SI_LADDER``, built
+    at ``_SI_ETA`` = 1e-8 rather than ``seq.LADDER``'s 1e-9.  Returns the
+    per-class maxima, the overall value and ``ladder_err``, that ladder's
     certified error scaled as the subgames enter the value.
     """
     si, params = make_s_instance(x, m)
@@ -289,8 +298,8 @@ def si_upper_response_value(x: float, m: int) -> dict:
     mu = s / (d * (2.0 + s))
     p2 = params.phase2_bid
     v1 = 1.0 / (2.0 + s)
-    ladder = seq.f_ladder(max(m - 2, 1))
-    records = seq.LADDER.records(max(m - 2, 1))
+    ladder = _SI_LADDER.levels(max(m - 2, 1))
+    records = _SI_LADDER.records(max(m - 2, 1))
 
     concede_first, arg_j1 = 0.0, None  # adversary takes items 1..j1-1 free
     for j1 in range(2, m + 1):
@@ -332,15 +341,16 @@ def verify_si_upper(
 ) -> SweepReport:
     """(e) hard-instance response classes stay near t_1(x); the excess over
     t_1 is measured, reported as C = max (V - t_1) sqrt(m), and must shrink
-    between the smallest and largest m.  The ladder's certified error on
-    both ends of each gap is ``extra["ladder_err"]``; passing needs the
-    margin to exceed it."""
+    between the smallest and largest m.  Subgames read ``_SI_LADDER`` (eta
+    1e-8, reported as ``extra["eta"]``), whose certified error on both ends
+    of each gap is ``extra["ladder_err"]``, under 2e-6 against a margin of
+    about 0.014; passing needs the margin to exceed it."""
     m_lists = {}
     for x in x_list:
         ms = sorted({max(math.ceil(l_threshold(x)), m_list[0]), *m_list[1:]})
         m_lists[x] = [m for m in ms if m >= l_threshold(x)]
     top = max((m for ms in m_lists.values() for m in ms), default=3)
-    _, _, setup_s = _timed_ladder(max(top - 2, 1))
+    _, _, setup_s = _timed_ladder(_SI_LADDER, max(top - 2, 1))
     t0 = time.perf_counter()
     rows = []
     c_measured = 0.0
@@ -373,7 +383,7 @@ def verify_si_upper(
         passed=passed,
         runtime_s=time.perf_counter() - t0,
         setup_s=setup_s,
-        extra={"C_measured": c_measured, "ladder_err": ladder_err, "rows": rows},
+        extra={"C_measured": c_measured, "ladder_err": ladder_err, "eta": _SI_LADDER.eta, "rows": rows},
     )
 
 
@@ -492,8 +502,10 @@ def verify_all(
     """Run the families of the chosen suites, in order, in this process.
 
     Each report's ``runtime_s`` times its own sweep and ``setup_s`` the
-    ladder levels it built; the levels are cached, so f_1..f_198 are built
-    once however many families read them.
+    ladder levels it built.  Two cached ladders serve the families, each
+    built once however many families read it: the xos families read
+    f_1..f_30 of ``seq.LADDER`` (eta 1e-9), and ``si_upper_bound`` reads
+    f_1..f_198 of its own ``_SI_LADDER`` (eta 1e-8).
     """
     wanted = set(suites)
     calls: list[tuple] = []

@@ -60,7 +60,6 @@ from .errors import (
 )
 from .pwl import PiecewiseLinear
 from .valuations import (
-    MAX_ENUM_M,
     AdditiveValuation,
     SubadditiveIdenticalValuation,
     Valuation,
@@ -113,16 +112,18 @@ class AlphaParams:
 
 # -- exact uniform additive solver --------------------------------------------
 
-#: Simplification tolerance, the same at every level.  The exact value
-#: function's piece count doubles with every level (2, 4, 7, 14, 28, 56, ...),
-#: so each level keeps a subset of the lift's breakpoints: the chords of a
-#: band greedy within ``2 * _BAND * _ETA``, lowered by ``_BAND * _ETA``
-#: where they skip points (see ``_store``); the measured sup error
-#: eta_m <= ``_ETA`` is the level's certificate.  Genuine kinks at small m
-#: are macroscopic, so levels 1..3 stay exact.  The error left in f_m is
-#: certified by the contraction bound documented on ``Ladder``:
-#: err_m <= r_m err_{m-1} + eta_m, about 1e-8 at m = 30 and under 1e-7 at
-#: m = 198.
+#: Default simplification tolerance of a ``Ladder``, the same at every
+#: level, and the one ``LADDER`` (every reader but the identical-item
+#: ``si_upper`` family, which builds its own ladder at 1e-8) is built at.
+#: The exact value function's piece count doubles with every level (2, 4,
+#: 7, 14, 28, 56, ...), so each level keeps a subset of the lift's
+#: breakpoints: the chords of a band greedy within ``2 * _BAND * eta``,
+#: lowered by ``_BAND * eta`` where they skip points (see ``_store``); the
+#: measured sup error eta_m <= eta is the level's certificate.  Genuine
+#: kinks at small m are macroscopic, so levels 1..3 stay exact.  The error
+#: left in f_m is certified by the contraction bound documented on
+#: ``Ladder``: err_m <= r_m err_{m-1} + eta_m <= eta (m + 1) / 2, about
+#: 1e-8 at m = 30 and under 1e-7 at m = 198 for this eta.
 _ETA = 1e-9
 
 #: Share of eta given to the stored polyline's band.  Chords on a convex
@@ -685,8 +686,8 @@ def best_response_to_fixed_bids(
     is strictly below B (he must outbid by a vanishing margin, so spending
     exactly B is out of reach).  Under second price his losing bids also
     drain the bidder, capped by the budget remaining at each round.  Every
-    take-set is tried (m capped at 20, except the additive first-price
-    knapsack); ties go to the smallest mask.
+    take-set is tried, so m is capped at ``valuations.MAX_ENUM_M``; above
+    it the enumeration raises ValueError.  Ties go to the smallest mask.
 
     Returns (winning plan as a sorted index tuple, Bidder 1's profit).
     """
@@ -698,8 +699,6 @@ def best_response_to_fixed_bids(
         raise ValueError("bids must be non-negative")
     if not math.isfinite(B):
         raise ValueError("budget must be finite")
-    if m > MAX_ENUM_M and isinstance(v, AdditiveValuation) and price_rule == "first":
-        return _best_response_knapsack(v, bids, B)
 
     cost = subset_sums(bids)  # the adversary's limit cost of each take-set
     if price_rule == "first":
@@ -720,45 +719,3 @@ def best_response_to_fixed_bids(
     best_mask = int(np.argmin(np.where(feasible, profit, math.inf)))
     plan = tuple(i for i in range(m) if best_mask >> i & 1)
     return plan, float(profit[best_mask])
-
-
-def _best_response_knapsack(v: AdditiveValuation, bids: np.ndarray, B: float) -> tuple[tuple[int, ...], float]:
-    """Branch-and-bound for large additive instances under first price."""
-    w = np.asarray(v.weights)
-    total_margin = float((w - bids).sum())
-    gains = w - bids
-    cand = [i for i in range(len(w)) if gains[i] > _TOL]
-    cand.sort(key=lambda i: gains[i] / bids[i] if bids[i] > _TOL else math.inf, reverse=True)
-    cap = B - 1e-12
-
-    best = {"gain": 0.0, "take": ()}
-
-    def bound(idx: int, room: float) -> float:
-        out = 0.0
-        for i in cand[idx:]:
-            if bids[i] <= _TOL:
-                out += gains[i]
-            elif bids[i] < room:
-                out += gains[i]
-                room -= bids[i]
-            else:
-                out += gains[i] * (room / bids[i])
-                break
-        return out
-
-    def dfs(idx: int, room: float, gain: float, take: list[int]) -> None:
-        if gain > best["gain"]:
-            best["gain"] = gain
-            best["take"] = tuple(take)
-        if idx == len(cand) or gain + bound(idx, room) <= best["gain"] + 1e-15:
-            return
-        i = cand[idx]
-        if bids[i] < room:
-            take.append(i)
-            dfs(idx + 1, room - bids[i], gain + gains[i], take)
-            take.pop()
-        dfs(idx + 1, room, gain, take)
-
-    dfs(0, cap, 0.0, [])
-    plan = tuple(sorted(best["take"]))
-    return plan, total_margin - best["gain"]

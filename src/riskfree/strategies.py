@@ -49,14 +49,18 @@ def _finite_budget(B: float) -> float:
     return float(B)
 
 
+def _check_budget(B: float) -> None:
+    if not (math.isfinite(B) and B >= 0.0):
+        raise ValueError(f"budget must be finite and non-negative, got {B}")
+
+
 def xos_sqrt_policy(gstar: AdditiveValuation, B: float) -> FixedBidsPolicy:
     """Bid sqrt(B) times the dominant additive clause's weight on every item.
 
     Guarantees (1 - sqrt(B))^2 on any normalized XOS valuation whose
     dominant clause is ``gstar``, against any budget-B adversary.
     """
-    if _finite_budget(B) < 0:
-        raise ValueError("budget must be non-negative")
+    _check_budget(B)
     root = math.sqrt(B)
     return FixedBidsPolicy(bids=tuple(root * w for w in gstar.weights))
 
@@ -152,12 +156,11 @@ def constant_price_policy(
 def tangent_value(k: int, B: float) -> float:
     """t_k(B) = 1/(k+1) - B/k, tangent to (1-sqrt(B))^2 at B = (k/(k+1))^2.
 
-    The line is defined for every finite B (``choose_k`` scans it below 0).
+    Defined for every finite budget B >= 0; anything else raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not math.isfinite(B):
-        raise ValueError(f"budget must be finite, got {B}")
+    _check_budget(B)
     return 1.0 / (k + 1) - B / k
 
 
@@ -175,8 +178,7 @@ def tangent_peak(B: float, j_max: int) -> tuple[int, float]:
     ``top`` is min(j*, j_max) up to one, and the scan is replayed on
     top - 1 and top.
     """
-    if not math.isfinite(B):
-        raise ValueError(f"budget must be finite, got {B}")
+    _check_budget(B)
     top = j_max if B >= 1.0 else min(j_max, math.ceil(2.0 * B / (1.0 - B)))
     best_j = max(1, top - 1)
     best_val = tangent_value(best_j, B)

@@ -166,28 +166,49 @@ class TestSweeps:
         assert rows[-1]["excess"] < rows[0]["excess"]
 
     def test_ladder_build_and_error_are_reported(self, monkeypatch):
-        ladder = seq.Ladder()
+        ladder, si_ladder = seq.Ladder(), seq.Ladder(eta=A._SI_ETA)
         monkeypatch.setattr(seq, "LADDER", ladder)
+        monkeypatch.setattr(A, "_SI_LADDER", si_ladder)
+        # (sweep, kwargs, the ladder it reads, its top level, gap ends summed)
         sweeps = [
-            (A.verify_value_bound, dict(m_max=8, grid_step=0.02)),
-            (A.verify_gh_bound, dict(m_max=8, grid_step=0.02)),
-            (A.verify_si_upper, dict(x_list=(0.1,), m_list=(30, 60))),
+            (A.verify_value_bound, dict(m_max=8, grid_step=0.02), ladder, 8, 1),
+            (A.verify_gh_bound, dict(m_max=8, grid_step=0.02), ladder, 7, 1),
+            (A.verify_si_upper, dict(x_list=(0.1,), m_list=(30, 60)), si_ladder, 58, 2),
         ]
-        reps = [fn(**kw) for fn, kw in sweeps]
+        reps = [fn(**kw) for fn, kw, *_ in sweeps]
         assert reps[0].setup_s > 0.0  # the first sweep built the cold ladder
-        for rep in reps:
+        assert reps[2].setup_s > 0.0  # and si_upper its own
+        for rep, (_, _, lad, top, ends) in zip(reps, sweeps):
             assert rep.passed
-            assert 0.0 <= rep.extra["ladder_err"] <= 1e-7
+            assert rep.extra["eta"] == lad.eta
+            # contraction bound err_m <= eta (m + 1) / 2; the si subgames
+            # enter with weights summing to under 1, once per end of the gap
+            for rec in lad.records(top):
+                assert rec.err <= lad.eta * (rec.m + 1) / 2
+            assert 0.0 <= rep.extra["ladder_err"] <= ends * lad.eta * (top + 1) / 2
             assert rep.to_dict()["setup_s"] == rep.setup_s
             assert "ladder" in rep.summary_line()
         # a certified error as large as the margin fails the sweep; the
         # margin itself is unchanged
-        records = [dataclasses.replace(r, err=1.0) for r in ladder.records(58)]
-        monkeypatch.setattr(ladder, "records", lambda m: records[:m])
-        for (fn, kw), rep in zip(sweeps, reps):
+        for lad in (ladder, si_ladder):
+            records = [dataclasses.replace(r, err=1.0) for r in lad.records(len(lad))]
+            monkeypatch.setattr(lad, "records", lambda m, records=records: records[:m])
+        for (fn, kw, *_), rep in zip(sweeps, reps):
             worse = fn(**kw)
             assert not worse.passed
             assert worse.min_margin == rep.min_margin
+
+    def test_si_family_reads_its_own_coarser_ladder(self):
+        assert A._SI_LADDER is not seq.LADDER
+        assert A._SI_LADDER.eta == 1e-8
+        assert seq.LADDER.eta == seq._ETA == 1e-9
+
+    def test_si_suite_builds_no_level_of_the_shared_ladder(self, monkeypatch):
+        fresh = seq.Ladder()
+        monkeypatch.setattr(seq, "LADDER", fresh)
+        reps = A.verify_all(suites=("si",))
+        assert all(rep.passed for rep in reps)
+        assert len(fresh) == 1
 
     def test_simul(self):
         rep = A.verify_simul(seed=0)

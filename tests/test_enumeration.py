@@ -185,8 +185,11 @@ def test_entry_points_raise_above_the_cap():
         xos.values_all,
         table.values_all,
         xos.clauses[0].values_all,
-        lambda: best_response_to_fixed_bids(xos, bids, 0.3, "first"),
-        lambda: best_response_to_fixed_bids(xos.clauses[0], bids, 0.3, "second"),
+        *(
+            lambda v=v, rule=rule: best_response_to_fixed_bids(v, bids, 0.3, rule)
+            for v in (xos, xos.clauses[0])  # an XOS and an additive valuation
+            for rule in ("first", "second")
+        ),
         lambda: second_price_truthful_worst(xos, 0.3),
         lambda: exact_xos_expected_profit(xos, [0.5] * m),
         lambda: beta_cover(table, max_m=m),

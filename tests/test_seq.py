@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import sys
@@ -423,18 +424,6 @@ class TestBestResponse:
         assert plan == ()
         assert profit == pytest.approx(0.4)
 
-    def test_knapsack_path_matches_enumeration(self):
-        rng = np.random.Generator(np.random.Philox(21))
-        for _ in range(20):
-            m = 12
-            w = rng.uniform(0, 0.2, m)
-            v = AdditiveValuation(tuple(w))
-            bids = rng.uniform(0, 0.1, m)
-            B = float(rng.uniform(0.05, 0.4))
-            _, enum_profit = best_response_to_fixed_bids(v, bids, B)
-            _, bnb_profit = seq._best_response_knapsack(v, np.asarray(bids), B)
-            assert bnb_profit == pytest.approx(enum_profit, abs=1e-10)
-
     def test_second_price_drains(self):
         # adversary cannot afford either 0.3-bid item at B = 0.25, but his
         # losing bids still cost the bidder min(0.3, 0.25) per item
@@ -620,6 +609,34 @@ class TestLadder:
             for f, want in zip(got, serial):
                 np.testing.assert_array_equal(f.xs, want.xs)
                 np.testing.assert_array_equal(f.ys, want.ys)
+
+    def test_two_ladders_extended_at_once_match_serial_builds(self):
+        etas = (1e-9, 1e-8)
+        ladders = [seq.Ladder(eta=eta) for eta in etas]
+        start = threading.Barrier(2)
+
+        def work(ladder):
+            start.wait()
+            ladder.levels(24)
+
+        threads = [threading.Thread(target=work, args=(ladder,)) for ladder in ladders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for eta, ladder in zip(etas, ladders):
+            serial = seq.Ladder(eta=eta)
+            for got, want in zip(ladder.levels(24), serial.levels(24), strict=True):
+                np.testing.assert_array_equal(got.xs, want.xs)
+                np.testing.assert_array_equal(got.ys, want.ys)
+            untimed = [[dataclasses.replace(r, build_s=0.0) for r in lad.records(24)] for lad in (ladder, serial)]
+            assert untimed[0] == untimed[1]
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ from riskfree.strategies import (
     high_budget_policy,
     low_budget_policy,
     s_instance_adversary,
+    tangent_peak,
     tangent_value,
     uniform_random_policy,
     xos_sqrt_policy,
@@ -61,7 +62,7 @@ def switch_point(j, ulps):
 
 switch_points = hst.builds(switch_point, hst.integers(1, 500), hst.integers(-4, 4))
 budgets = hst.one_of(
-    switch_points, hst.floats(-1.0, 1.0), hst.floats(1.0, 1e6), hst.sampled_from([0.0, 1.0])
+    switch_points, hst.floats(0.0, 1.0), hst.floats(1.0, 1e6), hst.sampled_from([0.0, 1.0])
 )
 
 
@@ -202,6 +203,12 @@ class TestConstantPrice:
     def test_tangent_value_rejects_non_finite_budgets(self, B):
         with pytest.raises(ValueError, match="budget must be finite"):
             tangent_value(3, B)
+
+    @pytest.mark.parametrize("B", [-1.0, -1e-300])
+    def test_tangent_closed_forms_reject_negative_budgets(self, B):
+        for call in (lambda: tangent_value(3, B), lambda: tangent_peak(B, 10), lambda: choose_k(B)):
+            with pytest.raises(ValueError, match="budget must be finite and non-negative"):
+                call()
 
     @pytest.mark.parametrize("B", [math.nan, math.inf])
     def test_choose_k_rejects_non_finite_budget(self, B):
