@@ -105,7 +105,15 @@ class PiecewiseLinear:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate at a scalar or array; constant beyond both ends."""
+        """Evaluate at a scalar or array; constant beyond both ends.
+
+        Values are ``np.interp``'s.  A scalar x (``float``, ``np.float64``,
+        ``int`` or 0-d array) gives a Python ``float``, an array an array.  A
+        ``float`` is answered before the ``np.ndim`` tests, whose dispatch
+        costs about as much as the interpolation itself.
+        """
+        if isinstance(x, float):
+            return float(np.interp(x, self._xs, self._ys))
         if self.xs.size == 1:
             return np.full_like(np.asarray(x, dtype=float), self.ys[0]) if np.ndim(x) else float(self.ys[0])
         out = np.interp(x, self._xs, self._ys)

@@ -453,10 +453,21 @@ def g_h(m: int, x: float, alpha: float, f_prev: PiecewiseLinear | None = None) -
 
 
 def alpha_tilde(m: int, x):
-    """The sufficient first-round bid ratio at a budget or array of budgets x."""
-    if m < 2 or not np.all(np.isfinite(x) & (x >= 0.0)):
+    """The sufficient first-round bid ratio at a budget or array of budgets x.
+
+    A Python ``int`` or ``float`` x (``np.float64`` included) gives a
+    ``float``, checked and rooted by ``math`` without numpy's per-call
+    overhead; any other x goes through numpy, as an array would.  Both
+    square roots are correctly rounded, so the two agree to the bit.
+    """
+    scalar = isinstance(x, (int, float))
+    if scalar:
+        valid = math.isfinite(x) and x >= 0.0
+    else:
+        valid = np.all(np.isfinite(x) & (x >= 0.0))
+    if m < 2 or not valid:
         raise ValueError(f"need m >= 2 and finite budgets x >= 0, got m = {m}, x = {x}")
-    one_minus_sqrt = 1.0 - np.sqrt(x)
+    one_minus_sqrt = 1.0 - (math.sqrt(x) if scalar else np.sqrt(x))
     return 1.0 - 2.0 * m * one_minus_sqrt + 2.0 * math.sqrt(m * (m - 1.0)) * one_minus_sqrt
 
 

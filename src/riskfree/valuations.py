@@ -9,6 +9,7 @@ of identical-item tables) and rejects degenerate inputs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -55,7 +56,9 @@ def item_vector(values: Iterable[float], m: int, name: str) -> np.ndarray:
 
 
 def _as_index_tuple(subset: Iterable[int], m: int) -> tuple[int, ...]:
-    items = tuple(sorted(set(int(i) for i in subset)))
+    """Sorted distinct item indices; TypeError on a non-integral index, as in
+    Python indexing, instead of truncating 1.9 to item 1."""
+    items = tuple(sorted(set(map(operator.index, subset))))
     if items and (items[0] < 0 or items[-1] >= m):
         raise IndexError(f"subset indices must lie in [0, {m})")
     return items
@@ -135,7 +138,9 @@ class SubadditiveIdenticalValuation:
 
     Invariants checked at construction, to a tolerance relative to v(I):
     table[0] = 0, monotone non-decreasing, and subadditive
-    (table[i+j] <= table[i] + table[j]).
+    (table[i+j] <= table[i] + table[j]).  Subadditivity is one numpy test
+    over all pairs with i + j <= m; a violation names the pair with the
+    least i, then the least j.
     """
 
     table: tuple[float, ...]
@@ -151,13 +156,17 @@ class SubadditiveIdenticalValuation:
             raise ValueError("v(0) must be 0")
         if any(t[i + 1] < t[i] - tol for i in range(len(t) - 1)):
             raise ValueError("table must be non-decreasing")
+        # One broadcast test of v(i+j) > v(i) + v(j) + tol, row i, column j.
+        # Rows stop at m // 2: the first violation (least i, then least j)
+        # has i <= j.  The -inf padding passes every pair with i + j > m.
         m = len(t) - 1
-        for i in range(1, m):
-            for j in range(1, m - i + 1):
-                if t[i + j] > t[i] + t[j] + tol:
-                    raise ValueError(
-                        f"not subadditive: v({i + j}) > v({i}) + v({j})"
-                    )
+        padded = np.array(t + (-math.inf,) * m)
+        k = np.arange(1, m)
+        h = m // 2
+        viol = padded[k[:h, None] + k] > padded[1 : h + 1, None] + padded[1:m] + tol
+        if np.count_nonzero(viol):
+            i, j = (np.argwhere(viol)[0] + 1).tolist()
+            raise ValueError(f"not subadditive: v({i + j}) > v({i}) + v({j})")
         object.__setattr__(self, "table", t)
 
     @property
@@ -321,10 +330,11 @@ def random_subadditive_identical(
 ) -> SubadditiveIdenticalValuation:
     """Random normalized identical-item table sampled across the subadditive
     polytope: each v(k) is drawn uniformly between its monotone floor v(k-1)
-    and its subadditive ceiling min_i v(i) + v(k-i)."""
+    and its subadditive ceiling min_i v(i) + v(k-i); the pair (i, k-i) is the
+    pair (k-i, i), so i <= k // 2 suffices."""
     t = [0.0, 1.0]
     for k in range(2, m + 1):
-        ceiling = min(t[i] + t[k - i] for i in range(1, k))
+        ceiling = min(t[i] + t[k - i] for i in range(1, k // 2 + 1))
         floor = t[k - 1]
         t.append(floor + float(rng.random()) * (ceiling - floor))
     scale = t[-1]

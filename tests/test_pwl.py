@@ -32,6 +32,22 @@ class TestEval:
         xs = np.array([-1.0, 0.0, 0.25, 0.9, 2.0])
         np.testing.assert_allclose(ramp()(xs), [1.0, 1.0, 0.75, 0.1, 0.0], atol=1e-15)
 
+    @pytest.mark.parametrize("f", [ramp(), f2_table(), PiecewiseLinear([0.3], [2.0])], ids=repr)
+    def test_scalar_and_array_types_match_interp_bitwise(self, f):
+        xs = np.concatenate((np.linspace(-0.5, 1.5, 41), [0.1 + 0.2, 1.0 / 3.0]))
+        want = np.interp(xs, f.xs, f.ys)
+        for x, w in zip(xs.tolist(), want.tolist()):
+            for arg in (x, np.float64(x), np.array(x)):
+                got = f(arg)
+                assert type(got) is float and got == w, arg
+        for k in (-1, 0, 1, 2):
+            got = f(k)
+            assert type(got) is float and got == float(np.interp(k, f.xs, f.ys))
+        for arr in (xs, xs[:42].reshape(6, 7)):
+            got = f(arr)
+            assert isinstance(got, np.ndarray) and got.shape == arr.shape
+            assert np.array_equal(got, np.interp(arr, f.xs, f.ys))
+
     def test_breakpoints_reject_writes(self):
         f = f2_table()
         for arr in (f.xs, f.ys):

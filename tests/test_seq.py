@@ -171,6 +171,24 @@ class TestAlphaParams:
                 assert type(p.alpha_tilde) is float
                 assert got == want == p.alpha_tilde, (m, x)
 
+    def test_scalar_branch_matches_the_array_branch_bitwise(self):
+        xs = np.concatenate((np.linspace(0.0, 1.2, 61), [1e-300, 0.3, 2.0, 7.0]))
+        for m in (2, 3, 7, 30, 199):
+            at = seq.alpha_tilde(m, xs)
+            for x, want in zip(xs.tolist(), at.tolist()):
+                for arg in (x, np.float64(x)):
+                    got = seq.alpha_tilde(m, arg)
+                    assert type(got) is float and got == want, (m, arg)
+            for k in (0, 1, 2):
+                assert seq.alpha_tilde(m, k) == seq.alpha_tilde(m, np.array([float(k)]))[0]
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -0.1, -1e-300, -1, np.float64(-0.5), np.float64(math.nan)])
+    def test_bad_scalar_budget_rejected(self, x):
+        with pytest.raises(ValueError, match="finite budgets"):
+            seq.alpha_tilde(5, x)
+        with pytest.raises(ValueError, match="finite budgets"):
+            seq.alpha_tilde(5, np.array([0.5, x]))
+
 
 class TestEqualization:
     @pytest.mark.parametrize("x", [-0.1, -1e-300, -math.inf])

@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from riskfree.errors import DegenerateValuationError, InfeasibleInstanceError
 from riskfree.valuations import (
+    _TOL,
     AdditiveValuation,
     CoverCertificate,
     SubadditiveIdenticalValuation,
@@ -43,6 +47,18 @@ class TestValue:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             value(AdditiveValuation((1.0,)), {1})
+
+    @pytest.mark.parametrize("subset", [[1.9], [0.0, 0.4], [np.float64(1.0)], ["1"]], ids=repr)
+    def test_non_integral_index_rejected(self, subset):
+        # int() used to truncate: [1.9] read item 1, [0.0, 0.4] item 0 once
+        for v in (AdditiveValuation((0.5, 0.3, 0.2)), XOSValuation([(0.5, 0.3, 0.2), (0.1, 0.1, 0.9)]),
+                  SubadditiveIdenticalValuation((0.0, 0.6, 0.9, 1.0))):
+            with pytest.raises(TypeError):
+                value(v, subset)
+
+    def test_integer_indices_of_any_type_accepted(self):
+        v = AdditiveValuation((0.5, 0.3, 0.2))
+        assert value(v, np.array([2, 0])) == value(v, [np.int64(0), 2]) == value(v, (0, 2, 2)) == 0.5 + 0.2
 
     def test_monotone_random_instances(self):
         rng = np.random.Generator(np.random.Philox(11))
@@ -182,6 +198,42 @@ class TestSInstance:
         d = m - 2
         table = [0.0] + [1.0 / denom + (i - 1) * s / (d * denom) for i in range(1, m)] + [1.0]
         SubadditiveIdenticalValuation(table)
+
+
+def first_subadditivity_violation(t, tol):
+    """The constructor's former O(m^2) double loop, kept as the oracle."""
+    m = len(t) - 1
+    for i in range(1, m):
+        for j in range(1, m - i + 1):
+            if t[i + j] > t[i] + t[j] + tol:
+                return f"not subadditive: v({i + j}) > v({i}) + v({j})"
+    return None
+
+
+@hst.composite
+def monotone_tables(draw):
+    """Monotone tables on m = 1..40 with v(0) = 0: sums of random steps, and
+    linear tables nudged by a few tolerances, where v(i+j) = v(i) + v(j)."""
+    m = draw(hst.integers(1, 40))
+    if draw(hst.booleans()):
+        steps = draw(hst.lists(hst.just(0.0) | hst.floats(0.0, 1.0), min_size=m, max_size=m))
+        return [0.0, *itertools.accumulate(steps)]
+    nudges = draw(hst.lists(hst.integers(-2, 2), min_size=m, max_size=m))
+    return [0.0] + [k / m + n * _TOL / 2 for k, n in zip(range(1, m + 1), nudges)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(table=monotone_tables())
+def test_subadditivity_check_matches_the_double_loop(table):
+    if any(b < a - _TOL * abs(table[-1]) for a, b in zip(table, table[1:])):
+        return  # the monotonicity check rejects it first
+    want = first_subadditivity_violation(table, _TOL * abs(table[-1]))
+    if want is None:
+        assert SubadditiveIdenticalValuation(table).table == tuple(table)
+    else:
+        with pytest.raises(ValueError) as err:
+            SubadditiveIdenticalValuation(table)
+        assert str(err.value) == want
 
 
 class TestCoverLowerBound:
