@@ -4,12 +4,16 @@ verification harness.
 Each ``verify_*`` function sweeps a family of theorem statements over a grid
 and returns a :class:`SweepReport` whose ``min_margin`` is the worst observed
 value of (bound - quantity); the family passes when that margin is no worse
-than -tolerance.  Asymptotic constants that the statements leave implicit are
-measured and reported, never assumed.
+than -tolerance.  The reported ``worst_point`` is the first point in sweep
+order with the least margin, and a sweep that checks no point raises
+ValueError rather than passing.  Asymptotic constants that the statements
+leave implicit are measured and reported, never assumed.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -58,17 +62,7 @@ class SweepReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "n_points": self.n_points,
-            "min_margin": self.min_margin,
-            "worst_point": list(self.worst_point),
-            "passed": self.passed,
-            "runtime_s": self.runtime_s,
-            "setup_s": self.setup_s,
-            "extra": self.extra,
-        }
+        return dataclasses.asdict(self) | {"worst_point": list(self.worst_point)}
 
     def summary_line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -157,6 +151,38 @@ def _timed_ladder(ladder: seq.Ladder, m: int) -> tuple[list, list, float]:
     return levels, ladder.records(m), time.perf_counter() - t0
 
 
+class _Sweep:
+    """One family's sweep: counts the margins noted and keeps the least, at
+    the first point noted that reaches it (strict ``<``).  It is timed from
+    construction, which comes after the family's ladder build."""
+
+    def __init__(self, name: str, description: str) -> None:
+        self.name, self.description = name, description
+        self.n, self.worst, self.point = 0, math.inf, None
+        self.t0 = time.perf_counter()
+
+    def note(self, margin: float, point: tuple) -> None:
+        self.n += 1
+        if margin < self.worst:
+            self.worst, self.point = float(margin), point
+
+    def note_all(self, margins: np.ndarray, point_at) -> None:
+        """Many margins; ``point_at(i)`` is the point of ``margins[i]``."""
+        if len(margins):
+            self.n += len(margins)
+            i = int(np.argmin(margins))
+            if margins[i] < self.worst:
+                self.worst, self.point = float(margins[i]), point_at(i)
+
+    def report(self, passed: bool, **fields) -> SweepReport:
+        """``fields`` sets ``setup_s`` and ``extra``, or overrides ``n_points``."""
+        if self.n == 0:
+            raise ValueError(f"{self.name}: the sweep checked no point")
+        runtime_s = time.perf_counter() - self.t0
+        return SweepReport(self.name, self.description, fields.pop("n_points", self.n), self.worst, self.point,
+                           passed, runtime_s, **fields)
+
+
 def verify_value_bound(m_max: int = 30, grid_step: float = 0.005, tol: float = 1e-9) -> SweepReport:
     """(a) f_m(x) <= (1 - sqrt(x))^2 + 1/sqrt(m) on a budget grid.
 
@@ -164,28 +190,15 @@ def verify_value_bound(m_max: int = 30, grid_step: float = 0.005, tol: float = 1
     certified error ``extra["ladder_err"]``.
     """
     ladder, records, setup_s = _timed_ladder(seq.LADDER, m_max)
-    t0 = time.perf_counter()
+    sweep = _Sweep("xos_value_bound", f"f_m <= f + 1/sqrt(m), m <= {m_max}, step {grid_step}")
     xs = np.arange(grid_step, 1.0, grid_step)
     bound_base = (1.0 - np.sqrt(xs)) ** 2
-    worst, worst_pt, n = math.inf, (None, None), 0
     for m in range(1, m_max + 1):
         margins = bound_base + 1.0 / math.sqrt(m) - ladder[m - 1](xs)
-        n += len(xs)
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst, worst_pt = float(margins[i]), (m, float(xs[i]))
+        sweep.note_all(margins, lambda i: (m, float(xs[i])))
     ladder_err = max(rec.err for rec in records)
-    return SweepReport(
-        name="xos_value_bound",
-        description=f"f_m <= f + 1/sqrt(m), m <= {m_max}, step {grid_step}",
-        n_points=n,
-        min_margin=worst,
-        worst_point=worst_pt,
-        passed=worst - ladder_err >= -tol,
-        runtime_s=time.perf_counter() - t0,
-        setup_s=setup_s,
-        extra={"ladder_err": ladder_err, "eta": seq.LADDER.eta},
-    )
+    extra = {"ladder_err": ladder_err, "eta": seq.LADDER.eta}
+    return sweep.report(sweep.worst - ladder_err >= -tol, setup_s=setup_s, extra=extra)
 
 
 def _intermediate_grid(m: int, grid_step: float) -> np.ndarray:
@@ -196,26 +209,13 @@ def _intermediate_grid(m: int, grid_step: float) -> np.ndarray:
 
 def verify_alpha_feasibility(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9) -> SweepReport:
     """(b) 0 <= alpha_tilde <= alpha_max on the intermediate budget interval."""
-    t0 = time.perf_counter()
-    worst, worst_pt, n = math.inf, (None, None), 0
+    sweep = _Sweep("alpha_feasibility", f"0 <= alpha_tilde <= alpha_max, m <= {m_max}, step {grid_step}")
     for m in range(2, m_max + 1):
         xs = _intermediate_grid(m, grid_step)
         at = seq.alpha_tilde(m, xs)
         amax = np.minimum(1.0, m * xs)
-        margins = np.minimum(at, amax - at)
-        n += len(xs)
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst, worst_pt = float(margins[i]), (m, float(xs[i]))
-    return SweepReport(
-        name="alpha_feasibility",
-        description=f"0 <= alpha_tilde <= alpha_max, m <= {m_max}, step {grid_step}",
-        n_points=n,
-        min_margin=worst,
-        worst_point=worst_pt,
-        passed=worst >= -tol,
-        runtime_s=time.perf_counter() - t0,
-    )
+        sweep.note_all(np.minimum(at, amax - at), lambda i: (m, float(xs[i])))
+    return sweep.report(sweep.worst >= -tol)
 
 
 def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9) -> SweepReport:
@@ -225,30 +225,17 @@ def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9
     enters ``extra["ladder_err"]`` with that factor.
     """
     ladder, records, setup_s = _timed_ladder(seq.LADDER, max(m_max - 1, 1))
-    t0 = time.perf_counter()
-    worst, worst_pt, n = math.inf, (None, None), 0
+    sweep = _Sweep("gh_at_alpha_tilde", f"g, h at alpha_tilde <= f + 1/sqrt(m), m <= {m_max}, "
+                   f"step {grid_step}")
     for m in range(2, m_max + 1):
         xs = _intermediate_grid(m, grid_step)
         at = np.clip(seq.alpha_tilde(m, xs), 0.0, np.minimum(1.0, m * xs))
         g, h = seq.g_h(m, xs, at, ladder[m - 2])
         bound = (1.0 - np.sqrt(xs)) ** 2 + 1.0 / math.sqrt(m)
-        margins = bound - np.maximum(g, h)
-        n += len(xs)
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst, worst_pt = float(margins[i]), (m, float(xs[i]))
+        sweep.note_all(bound - np.maximum(g, h), lambda i: (m, float(xs[i])))
     ladder_err = max([(m - 1.0) / m * records[m - 2].err for m in range(2, m_max + 1)], default=0.0)
-    return SweepReport(
-        name="gh_at_alpha_tilde",
-        description=f"g, h at alpha_tilde <= f + 1/sqrt(m), m <= {m_max}, step {grid_step}",
-        n_points=n,
-        min_margin=worst,
-        worst_point=worst_pt,
-        passed=worst - ladder_err >= -tol,
-        runtime_s=time.perf_counter() - t0,
-        setup_s=setup_s,
-        extra={"ladder_err": ladder_err, "eta": seq.LADDER.eta},
-    )
+    extra = {"ladder_err": ladder_err, "eta": seq.LADDER.eta}
+    return sweep.report(sweep.worst - ladder_err >= -tol, setup_s=setup_s, extra=extra)
 
 
 def verify_si_lower(
@@ -260,9 +247,8 @@ def verify_si_lower(
     """(d) flat-price profit >= t*(B) - (B k/(k-1))/m on random instances."""
     from .valuations import random_subadditive_identical
 
-    t0 = time.perf_counter()
+    sweep = _Sweep("si_lower_bound", f"flat price >= t* - (Bk/(k-1))/m on {n_instances} random instances")
     rng = np.random.Generator(np.random.Philox(seed))
-    worst, worst_pt = math.inf, (None, None)
     for _ in range(n_instances):
         m = int(rng.choice(np.asarray(m_choices)))
         si = random_subadditive_identical(m, rng)
@@ -270,18 +256,8 @@ def verify_si_lower(
         k = choose_k(B)
         profit, _ = constant_price_worst_profit(si, B, k)
         target = t_star(B)[0] - (B * k / (k - 1.0)) / m
-        margin = profit - target
-        if margin < worst:
-            worst, worst_pt = float(margin), (m, B)
-    return SweepReport(
-        name="si_lower_bound",
-        description=f"flat price >= t* - (Bk/(k-1))/m on {n_instances} random instances",
-        n_points=n_instances,
-        min_margin=worst,
-        worst_point=worst_pt,
-        passed=worst >= -tol,
-        runtime_s=time.perf_counter() - t0,
-    )
+        sweep.note(profit - target, (m, B))
+    return sweep.report(sweep.worst >= -tol)
 
 
 def si_upper_response_value(x: float, m: int) -> dict:
@@ -344,18 +320,21 @@ def verify_si_upper(
     between the smallest and largest m.  Subgames read ``_SI_LADDER`` (eta
     1e-8, reported as ``extra["eta"]``), whose certified error on both ends
     of each gap is ``extra["ladder_err"]``, under 2e-6 against a margin of
-    about 0.014; passing needs the margin to exceed it."""
+    about 0.014; passing needs the margin to exceed it.  The margins are the
+    gaps, one per x with two or more feasible m; ``n_points`` counts the
+    responses valued."""
     m_lists = {}
     for x in x_list:
         ms = sorted({max(math.ceil(l_threshold(x)), m_list[0]), *m_list[1:]})
         m_lists[x] = [m for m in ms if m >= l_threshold(x)]
     top = max((m for ms in m_lists.values() for m in ms), default=3)
     _, _, setup_s = _timed_ladder(_SI_LADDER, max(top - 2, 1))
-    t0 = time.perf_counter()
-    rows = []
-    c_measured = 0.0
-    ladder_err = 0.0
-    worst, worst_pt = math.inf, (None,)  # convergence gap, per x
+    sweep = _Sweep(
+        "si_upper_bound",
+        "three-phase adversary holds responses to t_1(x) + C/sqrt(m); "
+        "margin = worst shrink of the excess between the smallest and largest m",
+    )
+    rows, c_measured, ladder_err = [], 0.0, 0.0
     for x, ms in m_lists.items():
         t1 = tangent_value(1, x)
         excesses, errs = [], []
@@ -368,20 +347,11 @@ def verify_si_upper(
             errs.append(resp["ladder_err"])
             rows.append({"x": x, "m": m, "value": val, "excess": excess})
         if len(excesses) >= 2:
-            gap = excesses[0] - excesses[-1]  # positive means shrinking excess
             ladder_err = max(ladder_err, errs[0] + errs[-1])
-            if gap < worst:
-                worst, worst_pt = gap, (x,)
-    passed = worst - ladder_err > 0.0 and math.isfinite(c_measured)
-    return SweepReport(
-        name="si_upper_bound",
-        description="three-phase adversary holds responses to t_1(x) + C/sqrt(m); "
-        "margin = worst shrink of the excess between the smallest and largest m",
+            sweep.note(excesses[0] - excesses[-1], (x,))  # positive means shrinking excess
+    return sweep.report(
+        sweep.worst - ladder_err > 0.0 and math.isfinite(c_measured),
         n_points=len(rows),
-        min_margin=worst,
-        worst_point=worst_pt,
-        passed=passed,
-        runtime_s=time.perf_counter() - t0,
         setup_s=setup_s,
         extra={"C_measured": c_measured, "ladder_err": ladder_err, "eta": _SI_LADDER.eta, "rows": rows},
     )
@@ -389,45 +359,24 @@ def verify_si_upper(
 
 def verify_tangency(k_max: int = 50, grid_step: float = 0.001, tol: float = 1e-9) -> SweepReport:
     """(f) t_k touches (1-sqrt(B))^2 exactly at (k/(k+1))^2 and t* dominates."""
-    t0 = time.perf_counter()
-    worst, worst_pt = math.inf, (None,)
-    for k in range(1, k_max + 1):
-        pt = (k / (k + 1.0)) ** 2
-        gap = -abs(tangent_value(k, pt) - f_bound(pt))
-        if gap < worst:
-            worst, worst_pt = gap, (k,)
-    grid = np.arange(grid_step, 1.0, grid_step)
-    n = k_max + len(grid) * k_max
-    for B in grid:
-        env = t_star(float(B))[0]
-        for k in range(1, k_max + 1):
-            gap = env - tangent_value(k, float(B))
-            if gap < worst:
-                worst, worst_pt = gap, (float(B), k)
-    return SweepReport(
-        name="tangency",
-        description=f"t_k tangency identities and envelope dominance, k <= {k_max}",
-        n_points=n,
-        min_margin=worst,
-        worst_point=worst_pt,
-        passed=worst >= -tol,
-        runtime_s=time.perf_counter() - t0,
-    )
+    sweep = _Sweep("tangency", f"t_k tangency identities and envelope dominance, k <= {k_max}")
+    ks = range(1, k_max + 1)
+    touch = [(k / (k + 1.0)) ** 2 for k in ks]
+    gaps = [-abs(tangent_value(k, pt) - f_bound(pt)) for k, pt in zip(ks, touch)]
+    sweep.note_all(np.array(gaps), lambda i: (i + 1,))
+    budgets = np.arange(grid_step, 1.0, grid_step).tolist()
+    env = np.array([t_star(B)[0] for B in budgets])
+    t_k = np.fromiter((tangent_value(k, B) for B in budgets for k in ks), float, len(budgets) * k_max)
+    sweep.note_all(np.repeat(env, k_max) - t_k, lambda i: (budgets[i // k_max], i % k_max + 1))
+    return sweep.report(sweep.worst >= -tol)
 
 
 def verify_simul(seed: int = 0, tol: float = 1e-9) -> SweepReport:
     """QP agreement, second-price floor, and the randomized adversary values."""
     from .valuations import AdditiveValuation
 
-    t0 = time.perf_counter()
+    sweep = _Sweep("simultaneous", "QP agreement, 1-B second-price floor, w1/w2 adversary values")
     rng = np.random.Generator(np.random.Philox(seed))
-    worst, worst_pt, n = math.inf, (None,), 0
-
-    def note(margin: float, pt) -> None:
-        nonlocal worst, worst_pt, n
-        n += 1
-        if margin < worst:
-            worst, worst_pt = float(margin), pt
 
     # QP: closed form vs the exact breakpoint-scan oracle (and lattice at m = 2).
     for B in np.arange(0.1, 0.95, 0.1):
@@ -442,10 +391,10 @@ def verify_simul(seed: int = 0, tol: float = 1e-9) -> SweepReport:
             # that every later draw, and each seed's margins, stay put.
             rng.integers(2**31)
             _, qp_value = simul.exact_qp(gw, B)
-            note(1e-6 - abs(qp_value - sol.value), ("qp_pg", B, m))
+            sweep.note(1e-6 - abs(qp_value - sol.value), ("qp_pg", B, m))
             if m == 2:
                 lattice = simul.qp_grid_search(gw, B)
-                note(1e-4 - abs(lattice - sol.value), ("qp_lattice", B))
+                sweep.note(1e-4 - abs(lattice - sol.value), ("qp_lattice", B))
 
     # Second price: truthful dominant-clause bidding nets at least 1 - B.
     for _ in range(20):
@@ -453,7 +402,7 @@ def verify_simul(seed: int = 0, tol: float = 1e-9) -> SweepReport:
         v = _random_xos(m, rng)
         B = float(rng.uniform(0.05, 0.9))
         worst_profit, _ = simul.second_price_truthful_worst(v, B)
-        note(worst_profit - (1.0 - B), ("second_price", m, B))
+        sweep.note(worst_profit - (1.0 - B), ("second_price", m, B))
 
     # Randomized split adversary: exact best response equals the closed form.
     for m in (4, 8, 12):
@@ -461,22 +410,14 @@ def verify_simul(seed: int = 0, tol: float = 1e-9) -> SweepReport:
             B = float(B)
             got, _ = simul.exhaustive_best_response_split(m, B)
             want = simul.best_response_profit(m, B)
-            note(tol - abs(got - want), ("split_value", m, B))
-            note((1.0 - B) - got - 1e-15, ("split_below_1mB", m, B))
+            sweep.note(tol - abs(got - want), ("split_value", m, B))
+            sweep.note((1.0 - B) - got - 1e-15, ("split_below_1mB", m, B))
 
     # (1-B)^2/2 beats (1-sqrt(B))^2 beyond B = 3 - 2 sqrt(2).
     for B in np.arange(3.0 - 2.0 * math.sqrt(2.0) + 0.01, 1.0, 0.01):
-        note(0.5 * (1.0 - B) ** 2 - f_bound(float(B)), ("qp_vs_sqrt", float(B)))
+        sweep.note(0.5 * (1.0 - B) ** 2 - f_bound(float(B)), ("qp_vs_sqrt", float(B)))
 
-    return SweepReport(
-        name="simultaneous",
-        description="QP agreement, 1-B second-price floor, w1/w2 adversary values",
-        n_points=n,
-        min_margin=worst,
-        worst_point=worst_pt,
-        passed=worst >= -tol,
-        runtime_s=time.perf_counter() - t0,
-    )
+    return sweep.report(sweep.worst >= -tol)
 
 
 def _random_xos(m: int, rng: np.random.Generator, max_clauses: int = 5) -> XOSValuation:
@@ -492,6 +433,18 @@ def _random_xos(m: int, rng: np.random.Generator, max_clauses: int = 5) -> XOSVa
     return XOSValuation(tuple(clauses))
 
 
+_GRID = ("m_max", "grid_step", "tol")
+
+#: Each suite's families in run order, with the names of the ``verify_all``
+#: arguments each one takes.
+SUITES: dict[str, tuple] = {
+    "xos": ((verify_value_bound, _GRID), (verify_alpha_feasibility, _GRID), (verify_gh_bound, _GRID),
+            (verify_tangency, ("tol",))),
+    "si": ((functools.partial(verify_si_lower, n_instances=200), ("seed", "tol")), (verify_si_upper, ())),
+    "simul": ((verify_simul, ("seed", "tol")),),
+}
+
+
 def verify_all(
     suites: Iterable[str] = ("xos", "si", "simul"),
     m_max: int = 30,
@@ -499,29 +452,26 @@ def verify_all(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> list[SweepReport]:
-    """Run the families of the chosen suites, in order, in this process.
+    """Run the families of the chosen suites, in ``SUITES`` order, in this process.
 
     Each report's ``runtime_s`` times its own sweep and ``setup_s`` the
     ladder levels it built.  Two cached ladders serve the families, each
     built once however many families read it: the xos families read
     f_1..f_30 of ``seq.LADDER`` (eta 1e-9), and ``si_upper_bound`` reads
-    f_1..f_198 of its own ``_SI_LADDER`` (eta 1e-8).
+    f_1..f_198 of its own ``_SI_LADDER`` (eta 1e-8).  A suite name outside
+    ``SUITES``, a bare string for ``suites``, and a grid step that is not
+    finite and in (0, 1) raise ValueError.
     """
+    if isinstance(suites, str):
+        raise ValueError(f"suites must be a collection of suite names, not the string {suites!r}")
     wanted = set(suites)
-    calls: list[tuple] = []
-    if "xos" in wanted:
-        grid = dict(m_max=m_max, grid_step=grid_step, tol=tol)
-        calls += [
-            (verify_value_bound, grid),
-            (verify_alpha_feasibility, grid),
-            (verify_gh_bound, grid),
-            (verify_tangency, dict(tol=tol)),
-        ]
-    if "si" in wanted:
-        calls += [(verify_si_lower, dict(n_instances=200, seed=seed, tol=tol)), (verify_si_upper, {})]
-    if "simul" in wanted:
-        calls.append((verify_simul, dict(seed=seed, tol=tol)))
-    return [fn(**kwargs) for fn, kwargs in calls]
+    if unknown := wanted - SUITES.keys():
+        raise ValueError(f"unknown suite(s) {sorted(unknown)}; choose from {list(SUITES)}")
+    if not (math.isfinite(grid_step) and 0.0 < grid_step < 1.0):
+        raise ValueError(f"grid_step must be finite and in (0, 1), got {grid_step}")
+    args = dict(m_max=m_max, grid_step=grid_step, tol=tol, seed=seed)
+    calls = [call for suite, families in SUITES.items() if suite in wanted for call in families]
+    return [fn(**{name: args[name] for name in takes}) for fn, takes in calls]
 
 
 # -- figure reproduction ----------------------------------------------------------

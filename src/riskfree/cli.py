@@ -158,7 +158,7 @@ def run_scenario(sc: Scenario) -> dict:
         }
 
     # simultaneous
-    name1, _ = _parse_call(sc.bidder)
+    name1, args1 = _parse_call(sc.bidder)
     name2, args2 = _parse_call(sc.adversary)
     g = gamma_star(sc.valuation)
     if name2 == "fixed":
@@ -171,7 +171,6 @@ def run_scenario(sc: Scenario) -> dict:
         raise ValueError("adversary bid vector exceeds the budget")
 
     if name1 == "uniform_random":
-        drawer = strategies.uniform_random_policy(g, sc.seed)
         ratios = np.clip(bids2 / np.maximum(np.asarray(g.weights), 1e-300), 0.0, 1.0)
         closed = simul.expected_profit_uniform_random(g, ratios)
         n = max(sc.mc_samples, 1)
@@ -194,7 +193,6 @@ def run_scenario(sc: Scenario) -> dict:
     elif name1 == "truthful":
         bids1 = np.asarray(g.weights, dtype=float)
     elif name1 == "fixed":
-        _, args1 = _parse_call(sc.bidder)
         bids1 = np.asarray(args1, dtype=float)
     else:
         raise ValueError(f"unknown bidder policy: {name1!r}")
@@ -261,7 +259,7 @@ def _cmd_qp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = ("xos", "si", "simul") if args.suite == "all" else (args.suite,)
+    suites = tuple(analysis.SUITES) if args.suite == "all" else (args.suite,)
     reports = analysis.verify_all(
         suites=suites, m_max=args.m_max, grid_step=args.grid_step, seed=args.seed
     )
@@ -321,7 +319,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_qp)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", choices=("xos", "si", "simul", "all"), default="all")
+    sp.add_argument("--suite", choices=(*analysis.SUITES, "all"), default="all")
     sp.add_argument("--m-max", type=int, default=30)
     sp.add_argument("--grid-step", type=float, default=0.01)
     sp.add_argument("--seed", type=int, default=0)

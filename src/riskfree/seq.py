@@ -544,6 +544,8 @@ def simulate(
         budget = getattr(adversary, "budget", None)
         if budget is None:
             raise ValueError("pass budget= or use an adversary policy exposing .budget")
+    if not (math.isfinite(budget) and budget >= 0.0):
+        raise ValueError(f"budget must be finite and non-negative, got {budget}")
     if seed is not None:
         ss = np.random.SeedSequence(seed).generate_state(2)
         bidder = _maybe_reseed(bidder, int(ss[0]))
@@ -708,8 +710,8 @@ def best_response_to_fixed_bids(
     bids = item_vector(bids1, m, "bids")
     if np.any(bids < -_TOL):
         raise ValueError("bids must be non-negative")
-    if not math.isfinite(B):
-        raise ValueError("budget must be finite")
+    if not (math.isfinite(B) and B >= 0.0):
+        raise ValueError(f"budget must be finite and non-negative, got {B}")
 
     cost = subset_sums(bids)  # the adversary's limit cost of each take-set
     if price_rule == "first":

@@ -43,12 +43,6 @@ class ConstantBidPolicy:
         return self.bid
 
 
-def _finite_budget(B: float) -> float:
-    if not math.isfinite(B):
-        raise ValueError(f"budget must be finite, got {B}")
-    return float(B)
-
-
 def _check_budget(B: float) -> None:
     if not (math.isfinite(B) and B >= 0.0):
         raise ValueError(f"budget must be finite and non-negative, got {B}")
@@ -67,7 +61,7 @@ def xos_sqrt_policy(gstar: AdditiveValuation, B: float) -> FixedBidsPolicy:
 
 def low_budget_policy(B: float, m: int | None = None) -> ConstantBidPolicy:
     """Bid the adversary's whole budget on every item (meant for B < 1/m^2)."""
-    _finite_budget(B)
+    _check_budget(B)
     if m is not None and B >= 1.0 / m**2:
         warnings.warn("low_budget_policy outside its intended range B < 1/m^2")
     return ConstantBidPolicy(bid=float(B))
@@ -75,7 +69,7 @@ def low_budget_policy(B: float, m: int | None = None) -> ConstantBidPolicy:
 
 def high_budget_policy(m: int, B: float) -> ConstantBidPolicy:
     """Bid B/m on every item (meant for B > (m-1)/m)."""
-    _finite_budget(B)
+    _check_budget(B)
     if B <= (m - 1) / m:
         warnings.warn("high_budget_policy outside its intended range B > (m-1)/m")
     return ConstantBidPolicy(bid=float(B) / m)
@@ -112,7 +106,8 @@ class AlphaTildeAdversary:
 
 
 def alpha_tilde_adversary(m: int, x: float) -> AlphaTildeAdversary:
-    return AlphaTildeAdversary(m=m, budget=_finite_budget(x))
+    _check_budget(x)
+    return AlphaTildeAdversary(m=m, budget=float(x))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import re
@@ -154,6 +155,10 @@ class TestSweeps:
         rep = A.verify_tangency()
         assert rep.passed
 
+    def test_tangency_with_an_empty_budget_grid_still_checks_the_identities(self):
+        rep = A.verify_tangency(grid_step=2.0)
+        assert rep.passed and rep.n_points == 50
+
     def test_si_lower_small(self):
         rep = A.verify_si_lower(n_instances=60, seed=0)
         assert rep.passed
@@ -214,6 +219,20 @@ class TestSweeps:
         rep = A.verify_simul(seed=0)
         assert rep.passed
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda: A.verify_alpha_feasibility(m_max=1),
+            lambda: A.verify_gh_bound(m_max=1),
+            lambda: A.verify_si_upper(x_list=(0.1,), m_list=(30,)),  # one m, so no gap
+            lambda: A.verify_si_lower(n_instances=0),
+        ],
+        ids=["alpha_feasibility", "gh_bound", "si_upper", "si_lower"],
+    )
+    def test_a_sweep_that_checks_no_point_raises(self, sweep):
+        with pytest.raises(ValueError, match="checked no point"):
+            sweep()
+
     def test_verify_all_shapes(self):
         reps = A.verify_all(suites=("simul",))
         assert len(reps) == 1
@@ -246,7 +265,60 @@ def untimed(rep):
     return d
 
 
+class TestSweepAccumulator:
+    def test_first_least_margin_wins_and_every_margin_counts(self):
+        sweep = A._Sweep("stub", "a stub sweep")
+        sweep.note(2.0, ("a",))
+        sweep.note(1.0, ("b",))
+        sweep.note(1.0, ("c",))
+        assert sweep.point == ("b",)  # a tie keeps the first point
+        sweep.note_all(np.array([3.0, 0.5, 0.5]), lambda i: ("array", i))
+        assert sweep.point == ("array", 1)  # the array's first argmin
+        sweep.note_all(np.array([0.5, 0.75]), lambda i: ("later", i))
+        sweep.note_all(np.array([]), lambda i: ("empty", i))  # counts nothing
+        sweep.note(0.5, ("last",))
+        assert sweep.point == ("array", 1)  # ties across notes keep it too
+        rep = sweep.report(True, setup_s=0.25)
+        assert (rep.name, rep.description, rep.passed, rep.setup_s) == ("stub", "a stub sweep", True, 0.25)
+        assert (rep.n_points, rep.min_margin, rep.worst_point) == (9, 0.5, ("array", 1))
+        assert sweep.report(False, n_points=4).n_points == 4
+
+    def test_an_empty_sweep_raises(self):
+        with pytest.raises(ValueError, match="stub: the sweep checked no point"):
+            A._Sweep("stub", "").report(True)
+
+    def test_to_dict_keys_and_worst_point(self):
+        rep = A.SweepReport("n", "d", 3, -0.5, (2, 0.25), False, 1.5, 0.5, {"rows": [{"x": 1}]})
+        d = rep.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(A.SweepReport)]
+        assert d["worst_point"] == [2, 0.25]
+        assert d["extra"] == rep.extra
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
 class TestVerifyAll:
+    @pytest.mark.parametrize("suites", ["xos", "all", ("bogus",), ("xos", "typo")])
+    def test_unknown_suites_rejected(self, suites):
+        with pytest.raises(ValueError, match="suite"):
+            A.verify_all(suites=suites)
+
+    @pytest.mark.parametrize("grid_step", [0.0, -0.01, 1.0, 2.0, math.nan, math.inf])
+    def test_bad_grid_step_rejected(self, grid_step):
+        with pytest.raises(ValueError, match="grid_step"):
+            A.verify_all(suites=("xos",), grid_step=grid_step)
+
+    @pytest.mark.parametrize("seed", [0, 63])
+    def test_margins_replay_the_benchmark_reference(self, seed):
+        ref = json.loads(REFERENCE.read_text())["verify"]["full"]
+        want = ref["fixed"] | ref["seeded"][str(seed)]
+        reps = A.verify_all(seed=seed)
+        assert all(rep.passed for rep in reps)
+        assert {rep.name for rep in reps} == set(want)
+        for rep in reps:
+            assert abs(rep.min_margin - want[rep.name]) <= 1e-7, rep.name
+
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("suites", [("xos", "si", "simul"), ("xos",), ("si",), ("simul",)])
     def test_reports_equal_direct_calls(self, suites, seed):

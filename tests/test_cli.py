@@ -105,6 +105,25 @@ def test_verify_quick(capsys, tmp_path):
     assert all(r["passed"] for r in recs)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--suite", "xos", "--m-max", "1"), "checked no point"),
+        (("--grid-step", "0"), "grid_step"),
+        (("--grid-step=-0.01",), "grid_step"),
+        (("--grid-step", "2"), "grid_step"),
+        (("--grid-step", "nan"), "grid_step"),
+    ],
+)
+def test_verify_out_of_domain_exits_1(capsys, tmp_path, argv, message):
+    report = tmp_path / "rep.json"
+    code, out, err = run(capsys, "verify", *argv, "--report", str(report))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("riskfree: error: ") and message in err
+    assert not report.exists()
+
+
 def test_verify_bound_violation_exits_2(capsys, monkeypatch):
     fail = SweepReport(
         name="stub", description="", n_points=1, min_margin=-1.0,

@@ -394,6 +394,13 @@ class TestSimulate:
         with pytest.raises(PolicyContractError, match="finite"):
             simulate(uniform(1), FixedBidsPolicy((b1,)), FixedBidsPolicy((b2,)), budget=0.4)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, -0.5])
+    @pytest.mark.parametrize("passed", [True, False], ids=["argument", "adversary-attribute"])
+    def test_bad_budget_rejected(self, budget, passed):
+        adversary = FixedBidsPolicy((0.0,), budget=None if passed else budget)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate(uniform(1), FixedBidsPolicy((0.6,)), adversary, budget=budget if passed else None)
+
     def test_second_price_budget_decreases_by_bidder_bid(self):
         # adversary wins round one; his budget drops by the bidder's bid
         trace = []
@@ -460,8 +467,12 @@ class TestBestResponse:
             ((0.1, 0.2, 0.3), 0.3, "second"),
             ((0.1, 0.2), math.nan, "first"),
             ((0.1, 0.2), math.inf, "second"),
+            ((0.1, 0.2), -0.5, "first"),
         ],
-        ids=["rule", "bid-nan", "bid-inf", "bids-short", "bids-long", "budget-nan", "budget-inf"],
+        ids=[
+            "rule", "bid-nan", "bid-inf", "bids-short", "bids-long", "budget-nan", "budget-inf",
+            "budget-negative",
+        ],
     )
     def test_bad_input_rejected(self, bids, B, rule):
         with pytest.raises(ValueError):

@@ -163,7 +163,7 @@ class TestConstantPrice:
         with pytest.raises(ValueError):
             constant_price_policy(si, 0.2, 1)
 
-    @pytest.mark.parametrize("B", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("B", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize(
         "build",
         [
