@@ -140,7 +140,9 @@ def table_A(m: int, B: float) -> float:
 #: eta (1e-7) would move ``si_upper_response_value`` by about 6e-7.
 _SI_ETA = 1e-8
 
-#: The si family's ladder, built lazily on its first read.
+#: The si family's ladder.  ``si_upper_response_value`` reads its cached
+#: levels, built lazily on the first read; ``verify_si_upper`` streams
+#: f_1..f_198 through it (``seq.Ladder.stream``) and caches none of them.
 _SI_LADDER = seq.Ladder(eta=_SI_ETA)
 
 
@@ -151,10 +153,17 @@ def _timed_ladder(ladder: seq.Ladder, m: int) -> tuple[list, list, float]:
     return levels, ladder.records(m), time.perf_counter() - t0
 
 
+def _check_grid_step(grid_step: float, below: float = math.inf) -> None:
+    """Reject a budget grid step that is not finite and in (0, ``below``)."""
+    if not (math.isfinite(grid_step) and 0.0 < grid_step < below):
+        raise ValueError(f"grid_step must be finite and in (0, {below}), got {grid_step}")
+
+
 class _Sweep:
     """One family's sweep: counts the margins noted and keeps the least, at
     the first point noted that reaches it (strict ``<``).  It is timed from
-    construction, which comes after the family's ladder build."""
+    construction, which comes after the family's ladder build; a family
+    that streams its ladder moves ``t0`` past the stream instead."""
 
     def __init__(self, name: str, description: str) -> None:
         self.name, self.description = name, description
@@ -189,6 +198,7 @@ def verify_value_bound(m_max: int = 30, grid_step: float = 0.005, tol: float = 1
     Passes when the margin stays above -tol after subtracting the ladder's
     certified error ``extra["ladder_err"]``.
     """
+    _check_grid_step(grid_step)
     ladder, records, setup_s = _timed_ladder(seq.LADDER, m_max)
     sweep = _Sweep("xos_value_bound", f"f_m <= f + 1/sqrt(m), m <= {m_max}, step {grid_step}")
     xs = np.arange(grid_step, 1.0, grid_step)
@@ -209,6 +219,7 @@ def _intermediate_grid(m: int, grid_step: float) -> np.ndarray:
 
 def verify_alpha_feasibility(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9) -> SweepReport:
     """(b) 0 <= alpha_tilde <= alpha_max on the intermediate budget interval."""
+    _check_grid_step(grid_step)
     sweep = _Sweep("alpha_feasibility", f"0 <= alpha_tilde <= alpha_max, m <= {m_max}, step {grid_step}")
     for m in range(2, m_max + 1):
         xs = _intermediate_grid(m, grid_step)
@@ -224,6 +235,7 @@ def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9
     g and h read f_{m-1} scaled by (m-1)/m, so the ladder's certified error
     enters ``extra["ladder_err"]`` with that factor.
     """
+    _check_grid_step(grid_step)
     ladder, records, setup_s = _timed_ladder(seq.LADDER, max(m_max - 1, 1))
     sweep = _Sweep("gh_at_alpha_tilde", f"g, h at alpha_tilde <= f + 1/sqrt(m), m <= {m_max}, "
                    f"step {grid_step}")
@@ -260,31 +272,32 @@ def verify_si_lower(
     return sweep.report(sweep.worst >= -tol)
 
 
-def si_upper_response_value(x: float, m: int) -> dict:
-    """Best response value of the bidder against the three-phase adversary on
-    the hard instance, maximized over the first-win / first-loss classes.
+def _si_reads(x: float, m: int) -> tuple[tuple[float, float, float], np.ndarray]:
+    """The hard instance's terms ``(v1, mu, p2)`` for budget x on m items,
+    and the budgets at which the response value reads levels k = 1..m-2:
+    row k - 1 holds a first-loss subgame's ``d / (4 k)`` and a first-win
+    one's ``(x - p2) d / (4 x k)``.  A level reads its row in one
+    ``np.interp`` call, whose values are those of two scalar reads."""
+    _, params = make_s_instance(x, m)
+    s, d, p2 = params.sigma, params.d, params.phase2_bid
+    ks = np.arange(1.0, m - 1.0)
+    reads = np.stack((d / (4.0 * ks), (x - p2) * d / (4.0 * x * ks)), axis=1)
+    return (1.0 / (2.0 + s), s / (d * (2.0 + s)), p2), reads
 
-    Subgames are valued with the si family's own ladder ``_SI_LADDER``, built
-    at ``_SI_ETA`` = 1e-8 rather than ``seq.LADDER``'s 1e-9.  Returns the
-    per-class maxima, the overall value and ``ladder_err``, that ladder's
-    certified error scaled as the subgames enter the value.
-    """
-    si, params = make_s_instance(x, m)
-    s, d = params.sigma, params.d
-    mu = s / (d * (2.0 + s))
-    p2 = params.phase2_bid
-    v1 = 1.0 / (2.0 + s)
-    ladder = _SI_LADDER.levels(max(m - 2, 1))
-    records = _SI_LADDER.records(max(m - 2, 1))
 
+def _si_combine(m: int, terms: tuple[float, float, float], vals: list, records: list) -> dict:
+    """The response value on m items from ``vals[k - 1]``, level k's values
+    at its row of ``_si_reads`` budgets, and ``records[k - 1].err``, for
+    every level k = 1..m-2."""
+    v1, mu, p2 = terms
     concede_first, arg_j1 = 0.0, None  # adversary takes items 1..j1-1 free
     for j1 in range(2, m + 1):
         m_rem = m - j1
-        val = v1 if m_rem == 0 else v1 + m_rem * mu * ladder[m_rem - 1](d / (4.0 * m_rem))
+        val = v1 if m_rem == 0 else v1 + m_rem * mu * vals[m_rem - 1][0]
         if val > concede_first:
             concede_first, arg_j1 = val, j1
 
-    buy_through = 1.0 - (d + 1) * p2  # she wins every item
+    buy_through = 1.0 - (m - 1) * p2  # she wins every item
 
     concede_later, arg_j2 = -math.inf, None  # she wins first, loses at j2
     for j2 in range(2, m + 1):
@@ -294,8 +307,7 @@ def si_upper_response_value(x: float, m: int) -> dict:
         m_rem = m - j2
         val = held - paid
         if m_rem >= 1:
-            x_sub = (x - p2) * d / (4.0 * x * m_rem)
-            val += m_rem * mu * ladder[m_rem - 1](x_sub)
+            val += m_rem * mu * vals[m_rem - 1][1]
         if val > concede_later:
             concede_later, arg_j2 = val, j2
 
@@ -311,6 +323,23 @@ def si_upper_response_value(x: float, m: int) -> dict:
     }
 
 
+def si_upper_response_value(x: float, m: int) -> dict:
+    """Best response value of the bidder against the three-phase adversary on
+    the hard instance, maximized over the first-win / first-loss classes.
+
+    Subgames are valued with the cached levels of the si family's own ladder
+    ``_SI_LADDER``, built at ``_SI_ETA`` = 1e-8 rather than ``seq.LADDER``'s
+    1e-9.  Returns the per-class maxima, the overall value and
+    ``ladder_err``, that ladder's certified error scaled as the subgames
+    enter the value.
+    """
+    terms, reads = _si_reads(x, m)
+    ladder = _SI_LADDER.levels(max(m - 2, 1))
+    records = _SI_LADDER.records(max(m - 2, 1))
+    vals = [fk(at).tolist() for fk, at in zip(ladder, reads)]
+    return _si_combine(m, terms, vals, records)
+
+
 def verify_si_upper(
     x_list: Sequence[float] = (0.05, 0.10, 0.15, 0.20),
     m_list: Sequence[int] = (50, 100, 200),
@@ -322,24 +351,42 @@ def verify_si_upper(
     of each gap is ``extra["ladder_err"]``, under 2e-6 against a margin of
     about 0.014; passing needs the margin to exceed it.  The margins are the
     gaps, one per x with two or more feasible m; ``n_points`` counts the
-    responses valued."""
+    responses valued.
+
+    The ladder is streamed, not cached: one pass over its levels reads each
+    at the ``_si_reads`` budgets of every response that needs it and then
+    drops it, so no more than two levels are alive at once.  Each response
+    equals ``si_upper_response_value``'s to the bit.  ``setup_s`` times that
+    pass and ``runtime_s`` the rest.
+    """
     m_lists = {}
     for x in x_list:
         ms = sorted({max(math.ceil(l_threshold(x)), m_list[0]), *m_list[1:]})
         m_lists[x] = [m for m in ms if m >= l_threshold(x)]
     top = max((m for ms in m_lists.values() for m in ms), default=3)
-    _, _, setup_s = _timed_ladder(_SI_LADDER, max(top - 2, 1))
     sweep = _Sweep(
         "si_upper_bound",
         "three-phase adversary holds responses to t_1(x) + C/sqrt(m); "
         "margin = worst shrink of the excess between the smallest and largest m",
     )
+    reads = {(x, m): _si_reads(x, m) for x, ms in m_lists.items() for m in ms}
+    vals = {key: [] for key in reads}
+    records = []
+    t0 = time.perf_counter()
+    for k, fk, rec in _SI_LADDER.stream(max(top - 2, 1)):
+        records.append(rec)
+        for key, (_, at) in reads.items():
+            if k <= len(at):
+                vals[key].append(fk(at[k - 1]).tolist())
+    setup_s = time.perf_counter() - t0
+    sweep.t0 += setup_s  # runtime_s counts the rest
+
     rows, c_measured, ladder_err = [], 0.0, 0.0
     for x, ms in m_lists.items():
         t1 = tangent_value(1, x)
         excesses, errs = [], []
         for m in ms:
-            resp = si_upper_response_value(x, m)
+            resp = _si_combine(m, reads[x, m][0], vals[x, m], records)
             val = resp["value"]
             excess = val - t1
             c_measured = max(c_measured, excess * math.sqrt(m))
@@ -359,6 +406,7 @@ def verify_si_upper(
 
 def verify_tangency(k_max: int = 50, grid_step: float = 0.001, tol: float = 1e-9) -> SweepReport:
     """(f) t_k touches (1-sqrt(B))^2 exactly at (k/(k+1))^2 and t* dominates."""
+    _check_grid_step(grid_step)
     sweep = _Sweep("tangency", f"t_k tangency identities and envelope dominance, k <= {k_max}")
     ks = range(1, k_max + 1)
     touch = [(k / (k + 1.0)) ** 2 for k in ks]
@@ -455,10 +503,10 @@ def verify_all(
     """Run the families of the chosen suites, in ``SUITES`` order, in this process.
 
     Each report's ``runtime_s`` times its own sweep and ``setup_s`` the
-    ladder levels it built.  Two cached ladders serve the families, each
-    built once however many families read it: the xos families read
-    f_1..f_30 of ``seq.LADDER`` (eta 1e-9), and ``si_upper_bound`` reads
-    f_1..f_198 of its own ``_SI_LADDER`` (eta 1e-8).  A suite name outside
+    ladder levels it built.  The xos families read f_1..f_30 of the cached
+    ``seq.LADDER`` (eta 1e-9), built once however many families read it;
+    ``si_upper_bound`` streams f_1..f_198 of its own ``_SI_LADDER`` (eta
+    1e-8), two levels alive at a time.  A suite name outside
     ``SUITES``, a bare string for ``suites``, and a grid step that is not
     finite and in (0, 1) raise ValueError.
     """
@@ -467,8 +515,7 @@ def verify_all(
     wanted = set(suites)
     if unknown := wanted - SUITES.keys():
         raise ValueError(f"unknown suite(s) {sorted(unknown)}; choose from {list(SUITES)}")
-    if not (math.isfinite(grid_step) and 0.0 < grid_step < 1.0):
-        raise ValueError(f"grid_step must be finite and in (0, 1), got {grid_step}")
+    _check_grid_step(grid_step, below=1.0)
     args = dict(m_max=m_max, grid_step=grid_step, tol=tol, seed=seed)
     calls = [call for suite, families in SUITES.items() if suite in wanted for call in families]
     return [fn(**{name: args[name] for name in takes}) for fn, takes in calls]

@@ -253,8 +253,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_qp(args) -> int:
     weights = tuple(float(w) for w in args.gamma_star.split(","))
     sol = simul.adversary_qp(AdditiveValuation(weights), args.b)
-    _, pg_value = simul.exact_qp(weights, args.b)
-    print(json.dumps({"value": sol.value, "pg_value": pg_value, "ratios": list(sol.ratios)}))
+    _, exact_value = simul.exact_qp(weights, args.b)
+    print(json.dumps({"value": sol.value, "pg_value": exact_value, "ratios": list(sol.ratios)}))
     return 0
 
 

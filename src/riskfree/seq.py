@@ -48,7 +48,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -357,7 +357,9 @@ class Ladder:
     of the exact f_m, up to floating-point rounding in the lift (a few ulps
     per level).  ``records`` reports each level's piece counts, eta_m,
     err_m and build time.  Extension holds a lock, so threads sharing a
-    ladder see each level built once.
+    ladder see each level built once.  ``stream`` yields the same levels and
+    records in order without caching the ones it builds, for a reader that
+    needs each level only until the next one exists.
     """
 
     def __init__(self, eta: float = _ETA):
@@ -373,19 +375,24 @@ class Ladder:
         with self._lock:
             return len(self._levels)
 
+    def _next(self, fp: PiecewiseLinear, prev: LevelRecord) -> tuple[PiecewiseLinear, LevelRecord]:
+        """The level after ``fp`` (whose record is ``prev``) and its record."""
+        k = prev.m + 1
+        t0 = time.perf_counter()
+        fk, pieces_raw, eta_k = _level_up(fp, k, self.eta)
+        err = (k - 1.0) / k * prev.err + eta_k
+        return fk, LevelRecord(
+            m=k, pieces_raw=pieces_raw, pieces=fk.piece_count(), eta=eta_k, err=err,
+            build_s=time.perf_counter() - t0,
+        )
+
     def _upto(self, m: int) -> int:
         if m < 1:
             raise ValueError("m must be at least 1")
         while len(self._levels) < m:
-            k = len(self._levels) + 1
-            t0 = time.perf_counter()
-            fk, pieces_raw, eta_k = _level_up(self._levels[-1], k, self.eta)
-            err = (k - 1.0) / k * self._records[-1].err + eta_k
-            self._records.append(LevelRecord(
-                m=k, pieces_raw=pieces_raw, pieces=fk.piece_count(), eta=eta_k, err=err,
-                build_s=time.perf_counter() - t0,
-            ))
+            fk, rec = self._next(self._levels[-1], self._records[-1])
             self._levels.append(fk)
+            self._records.append(rec)
         return m
 
     def levels(self, m: int) -> list[PiecewiseLinear]:
@@ -402,6 +409,29 @@ class Ladder:
         """Build records of f_1, ..., f_m, building missing levels."""
         with self._lock:
             return self._records[: self._upto(m)]
+
+    def stream(self, m_max: int) -> Iterator[tuple[int, PiecewiseLinear, LevelRecord]]:
+        """``(m, f_m, record)`` for m = 1..m_max, without caching new levels.
+
+        The levels already cached come first, as ``levels`` holds them; the
+        rest are built as ``levels`` would build them, bit for bit up to
+        ``build_s``, but only the previous one is kept alive, so memory stays
+        at two levels however far the stream goes.  The lock is held only to
+        read the cached prefix, never across a ``yield``.
+        """
+        if m_max < 1:
+            raise ValueError("m must be at least 1")
+        with self._lock:
+            cached = list(zip(self._levels[:m_max], self._records[:m_max]))
+        return self._stream(cached, m_max)
+
+    def _stream(self, cached: list, m_max: int) -> Iterator[tuple[int, PiecewiseLinear, LevelRecord]]:
+        for fm, rec in cached:
+            yield rec.m, fm, rec
+        fm, rec = cached[-1]
+        while rec.m < m_max:
+            fm, rec = self._next(fm, rec)
+            yield rec.m, fm, rec
 
 
 #: The process-wide ladder behind ``f_ladder`` and ``uniform_additive_value``.

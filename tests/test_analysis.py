@@ -170,6 +170,30 @@ class TestSweeps:
         rows = rep.extra["rows"]
         assert rows[-1]["excess"] < rows[0]["excess"]
 
+    def test_streamed_sweep_matches_the_response_value(self, monkeypatch):
+        si_ladder = seq.Ladder(eta=A._SI_ETA)
+        monkeypatch.setattr(A, "_SI_LADDER", si_ladder)
+        rep = A.verify_si_upper(x_list=(0.1,), m_list=(30, 60))
+        assert len(si_ladder) == 1  # the sweep streamed the levels, caching none
+        errs = []
+        for row in rep.extra["rows"]:
+            resp = A.si_upper_response_value(row["x"], row["m"])
+            assert row["value"] == resp["value"]
+            assert row["excess"] == resp["value"] - tangent_value(1, row["x"])
+            errs.append(resp["ladder_err"])
+        assert [row["m"] for row in rep.extra["rows"]] == [30, 60]
+        assert rep.extra["ladder_err"] == errs[0] + errs[-1]
+
+    @pytest.mark.parametrize("grid_step", [0.0, -0.01, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "sweep",
+        [A.verify_value_bound, A.verify_alpha_feasibility, A.verify_gh_bound, A.verify_tangency],
+        ids=["value_bound", "alpha_feasibility", "gh_bound", "tangency"],
+    )
+    def test_bad_grid_step_rejected(self, sweep, grid_step):
+        with pytest.raises(ValueError, match="grid_step"):
+            sweep(grid_step=grid_step)
+
     def test_ladder_build_and_error_are_reported(self, monkeypatch):
         ladder, si_ladder = seq.Ladder(), seq.Ladder(eta=A._SI_ETA)
         monkeypatch.setattr(seq, "LADDER", ladder)
@@ -194,10 +218,13 @@ class TestSweeps:
             assert rep.to_dict()["setup_s"] == rep.setup_s
             assert "ladder" in rep.summary_line()
         # a certified error as large as the margin fails the sweep; the
-        # margin itself is unchanged
-        for lad in (ladder, si_ladder):
-            records = [dataclasses.replace(r, err=1.0) for r in lad.records(len(lad))]
-            monkeypatch.setattr(lad, "records", lambda m, records=records: records[:m])
+        # margin itself is unchanged.  The xos sweeps read the cached
+        # records, si_upper the streamed ones.
+        records = [dataclasses.replace(r, err=1.0) for r in ladder.records(len(ladder))]
+        monkeypatch.setattr(ladder, "records", lambda m: records[:m])
+        stream = si_ladder.stream
+        monkeypatch.setattr(si_ladder, "stream", lambda m: (
+            (k, f, dataclasses.replace(rec, err=1.0)) for k, f, rec in stream(m)))
         for (fn, kw, *_), rep in zip(sweeps, reps):
             worse = fn(**kw)
             assert not worse.passed

@@ -3,6 +3,7 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -666,6 +667,87 @@ class TestLadder:
                 np.testing.assert_array_equal(got.ys, want.ys)
             untimed = [[dataclasses.replace(r, build_s=0.0) for r in lad.records(24)] for lad in (ladder, serial)]
             assert untimed[0] == untimed[1]
+
+
+@pytest.fixture(scope="module")
+def serial_ladders():
+    """Ladders by eta, built level by level on one thread, for the stream tests."""
+    return {eta: seq.Ladder(eta=eta) for eta in (1e-9, 1e-8)}
+
+
+def assert_same_levels(got, ladder):
+    """``got``'s ``(m, f_m, record)`` are ``ladder``'s, bit for bit, ``build_s`` aside."""
+    top = len(got)
+    assert [m for m, _, _ in got] == list(range(1, top + 1))
+    for (_, f, rec), want, want_rec in zip(got, ladder.levels(top), ladder.records(top), strict=True):
+        np.testing.assert_array_equal(f.xs, want.xs)
+        np.testing.assert_array_equal(f.ys, want.ys)
+        assert dataclasses.replace(rec, build_s=0.0) == dataclasses.replace(want_rec, build_s=0.0)
+
+
+class TestLadderStream:
+    @pytest.mark.parametrize("eta, top", [(1e-9, 40), (1e-8, 60)])
+    @pytest.mark.parametrize("cached", ["cold", "part", "all"])
+    def test_stream_yields_the_cached_levels_bit_for_bit(self, serial_ladders, eta, top, cached):
+        ladder = seq.Ladder(eta=eta)
+        warm = {"cold": 1, "part": top // 2, "all": top + 3}[cached]
+        ladder.levels(warm)
+        got = list(ladder.stream(top))
+        assert len(ladder) == warm  # the levels it built are not cached
+        assert_same_levels(got, serial_ladders[eta])
+
+    def test_stream_rejects_what_levels_rejects(self):
+        ladder = seq.Ladder()
+        with pytest.raises(ValueError) as want:
+            ladder.levels(0)
+        with pytest.raises(ValueError, match=str(want.value)):
+            ladder.stream(0)  # on the call, before any level is read
+
+    def test_stream_holds_a_fraction_of_the_cached_build(self):
+        def peak(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def consume():
+            for _ in seq.Ladder(eta=1e-8).stream(198):
+                pass
+
+        streamed, cached = peak(consume), peak(lambda: seq.Ladder(eta=1e-8).levels(198))
+        assert streamed < cached / 4, (streamed, cached)
+
+    def test_streams_agree_while_another_thread_extends_the_ladder(self, serial_ladders):
+        ladder, top = seq.Ladder(eta=1e-8), 24
+        start = threading.Barrier(3)
+        streams = [None, None]
+
+        def stream(i):
+            start.wait()
+            streams[i] = list(ladder.stream(top))
+
+        def extend():
+            start.wait()
+            ladder.levels(top)
+
+        threads = [threading.Thread(target=stream, args=(i,)) for i in range(2)]
+        threads.append(threading.Thread(target=extend))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(ladder) == top
+        for got in streams:
+            assert_same_levels(got, serial_ladders[1e-8])
+        assert_same_levels(list(ladder.stream(top)), serial_ladders[1e-8])
 
 
 @pytest.fixture(scope="module")
