@@ -32,7 +32,7 @@ from .strategies import (
 from .valuations import (
     XOSValuation,
     l_threshold,
-    make_s_instance,
+    s_instance_params,
     sigma_of,
 )
 
@@ -278,7 +278,7 @@ def _si_reads(x: float, m: int) -> tuple[tuple[float, float, float], np.ndarray]
     row k - 1 holds a first-loss subgame's ``d / (4 k)`` and a first-win
     one's ``(x - p2) d / (4 x k)``.  A level reads its row in one
     ``np.interp`` call, whose values are those of two scalar reads."""
-    _, params = make_s_instance(x, m)
+    params = s_instance_params(x, m)
     s, d, p2 = params.sigma, params.d, params.phase2_bid
     ks = np.arange(1.0, m - 1.0)
     reads = np.stack((d / (4.0 * ks), (x - p2) * d / (4.0 * x * ks)), axis=1)

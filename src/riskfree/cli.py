@@ -1,7 +1,10 @@
 """Batch front end: scenario files in, JSON/CSV reports out.
 
 Exit codes: 0 on success (all bounds pass), 2 when a verification sweep
-reports a violated bound, 1 on usage or configuration errors.
+reports a violated bound, 1 on usage or configuration errors, and 141
+(128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended) when the
+reader of stdout closes it early, as ``riskfree solve-uniform | head``
+does; that exit prints nothing to stderr.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +30,10 @@ from .valuations import (
     gamma_star,
     make_s_instance,
 )
+
+
+#: Exit status when stdout's reader closes the pipe early: 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 
 def _fmt(x: float) -> str:
@@ -337,7 +345,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader left: send what stdout still buffers to devnull, so the
+        # interpreter's final flush raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (RiskFreeError, ValueError, IndexError, KeyError) as exc:
         print(f"riskfree: error: {exc}", file=sys.stderr)
         return 1

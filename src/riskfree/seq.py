@@ -43,12 +43,11 @@ are exact.
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,9 +72,15 @@ _TOL = 1e-12
 # -- game state and outcomes --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeqGameState:
-    """Public state visible to a policy before it bids in the current round."""
+class SeqGameState(NamedTuple):
+    """Public state visible to a policy before it bids in the current round.
+
+    A named tuple, built once per round by ``simulate``: fields are read by
+    name, keyword construction works, and it is immutable and hashable.  As
+    a tuple it also unpacks, indexes and compares equal to a plain tuple of
+    the same fields; ``dataclasses.replace`` and ``asdict`` do not apply
+    (use ``_replace`` and ``_asdict``).
+    """
 
     remaining: tuple[int, ...]
     adversary_budget: float
@@ -115,8 +120,9 @@ class AlphaParams:
 #: Default simplification tolerance of a ``Ladder``, the same at every
 #: level, and the one ``LADDER`` (every reader but the identical-item
 #: ``si_upper`` family, which builds its own ladder at 1e-8) is built at.
-#: The exact value function's piece count doubles with every level (2, 4,
-#: 7, 14, 28, 56, ...), so each level keeps a subset of the lift's
+#: The exact value function's piece count doubles with every level (1, 3,
+#: 6, 13, 27, 55, ... pieces, one fewer than its breakpoints; measured at
+#: ``Ladder(eta=0)``), so each level keeps a subset of the lift's
 #: breakpoints: the chords of a band greedy within ``2 * _BAND * eta``,
 #: lowered by ``_BAND * eta`` where they skip points (see ``_store``); the
 #: measured sup error eta_m <= eta is the level's certificate.  Genuine
@@ -359,7 +365,9 @@ class Ladder:
     err_m and build time.  Extension holds a lock, so threads sharing a
     ladder see each level built once.  ``stream`` yields the same levels and
     records in order without caching the ones it builds, for a reader that
-    needs each level only until the next one exists.
+    needs each level only until the next one exists.  ``crossing`` adds a
+    level's search key, built on its first crossing read and kept beside
+    the level.
     """
 
     def __init__(self, eta: float = _ETA):
@@ -368,6 +376,7 @@ class Ladder:
         self.eta = eta
         self._levels = [PiecewiseLinear([0.0, 1.0], [1.0, 0.0])]
         self._records = [LevelRecord(m=1, pieces_raw=1, pieces=1, eta=0.0, err=0.0, build_s=0.0)]
+        self._keys: dict[int, np.ndarray] = {}  # m -> crossing key of f_m
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -404,6 +413,25 @@ class Ladder:
         """f_m, building missing levels."""
         with self._lock:
             return self._levels[self._upto(m) - 1]
+
+    def crossing(self, m: int) -> tuple[PiecewiseLinear, np.ndarray]:
+        """f_m and its crossing key ``f_m.xs - f_m.ys``, read-only, building
+        missing levels.
+
+        The key is ``-phi`` at the breakpoints, phi(u) = f_m(u) - u, so it is
+        sorted: xs strictly increase, ys never do, and rounding a difference
+        is monotone in both operands.  It is built under the lock on the
+        first call for level m and kept, at 8 bytes a breakpoint (half the
+        level's own arrays); ``levels``, ``records`` and ``stream`` never
+        build one.
+        """
+        with self._lock:
+            fm = self._levels[self._upto(m) - 1]
+            key = self._keys.get(m)
+            if key is None:
+                key = self._keys[m] = fm.xs - fm.ys
+                key.setflags(write=False)
+            return fm, key
 
     def records(self, m: int) -> list[LevelRecord]:
         """Build records of f_1, ..., f_m, building missing levels."""
@@ -514,16 +542,18 @@ def equalization_alpha(m: int, x: float) -> tuple[float, float]:
     Returns (alpha, value) where value = f_m(x).  The optimum is the
     equalization point of g and h when it is feasible, else alpha_max.  In
     u = (m x - alpha)/(m - 1), g - h = g(0) - x - r phi(u) with
-    phi(u) = f_{m-1}(u) - u strictly decreasing, so the crossing is found by
-    bisection over the breakpoints of f_{m-1} and solved exactly inside the
-    bracketing segment.
+    phi(u) = f_{m-1}(u) - u strictly decreasing, so the crossing phi(u) = c
+    is bracketed by one ``searchsorted`` of -c in the level's sorted key
+    ``xs - ys`` (``Ladder.crossing``, built on the level's first crossing
+    read and then cached) and solved exactly inside the bracketing segment,
+    on Python floats.
     """
     if m < 2:
         raise ValueError("equalization needs m >= 2")
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"budget must be finite and non-negative, got {x}")
     alpha_max = min(1.0, m * x)
-    fp = LADDER.level(m - 1)
+    fp, key = LADDER.crossing(m - 1)
     r = (m - 1.0) / m
     g0 = 1.0 / m + r * fp(m * x / (m - 1.0))
     if alpha_max <= 0.0:
@@ -533,12 +563,14 @@ def equalization_alpha(m: int, x: float) -> tuple[float, float]:
         return alpha_max, g_end  # g - h stays above -_TOL on the feasible range
     c = (g0 - x) / r  # the crossing solves phi(u) = c
     xs, ys = fp.xs, fp.ys
-    i = bisect.bisect_left(range(len(xs)), -c, key=lambda k: xs[k] - ys[k])
+    i = int(key.searchsorted(-c))
     if i == 0 or i == len(xs):  # beyond the breakpoints f_{m-1} is constant
-        u = float(ys[min(i, len(xs) - 1)]) - c
+        u = ys.item(min(i, len(xs) - 1)) - c
     else:
-        phi0, phi1 = ys[i - 1] - xs[i - 1], ys[i] - xs[i]
-        u = float(xs[i - 1] + (phi0 - c) / (phi0 - phi1) * (xs[i] - xs[i - 1]))
+        x0, x1 = xs[i - 1 : i + 1].tolist()
+        y0, y1 = ys[i - 1 : i + 1].tolist()
+        phi0, phi1 = y0 - x0, y1 - x1
+        u = x0 + (phi0 - c) / (phi0 - phi1) * (x1 - x0)
     alpha = min(max(m * x - (m - 1.0) * u, 0.0), alpha_max)
     return alpha, g0 - alpha / m
 
@@ -588,15 +620,8 @@ def simulate(
     spent = 0.0
     rounds: list[tuple[str, float]] = []
     for t in range(m):
-        state = SeqGameState(
-            remaining=tuple(range(t, m)),
-            adversary_budget=budget_left,
-            won_by_1=frozenset(won),
-            prices_paid_1=paid,
-            round=t,
-            price_rule=price_rule,
-            m=m,
-        )
+        # by position, which costs a third of keyword construction
+        state = SeqGameState(tuple(range(t, m)), budget_left, frozenset(won), paid, t, price_rule, m)
         b1 = float(bidder(state))
         b2 = float(adversary(state))
         if not (math.isfinite(b1) and math.isfinite(b2)):

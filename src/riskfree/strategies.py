@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleInstanceError
-from .seq import SeqGameState, alpha_params, equalization_alpha
+from .seq import SeqGameState, alpha_tilde, equalization_alpha
 from .valuations import (
     AdditiveValuation,
     SInstanceParams,
@@ -96,12 +96,10 @@ class AlphaTildeAdversary:
         x_sub = r / (m_rem * per_item)
         if m_rem == 1:
             ratio = min(1.0, x_sub)
+        elif 1.0 / m_rem**2 <= x_sub <= (m_rem - 1.0) / m_rem:  # seq.alpha_params' intermediate regime
+            ratio = min(max(alpha_tilde(m_rem, x_sub), 0.0), min(1.0, m_rem * x_sub))
         else:
-            p = alpha_params(m_rem, x_sub)
-            if p.intermediate:
-                ratio = min(max(p.alpha_tilde, 0.0), p.alpha_max)
-            else:
-                ratio = equalization_alpha(m_rem, x_sub)[0]
+            ratio = equalization_alpha(m_rem, x_sub)[0]
         return min(ratio * per_item, r)
 
 

@@ -262,12 +262,12 @@ def l_threshold(x: float) -> float:
     return max(s + 2.0, (1.0 + s) / (x * (2.0 + s)) + 2.0)
 
 
-def make_s_instance(x: float, m: int) -> tuple[SubadditiveIdenticalValuation, SInstanceParams]:
-    """The normalized hard identical-item instance on m items for budget x.
+def s_instance_params(x: float, m: int) -> SInstanceParams:
+    """The parameters of ``make_s_instance(x, m)``'s instance, without
+    building and checking its table.
 
-    Marginals: first and last item are each worth 1/(2+sigma); each of the
-    middle m-2 items adds sigma/(d(2+sigma)), d = m-2.  Requires m >= L(x) so
-    the table is subadditive and the blocking bid is affordable.
+    Requires x in (0, 1/4) and m >= L(x), so the table is subadditive and
+    the blocking bid is affordable.
     """
     s = sigma_of(x)
     if m < l_threshold(x) - 1e-12:
@@ -275,14 +275,23 @@ def make_s_instance(x: float, m: int) -> tuple[SubadditiveIdenticalValuation, SI
             f"m = {m} is below the feasibility threshold L(x) = {l_threshold(x):.6g}"
         )
     d = m - 2
+    return SInstanceParams(x=float(x), m=int(m), sigma=s, d=d, phase2_bid=(1.0 + s) / (d * (2.0 + s)))
+
+
+def make_s_instance(x: float, m: int) -> tuple[SubadditiveIdenticalValuation, SInstanceParams]:
+    """The normalized hard identical-item instance on m items for budget x.
+
+    Marginals: first and last item are each worth 1/(2+sigma); each of the
+    middle m-2 items adds sigma/(d(2+sigma)), d = m-2.  The parameters and
+    the feasibility checks come from ``s_instance_params``.
+    """
+    params = s_instance_params(x, m)
+    s, d = params.sigma, params.d
     denom = 2.0 + s
     table = [0.0]
     for i in range(1, m):
         table.append(1.0 / denom + (i - 1) * s / (d * denom))
     table.append(1.0)
-    params = SInstanceParams(
-        x=float(x), m=int(m), sigma=s, d=d, phase2_bid=(1.0 + s) / (d * denom)
-    )
     return SubadditiveIdenticalValuation(table), params
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -257,3 +260,41 @@ def test_solve_uniform_json_matches_per_branch_loop(capsys):
     code, out, _ = run(capsys, "solve-uniform", "--m", str(m))
     assert code == 0
     assert out == json.dumps({"m": m, "branches": branches}) + "\n"
+
+
+def cli_process(*argv, **kwargs):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.Popen([sys.executable, "-m", "riskfree.cli", *argv], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_reader_leaving_mid_output_exits_quietly():
+    # 1.5 MB of output fills the pipe, so a write inside the command fails
+    proc = cli_process("solve-uniform", "--m", "30", stdout=subprocess.PIPE)
+    try:
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head.startswith(b'{"m": 30, "branches": [[')
+    assert err == b""
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+
+
+def test_reader_gone_before_output_exits_quietly():
+    # four bytes sit in stdout's buffer until main flushes it into a pipe
+    # whose read end is already closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process("tables", "--m", "2", "--b", "0.3", stdout=write_end)
+    finally:
+        os.close(write_end)
+    with proc:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == cli.EXIT_BROKEN_PIPE

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import functools
 import math
@@ -246,6 +247,114 @@ class TestEqualization:
                 assert val == pytest.approx(want_val, abs=1e-12), (m, x)
 
 
+def bisect_equalization_alpha(m, x):
+    """``equalization_alpha`` as it bracketed the crossing before the cached
+    key: a ``bisect`` over f_{m-1}'s breakpoints keyed by ``xs[k] - ys[k]``,
+    finished on numpy scalars.  The oracle for bit-identity."""
+    alpha_max = min(1.0, m * x)
+    fp = uniform_additive_value(m - 1)
+    r = (m - 1.0) / m
+    g0 = 1.0 / m + r * fp(m * x / (m - 1.0))
+    if alpha_max <= 0.0:
+        return 0.0, g0
+    g_end = g0 - alpha_max / m
+    if g_end - r * fp((m * x - alpha_max) / (m - 1.0)) >= -seq._TOL:
+        return alpha_max, g_end
+    c = (g0 - x) / r
+    xs, ys = fp.xs, fp.ys
+    i = bisect.bisect_left(range(len(xs)), -c, key=lambda k: xs[k] - ys[k])
+    if i == 0 or i == len(xs):
+        u = float(ys[min(i, len(xs) - 1)]) - c
+    else:
+        phi0, phi1 = ys[i - 1] - xs[i - 1], ys[i] - xs[i]
+        u = float(xs[i - 1] + (phi0 - c) / (phi0 - phi1) * (xs[i] - xs[i - 1]))
+    alpha = min(max(m * x - (m - 1.0) * u, 0.0), alpha_max)
+    return alpha, g0 - alpha / m
+
+
+def regime_budget(m, regime, u):
+    """A budget at fraction u of the low [0, 1/m^2], intermediate or high
+    [(m-1)/m, 1.2] regime of A_m."""
+    lo, hi = 1.0 / m**2, (m - 1.0) / m
+    return {"low": u * lo, "intermediate": lo + u * (hi - lo), "high": hi + u * (1.2 - hi)}[regime]
+
+
+def as_hex(pair):
+    return tuple(float(v).hex() for v in pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=hst.integers(2, 39), regime=hst.sampled_from(["low", "intermediate", "high"]), u=hst.floats(0.0, 1.0))
+@example(m=2, regime="high", u=0.0)
+@example(m=39, regime="low", u=1.0)
+@example(m=17, regime="intermediate", u=0.5)
+def test_equalization_matches_the_bisect_bit_for_bit(m, regime, u):
+    x = regime_budget(m, regime, u)
+    got = equalization_alpha(m, x)
+    assert all(type(v) is float for v in got)
+    assert as_hex(got) == as_hex(bisect_equalization_alpha(m, x)), (m, x)
+
+
+def test_equalization_matches_the_bisect_at_every_level():
+    rng = np.random.Generator(np.random.Philox(21))
+    for m in range(2, 40):
+        for regime in ("low", "intermediate", "high"):
+            for u in (0.0, 1.0, *rng.random(6)):
+                x = regime_budget(m, regime, float(u))
+                assert as_hex(equalization_alpha(m, x)) == as_hex(bisect_equalization_alpha(m, x)), (m, x)
+
+
+class TestCrossingKeys:
+    def test_key_is_the_sorted_read_only_phi(self):
+        for m in range(1, 40):
+            fm, key = seq.LADDER.crossing(m)
+            assert fm is uniform_additive_value(m)
+            np.testing.assert_array_equal(key, fm.xs - fm.ys)
+            assert np.all(np.diff(key) >= 0.0), m
+            assert not key.flags.writeable
+            assert seq.LADDER.crossing(m)[1] is key  # built once, then kept
+
+    def test_levels_records_and_stream_build_no_key(self):
+        ladder = seq.Ladder()
+        ladder.levels(12)
+        ladder.records(12)
+        ladder.level(12)
+        for _ in ladder.stream(16):
+            pass
+        assert ladder._keys == {}
+        ladder.crossing(5)
+        assert list(ladder._keys) == [5]
+
+    def test_first_crossing_reads_on_two_threads_agree(self, monkeypatch):
+        m = 20
+        fresh = seq.Ladder()
+        fresh.levels(m - 1)  # the level exists, its key does not
+        monkeypatch.setattr(seq, "LADDER", fresh)
+        budgets = [regime_budget(m, regime, u) for regime in ("low", "high") for u in np.linspace(0.0, 1.0, 15)]
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def work(i):
+            start.wait()
+            results[i] = [equalization_alpha(m, x) for x in budgets]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert list(fresh._keys) == [m - 1]
+        want = [as_hex(bisect_equalization_alpha(m, x)) for x in budgets]
+        for got in results:
+            assert [as_hex(pair) for pair in got] == want
+
+
 def game_tree_reference(v, B, delta, price_rule, leader):
     """The grid game of ``solve_discretized`` by memoised recursion over
     (round, won, budget units): won is an item count for symmetric
@@ -489,16 +598,21 @@ def test_theorem2_bound_at_breakpoints():
 
 
 def test_state_properties():
-    st = SeqGameState(
-        remaining=(2, 3),
-        adversary_budget=0.2,
-        won_by_1=frozenset({0}),
-        prices_paid_1=0.05,
-        round=2,
-        price_rule="first",
-        m=4,
-    )
+    # an immutable, hashable named tuple, built by keyword or by position
+    fields = dict(remaining=(2, 3), adversary_budget=0.2, won_by_1=frozenset({0}), prices_paid_1=0.05,
+                  round=2, price_rule="first", m=4)
+    st = SeqGameState(**fields)
     assert st.adversary_wins == 1
+    assert st._asdict() == fields
+    assert st == SeqGameState(*fields.values())
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(st, name, None)
+    with pytest.raises(AttributeError):
+        st.adversary_wins = 0
+    assert hash(st) == hash(SeqGameState(**fields))
+    assert {st: "seen"}[SeqGameState(**fields)] == "seen"
+    assert st._replace(round=3).adversary_wins == 2
 
 
 def composed_lift(fp, m):

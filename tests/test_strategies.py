@@ -149,6 +149,53 @@ class TestAlphaTildeAdversary:
             assert out.profit <= (1 - math.sqrt(x)) ** 2 + 1 / math.sqrt(m) + 1e-9
 
 
+def alpha_params_bid(state):
+    """The alpha-tilde adversary's bid with its regime read from
+    ``seq.alpha_params``, as the policy made it before it inlined the test:
+    the oracle for ``AlphaTildeAdversary``."""
+    m_rem = len(state.remaining)
+    per_item = 1.0 / state.m
+    r = state.adversary_budget
+    if m_rem == 0 or r <= 0:
+        return 0.0
+    x_sub = r / (m_rem * per_item)
+    if m_rem == 1:
+        ratio = min(1.0, x_sub)
+    else:
+        p = seq.alpha_params(m_rem, x_sub)
+        if p.intermediate:
+            ratio = min(max(p.alpha_tilde, 0.0), p.alpha_max)
+        else:
+            ratio = seq.equalization_alpha(m_rem, x_sub)[0]
+    return min(ratio * per_item, r)
+
+
+class TestAlphaTildeOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_round_bids_as_the_alpha_params_oracle(self, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        rounds = 0
+        for m in range(2, 21):
+            for B in (0.0, 1.0 / m**2, (m - 1.0) / m, *rng.uniform(0.0, 1.2, 6)):
+                adv = alpha_tilde_adversary(m, float(B))
+                seen = []
+
+                def checked(st, adv=adv, seen=seen):
+                    bid = adv(st)
+                    want = alpha_params_bid(st)
+                    assert type(bid) is type(want) and bid.hex() == want.hex(), (st, bid, want)
+                    seen.append(st)
+                    return bid
+
+                v = AdditiveValuation((1.0 / m,) * m)
+                bidder = xos_sqrt_policy(v, float(B)) if rng.random() < 0.5 else FixedBidsPolicy(
+                    tuple(rng.uniform(0.0, 1.5 / m, m)))
+                simulate(v, bidder, checked, budget=adv.budget)
+                assert [st.round for st in seen] == list(range(m))
+                rounds += len(seen)
+        assert rounds == 9 * sum(range(2, 21))  # 9 budgets per m
+
+
 class TestConstantPrice:
     def test_plan_fields(self):
         si, _ = make_s_instance(0.125, 10)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from riskfree.valuations import (
     _TOL,
     AdditiveValuation,
     CoverCertificate,
+    SInstanceParams,
     SubadditiveIdenticalValuation,
     XOSValuation,
     _check_certificate,
@@ -21,6 +24,7 @@ from riskfree.valuations import (
     make_s_instance,
     normalize,
     random_subadditive_identical,
+    s_instance_params,
     sigma_of,
     value,
 )
@@ -182,6 +186,43 @@ class TestSInstance:
 
     def test_sigma(self):
         assert sigma_of(0.125) == pytest.approx(2.0)
+
+    @staticmethod
+    def reference_instance(x, m):
+        """``make_s_instance`` as it was before ``s_instance_params`` split
+        off: table and parameters in one pass, the oracle for both."""
+        s = sigma_of(x)
+        if m < l_threshold(x) - 1e-12:
+            raise InfeasibleInstanceError(
+                f"m = {m} is below the feasibility threshold L(x) = {l_threshold(x):.6g}"
+            )
+        d = m - 2
+        denom = 2.0 + s
+        table = [0.0] + [1.0 / denom + (i - 1) * s / (d * denom) for i in range(1, m)] + [1.0]
+        params = SInstanceParams(x=float(x), m=int(m), sigma=s, d=d, phase2_bid=(1.0 + s) / (d * denom))
+        return tuple(table), params
+
+    def test_params_match_the_reference_on_the_si_upper_grid(self):
+        xs = (0.05, 0.10, 0.15, 0.20)
+        ms = {m for x in xs for m in (math.ceil(l_threshold(x)), 50, 100, 200)}
+        cases = [(x, m) for x in (*xs, 0.0, 0.25, 0.3, -0.1, 0.125) for m in sorted(ms | {2, 4, 8, 9})]
+        raised = 0
+        for x, m in cases:
+            try:
+                table, want = self.reference_instance(x, m)
+            except InfeasibleInstanceError as exc:
+                raised += 1
+                for build in (s_instance_params, make_s_instance):
+                    with pytest.raises(InfeasibleInstanceError, match=re.escape(str(exc))):
+                        build(x, m)
+                continue
+            v, params = make_s_instance(x, m)
+            for got in (s_instance_params(x, m), params):
+                assert got == want and repr(got) == repr(want)
+                assert [float(f).hex() for f in dataclasses.astuple(got)] == [
+                    float(f).hex() for f in dataclasses.astuple(want)]
+            assert v.table == table
+        assert 0 < raised < len(cases)
 
     def test_subadditive_iff_sigma_at_most_d(self):
         # just above the boundary the table stops being subadditive: build it
