@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from riskfree import simul
-from riskfree.strategies import uniform_random_policy
-from riskfree.valuations import AdditiveValuation, XOSValuation, gamma_star
+from riskfree.valuations import AdditiveValuation, XOSValuation
 
 rng = np.random.Generator(np.random.Philox(99))
 
@@ -37,7 +36,6 @@ g2 = np.array([0.9, 0.1])
 print(f"  two-item lattice search at B=0.25: {simul.qp_grid_search(g2, 0.25):.5f}")
 
 print("\nMonte Carlo check of the expected profit (one million draws)")
-policy = uniform_random_policy(g, seed=7)
 B = 0.4
 ratios = np.full(3, B)
 n = 10**6

@@ -8,15 +8,13 @@ subadditive valuations.
 
 from .analysis import (
     SweepReport,
-    budget_split,
     f_bound,
-    sigma,
     t_star,
     table_A,
     tangent_bound,
     verify_all,
 )
-from .pwl import PiecewiseLinear, affine_transform, pointwise_extreme, solve_equal
+from .pwl import PiecewiseLinear, pointwise_extreme, solve_equal
 from .seq import (
     AlphaParams,
     SeqGameState,
@@ -29,9 +27,11 @@ from .seq import (
     uniform_additive_value,
 )
 from .simul import (
+    BudgetSplit,
     QPSolution,
     adversary_qp,
     best_response_profit,
+    budget_split,
     bidder_counter_to_pure,
     deterministic_counter,
     expected_profit_uniform_random,
@@ -39,12 +39,12 @@ from .simul import (
     resolve,
 )
 from .strategies import (
+    UniformRandomBidder,
     alpha_tilde_adversary,
     constant_price_policy,
     high_budget_policy,
     low_budget_policy,
     s_instance_adversary,
-    uniform_random_policy,
     xos_sqrt_policy,
 )
 from .valuations import (
@@ -59,7 +59,7 @@ from .valuations import (
     l_threshold,
     make_s_instance,
     normalize,
-    value,
+    sigma_of,
 )
 
 __version__ = "0.1.0"

@@ -23,23 +23,19 @@ import numpy as np
 
 from . import seq, simul
 from .strategies import (
-    _check_budget,
     choose_k,
     constant_price_worst_profit,
     tangent_peak,
     tangent_value,
 )
 from .valuations import (
+    AdditiveValuation,
     XOSValuation,
+    check_budget,
     l_threshold,
+    random_subadditive_identical,
     s_instance_params,
-    sigma_of,
 )
-
-# re-exported closed forms living with their consumers
-from .simul import BudgetSplit, budget_split  # noqa: F401
-
-sigma = sigma_of
 
 
 @dataclass(frozen=True)
@@ -77,12 +73,12 @@ class SweepReport:
 
 def f_bound(B: float) -> float:
     """The fair-split bound (1 - sqrt(B))^2."""
-    _check_budget(B)
+    check_budget(B)
     return (1.0 - math.sqrt(B)) ** 2
 
 
 def tangent_bound(k: int, B: float) -> TangentBound:
-    _check_budget(B)
+    check_budget(B)
     return TangentBound(k=k, value=tangent_value(k, B), tangency=(k / (k + 1.0)) ** 2)
 
 
@@ -92,7 +88,7 @@ def t_star(B: float) -> tuple[float, int]:
     Tangency points (k/(k+1))^2 accumulate at 1, so searching k up to
     ceil(1/(1 - sqrt(B))) + 2 is sufficient; ties break toward smaller k.
     """
-    _check_budget(B)
+    check_budget(B)
     root = math.sqrt(B)
     k_hi = 64 if root >= 1.0 else math.ceil(1.0 / (1.0 - root)) + 2
     best_k, best_val = tangent_peak(B, k_hi)
@@ -101,7 +97,7 @@ def t_star(B: float) -> tuple[float, int]:
 
 def table_A(m: int, B: float) -> float:
     """Exact guaranteed-profit tables for the 1/2/3-item uniform auctions."""
-    _check_budget(B)
+    check_budget(B)
     if m == 1:
         return 1.0 - B if B < 1.0 else 0.0
     if m == 2:
@@ -236,13 +232,13 @@ def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9
     enters ``extra["ladder_err"]`` with that factor.
     """
     _check_grid_step(grid_step)
-    ladder, records, setup_s = _timed_ladder(seq.LADDER, max(m_max - 1, 1))
+    _, records, setup_s = _timed_ladder(seq.LADDER, max(m_max - 1, 1))
     sweep = _Sweep("gh_at_alpha_tilde", f"g, h at alpha_tilde <= f + 1/sqrt(m), m <= {m_max}, "
                    f"step {grid_step}")
     for m in range(2, m_max + 1):
         xs = _intermediate_grid(m, grid_step)
         at = np.clip(seq.alpha_tilde(m, xs), 0.0, np.minimum(1.0, m * xs))
-        g, h = seq.g_h(m, xs, at, ladder[m - 2])
+        g, h = seq.g_h(m, xs, at)
         bound = (1.0 - np.sqrt(xs)) ** 2 + 1.0 / math.sqrt(m)
         sweep.note_all(bound - np.maximum(g, h), lambda i: (m, float(xs[i])))
     ladder_err = max([(m - 1.0) / m * records[m - 2].err for m in range(2, m_max + 1)], default=0.0)
@@ -252,17 +248,14 @@ def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9
 
 def verify_si_lower(
     n_instances: int = 500,
-    m_choices: Sequence[int] = (20, 50, 100),
     seed: int = 0,
     tol: float = 1e-9,
 ) -> SweepReport:
-    """(d) flat-price profit >= t*(B) - (B k/(k-1))/m on random instances."""
-    from .valuations import random_subadditive_identical
-
+    """(d) flat-price profit >= t*(B) - (B k/(k-1))/m on random instances, m in {20, 50, 100}."""
     sweep = _Sweep("si_lower_bound", f"flat price >= t* - (Bk/(k-1))/m on {n_instances} random instances")
     rng = np.random.Generator(np.random.Philox(seed))
     for _ in range(n_instances):
-        m = int(rng.choice(np.asarray(m_choices)))
+        m = int(rng.choice(np.asarray((20, 50, 100))))
         si = random_subadditive_identical(m, rng)
         B = float(rng.uniform(0.02, 0.6))
         k = choose_k(B)
@@ -421,8 +414,6 @@ def verify_tangency(k_max: int = 50, grid_step: float = 0.001, tol: float = 1e-9
 
 def verify_simul(seed: int = 0, tol: float = 1e-9) -> SweepReport:
     """QP agreement, second-price floor, and the randomized adversary values."""
-    from .valuations import AdditiveValuation
-
     sweep = _Sweep("simultaneous", "QP agreement, 1-B second-price floor, w1/w2 adversary values")
     rng = np.random.Generator(np.random.Philox(seed))
 
@@ -468,9 +459,9 @@ def verify_simul(seed: int = 0, tol: float = 1e-9) -> SweepReport:
     return sweep.report(sweep.worst >= -tol)
 
 
-def _random_xos(m: int, rng: np.random.Generator, max_clauses: int = 5) -> XOSValuation:
-    """Random normalized XOS instance (dominant clause sums to 1)."""
-    ell = int(rng.integers(1, max_clauses + 1))
+def _random_xos(m: int, rng: np.random.Generator) -> XOSValuation:
+    """Random normalized XOS instance: 1 to 5 clauses plus a dominant one summing to 1."""
+    ell = int(rng.integers(1, 6))
     clauses = []
     for _ in range(ell):
         w = rng.random(m) + 1e-3

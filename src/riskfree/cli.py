@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -27,6 +26,8 @@ from .valuations import (
     SubadditiveIdenticalValuation,
     Valuation,
     XOSValuation,
+    check_budget,
+    check_price_rule,
     gamma_star,
     make_s_instance,
 )
@@ -60,7 +61,7 @@ class Scenario:
 
 
 def parse_valuation(spec: dict) -> tuple[Valuation, Any]:
-    kind = spec.get("kind")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "additive":
         return AdditiveValuation(spec["weights"]), None
     if kind == "xos":
@@ -68,8 +69,7 @@ def parse_valuation(spec: dict) -> tuple[Valuation, Any]:
     if kind == "subadditive_identical":
         return SubadditiveIdenticalValuation(spec["table"]), None
     if kind == "s_instance":
-        v, params = make_s_instance(float(spec["x"]), int(spec["m"]))
-        return v, params
+        return make_s_instance(float(spec["x"]), int(spec["m"]))
     raise ValueError(f"unknown valuation kind: {kind!r}")
 
 
@@ -78,6 +78,8 @@ def load_scenario(path: str) -> Scenario:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read scenario file: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"a scenario file must hold a JSON object, not {type(raw).__name__}")
     try:
         valuation, s_params = parse_valuation(raw["valuation"])
         sc = Scenario(
@@ -96,10 +98,8 @@ def load_scenario(path: str) -> Scenario:
         raise ValueError(f"scenario is missing required key {exc}") from exc
     if sc.auction not in ("sequential", "simultaneous"):
         raise ValueError(f"unknown auction kind: {sc.auction!r}")
-    if sc.price_rule not in ("first", "second"):
-        raise ValueError(f"unknown price rule: {sc.price_rule!r}")
-    if not (math.isfinite(sc.budget) and sc.budget >= 0):
-        raise ValueError("budget must be finite and non-negative")
+    check_price_rule(sc.price_rule)
+    check_budget(sc.budget)
     return sc
 
 
@@ -121,7 +121,7 @@ def make_policy(spec: str, side: str, sc: Scenario):
     if name == "fixed":
         if len(args) != v.m:
             raise ValueError(f"fixed(...) needs {v.m} bids")
-        return strategies.FixedBidsPolicy(tuple(args), budget=B if side == "adversary" else None)
+        return strategies.FixedBidsPolicy(tuple(args))
     if side == "bidder":
         if name == "xos_sqrt":
             return strategies.xos_sqrt_policy(gamma_star(v), B)
@@ -148,9 +148,7 @@ def run_scenario(sc: Scenario) -> dict:
     if sc.auction == "sequential":
         bidder = make_policy(sc.bidder, "bidder", sc)
         adversary = make_policy(sc.adversary, "adversary", sc)
-        outcome = seq.simulate(
-            sc.valuation, bidder, adversary, sc.price_rule, seed=sc.seed, budget=sc.budget
-        )
+        outcome = seq.simulate(sc.valuation, bidder, adversary, sc.price_rule, budget=sc.budget)
         closed = None
         if isinstance(sc.valuation, AdditiveValuation) and len(set(sc.valuation.weights)) == 1:
             closed = float(seq.uniform_additive_value(sc.valuation.m)(sc.budget))
@@ -168,7 +166,6 @@ def run_scenario(sc: Scenario) -> dict:
     # simultaneous
     name1, args1 = _parse_call(sc.bidder)
     name2, args2 = _parse_call(sc.adversary)
-    g = gamma_star(sc.valuation)
     if name2 == "fixed":
         bids2 = np.asarray(args2, dtype=float)
     elif name2 == "split":
@@ -178,7 +175,11 @@ def run_scenario(sc: Scenario) -> dict:
     if float(bids2.sum()) > sc.budget + 1e-9:
         raise ValueError("adversary bid vector exceeds the budget")
 
+    if name1 in ("uniform_random", "xos_sqrt", "truthful"):  # the policies that read gamma*
+        g = gamma_star(sc.valuation)
     if name1 == "uniform_random":
+        if sc.price_rule != "first":
+            raise ValueError(f"the uniform_random bidder is for first price only, got {sc.price_rule!r}")
         ratios = np.clip(bids2 / np.maximum(np.asarray(g.weights), 1e-300), 0.0, 1.0)
         closed = simul.expected_profit_uniform_random(g, ratios)
         n = max(sc.mc_samples, 1)

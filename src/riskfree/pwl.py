@@ -136,11 +136,6 @@ class PiecewiseLinear:
     def piece_count(self) -> int:
         return max(len(self.xs) - 1, 1)
 
-    def allclose(self, other: "PiecewiseLinear", tol: float = 1e-9) -> bool:
-        grid = np.union1d(self.xs, other.xs)
-        probe = np.concatenate((grid, (grid[:-1] + grid[1:]) / 2.0)) if len(grid) > 1 else grid
-        return bool(np.max(np.abs(self(probe) - other(probe))) <= tol)
-
     def csv_rows(self) -> list[tuple[float, float]]:
         """Rows (x, value), one per breakpoint, for CSV emission."""
         return list(zip(self.xs.tolist(), self.ys.tolist()))
@@ -150,11 +145,6 @@ class PiecewiseLinear:
 
 
 # -- module-level operations ------------------------------------------------
-
-
-def affine_transform(f: PiecewiseLinear, a: float, b: float, c: float, d: float) -> PiecewiseLinear:
-    """Return the function x -> a*f(b*x + c) + d."""
-    return f.affine(a, b, c, d)
 
 
 def add(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:

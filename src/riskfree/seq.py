@@ -62,6 +62,8 @@ from .valuations import (
     AdditiveValuation,
     SubadditiveIdenticalValuation,
     Valuation,
+    check_budget,
+    check_price_rule,
     item_vector,
     subset_sums,
 )
@@ -336,17 +338,6 @@ def _store(xs: np.ndarray, exact: np.ndarray, eta: float) -> tuple[PiecewiseLine
     return fm, err
 
 
-def _level_up(fp: PiecewiseLinear, m: int, eta: float) -> tuple[PiecewiseLinear, int, float]:
-    """f_m from the stored f_{m-1}, within ``eta`` of the exact lift.
-
-    Returns the level ``_store`` keeps of the exact lift, the lift's piece
-    count and the measured sup error, the level's certificate.
-    """
-    xs, exact = _lift(fp, m)
-    fm, err = _store(xs, exact, eta)
-    return fm, len(xs) - 1, err
-
-
 class Ladder:
     """The value functions f_1, f_2, ..., built on demand and cached.
 
@@ -385,13 +376,14 @@ class Ladder:
             return len(self._levels)
 
     def _next(self, fp: PiecewiseLinear, prev: LevelRecord) -> tuple[PiecewiseLinear, LevelRecord]:
-        """The level after ``fp`` (whose record is ``prev``) and its record."""
+        """The level ``_store`` keeps of ``fp``'s exact lift, and its record."""
         k = prev.m + 1
         t0 = time.perf_counter()
-        fk, pieces_raw, eta_k = _level_up(fp, k, self.eta)
+        xs, exact = _lift(fp, k)
+        fk, eta_k = _store(xs, exact, self.eta)
         err = (k - 1.0) / k * prev.err + eta_k
         return fk, LevelRecord(
-            m=k, pieces_raw=pieces_raw, pieces=fk.piece_count(), eta=eta_k, err=err,
+            m=k, pieces_raw=len(xs) - 1, pieces=fk.piece_count(), eta=eta_k, err=err,
             build_s=time.perf_counter() - t0,
         )
 
@@ -462,17 +454,8 @@ class Ladder:
             yield rec.m, fm, rec
 
 
-#: The process-wide ladder behind ``f_ladder`` and ``uniform_additive_value``.
+#: The process-wide ladder; ``LADDER.levels(m)`` is [f_1, ..., f_m].
 LADDER = Ladder()
-
-
-def f_ladder(m: int) -> list[PiecewiseLinear]:
-    """Value functions [f_1, ..., f_m] from the process-wide ``LADDER``.
-
-    Exact for m <= 3; beyond, f_m is within ``LADDER.records(m)[-1].err``
-    of the exact value function.
-    """
-    return LADDER.levels(m)
 
 
 def uniform_additive_value(m: int) -> PiecewiseLinear:
@@ -481,12 +464,13 @@ def uniform_additive_value(m: int) -> PiecewiseLinear:
     return LADDER.level(m)
 
 
-def g_h(m: int, x: float, alpha: float, f_prev: PiecewiseLinear | None = None) -> tuple[float, float]:
+def g_h(m: int, x: float, alpha: float) -> tuple[float, float]:
     """Continuation values (g, h) after round one of the m-item auction.
 
     ``alpha`` is the adversary's first-round bid in units of the per-item
     value 1/m; it must satisfy 0 <= alpha <= min(1, m*x).  ``x`` and
     ``alpha`` may be arrays (broadcast together); g and h then are too.
+    Both read f_{m-1} from ``LADDER``.
     """
     if m < 2:
         raise ValueError("g/h need m >= 2")
@@ -503,7 +487,7 @@ def g_h(m: int, x: float, alpha: float, f_prev: PiecewiseLinear | None = None) -
         raise ValueError("budget and bid ratio must be finite")
     if not feasible:
         raise ContractViolationError(f"alpha = {alpha} outside the feasible range [0, min(1, m x) = {cap}]")
-    fp = f_prev if f_prev is not None else LADDER.level(m - 1)
+    fp = LADDER.level(m - 1)
     r = (m - 1.0) / m
     g = (1.0 - alpha) / m + r * fp(m * x / (m - 1.0))
     h = r * fp((m * x - alpha) / (m - 1.0))
@@ -550,8 +534,7 @@ def equalization_alpha(m: int, x: float) -> tuple[float, float]:
     """
     if m < 2:
         raise ValueError("equalization needs m >= 2")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"budget must be finite and non-negative, got {x}")
+    check_budget(x)
     alpha_max = min(1.0, m * x)
     fp, key = LADDER.crossing(m - 1)
     r = (m - 1.0) / m
@@ -580,38 +563,26 @@ def equalization_alpha(m: int, x: float) -> tuple[float, float]:
 Policy = Callable[[SeqGameState], float]
 
 
-def _maybe_reseed(policy, seed):
-    if seed is not None and hasattr(policy, "with_seed"):
-        return policy.with_seed(seed)
-    return policy
-
-
 def simulate(
     v: Valuation,
     bidder: Policy,
     adversary: Policy,
     price_rule: str = "first",
-    seed: int | None = None,
     budget: float | None = None,
 ) -> SeqOutcome:
     """Play all m rounds; higher bid wins with ties to the adversary.
 
     First price: the winner pays their own bid.  Second price: the winner
     pays the opponent's bid.  The adversary's budget decreases only when he
-    wins (first price: by his bid; second price: by Bidder 1's bid).
+    wins (first price: by his bid; second price: by Bidder 1's bid).  It
+    starts at ``budget``, or at the adversary's ``.budget`` when that is None.
     """
-    if price_rule not in ("first", "second"):
-        raise ValueError("price_rule must be 'first' or 'second'")
+    check_price_rule(price_rule)
     if budget is None:
         budget = getattr(adversary, "budget", None)
         if budget is None:
             raise ValueError("pass budget= or use an adversary policy exposing .budget")
-    if not (math.isfinite(budget) and budget >= 0.0):
-        raise ValueError(f"budget must be finite and non-negative, got {budget}")
-    if seed is not None:
-        ss = np.random.SeedSequence(seed).generate_state(2)
-        bidder = _maybe_reseed(bidder, int(ss[0]))
-        adversary = _maybe_reseed(adversary, int(ss[1]))
+    check_budget(budget)
 
     m = v.m
     budget_left = float(budget)
@@ -691,12 +662,10 @@ def solve_discretized(
     b <= u), pay = b under first price and the drain min(b - 1, u) under
     second.
     """
-    if price_rule not in ("first", "second"):
-        raise ValueError("price_rule must be 'first' or 'second'")
+    check_price_rule(price_rule)
     if leader not in ("adversary", "bidder"):
         raise ValueError("leader must be 'adversary' or 'bidder'")
-    if not (math.isfinite(B) and B >= 0.0):
-        raise ValueError(f"budget must be finite and non-negative, got {B}")
+    check_budget(B)
     if not (math.isfinite(delta) and 0.0 < delta <= 1.0):
         raise ValueError(f"delta must be finite and in (0, 1], got {delta}")
     m = v.m
@@ -759,14 +728,12 @@ def best_response_to_fixed_bids(
 
     Returns (winning plan as a sorted index tuple, Bidder 1's profit).
     """
-    if price_rule not in ("first", "second"):
-        raise ValueError("price_rule must be 'first' or 'second'")
+    check_price_rule(price_rule)
     m = v.m
     bids = item_vector(bids1, m, "bids")
     if np.any(bids < -_TOL):
         raise ValueError("bids must be non-negative")
-    if not (math.isfinite(B) and B >= 0.0):
-        raise ValueError(f"budget must be finite and non-negative, got {B}")
+    check_budget(B)
 
     cost = subset_sums(bids)  # the adversary's limit cost of each take-set
     if price_rule == "first":

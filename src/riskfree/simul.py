@@ -27,6 +27,8 @@ from .valuations import (
     AdditiveValuation,
     Valuation,
     XOSValuation,
+    check_budget,
+    check_price_rule,
     gamma_star,
     item_vector,
     subset_sums,
@@ -88,8 +90,7 @@ def resolve(
     price_rule: str = "first",
 ) -> SimulOutcome:
     """Resolve one simultaneous auction; per-item ties go to the adversary."""
-    if price_rule not in ("first", "second"):
-        raise ValueError("price_rule must be 'first' or 'second'")
+    check_price_rule(price_rule)
     b1 = item_vector(bids1, v.m, "bids")
     b2 = item_vector(bids2, v.m, "bids")
     bidder_wins = b1 > b2
@@ -118,9 +119,7 @@ def expected_profit_uniform_random(gstar: AdditiveValuation, ratios: Sequence[fl
     bound otherwise.
     """
     g = np.asarray(gstar.weights)
-    b = np.asarray(list(ratios), dtype=float)
-    if b.shape != g.shape:
-        raise ValueError("ratio vector length mismatch")
+    b = item_vector(ratios, len(g), "ratios")
     if np.any(b < -1e-9) or np.any(b > 1.0 + 1e-9):
         raise ValueError("ratios must lie in [0, 1]")
     return float(np.sum(g * 0.5 * (1.0 - b) ** 2))
@@ -195,8 +194,7 @@ def exact_qp(g: np.ndarray, B: float) -> tuple[np.ndarray, float]:
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g) & (g >= 0.0)):
         raise ValueError("weights must be finite and non-negative")
-    if not (math.isfinite(B) and B >= 0.0):
-        raise ValueError(f"budget must be finite and non-negative, got {B}")
+    check_budget(B)
     ones = np.ones_like(g)
     b = _budget_scan(ones, ones, g, B)
     return b, float(np.sum(g * 0.5 * (1.0 - b) ** 2))
@@ -294,8 +292,7 @@ def second_price_truthful_worst(
     bidder's bid on it.  Every take-set is tried (m capped at 20); ties go
     to the smallest mask.
     """
-    if not (math.isfinite(B) and B >= 0.0):
-        raise ValueError("budget must be finite and non-negative")
+    check_budget(B)
     cost = subset_sums(gamma_star(v).weights)  # dominant-clause mass of each take-set
     won_mass = cost[::-1]  # the same mass over the complement, which the bidder wins
     drain = np.minimum(B - cost, won_mass)
@@ -319,8 +316,9 @@ def deterministic_counter(bids1_sorted: Sequence[float], B: float) -> CounterPla
     """
     bids = np.asarray(list(bids1_sorted), dtype=float)
     m = len(bids)
-    if m == 0 or np.any(bids < -_TOL):
-        raise ValueError("bids must be a non-empty non-negative vector")
+    if m == 0 or not np.all(np.isfinite(bids) & (bids >= -_TOL)):
+        raise ValueError("bids must be a non-empty, finite, non-negative vector")
+    check_budget(B)
     if np.any(np.diff(bids) < -_TOL):
         raise ValueError("bids must be sorted non-decreasingly")
     if float(bids.max(initial=0.0)) <= 0.0:
@@ -345,6 +343,7 @@ def deterministic_counter(bids1_sorted: Sequence[float], B: float) -> CounterPla
 
 def optimal_counter_price(m: int, B: float) -> float:
     """Bid level maximizing the prefix-counter bound: sqrt(B / (m (m+1)))."""
+    check_budget(B)
     return math.sqrt(B / (m * (m + 1.0)))
 
 
@@ -365,10 +364,11 @@ def randomized_adversary(m: int, B: float, seed: int) -> np.ndarray:
 
 def best_response_profit(m: int, B: float) -> float:
     """Bidder 1's best-response value against the randomized adversary on the
-    uniform additive instance: 1 - 2B below budget 1/4, else 2(1-B)/3."""
+    uniform additive instance: 1 - 2B below budget 1/4, else 2(1-B)/3.
+    B must lie in (0, 1), the domain of ``budget_split``."""
     if m % 2 != 0:
         raise ValueError("m must be even")
-    if B < 0.25:
+    if budget_split(B).regime == "low":
         return 1.0 - 2.0 * B
     return 2.0 * (1.0 - B) / 3.0
 

@@ -2,8 +2,8 @@
 randomized simultaneous bidder.
 
 A sequential policy is a callable mapping a ``SeqGameState`` to a bid.
-Policies are immutable after construction; randomized ones carry their own
-generator and expose ``with_seed`` so simulations replay exactly.
+Policies are immutable after construction.  The randomized simultaneous
+bidder carries its own seeded generator, so its draws replay exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .valuations import (
     AdditiveValuation,
     SInstanceParams,
     SubadditiveIdenticalValuation,
+    check_budget,
 )
 
 
@@ -37,15 +38,9 @@ class FixedBidsPolicy:
 @dataclass(frozen=True)
 class ConstantBidPolicy:
     bid: float
-    budget: float | None = None
 
     def __call__(self, state: SeqGameState) -> float:
         return self.bid
-
-
-def _check_budget(B: float) -> None:
-    if not (math.isfinite(B) and B >= 0.0):
-        raise ValueError(f"budget must be finite and non-negative, got {B}")
 
 
 def xos_sqrt_policy(gstar: AdditiveValuation, B: float) -> FixedBidsPolicy:
@@ -54,22 +49,22 @@ def xos_sqrt_policy(gstar: AdditiveValuation, B: float) -> FixedBidsPolicy:
     Guarantees (1 - sqrt(B))^2 on any normalized XOS valuation whose
     dominant clause is ``gstar``, against any budget-B adversary.
     """
-    _check_budget(B)
+    check_budget(B)
     root = math.sqrt(B)
     return FixedBidsPolicy(bids=tuple(root * w for w in gstar.weights))
 
 
-def low_budget_policy(B: float, m: int | None = None) -> ConstantBidPolicy:
+def low_budget_policy(B: float) -> ConstantBidPolicy:
     """Bid the adversary's whole budget on every item (meant for B < 1/m^2)."""
-    _check_budget(B)
-    if m is not None and B >= 1.0 / m**2:
-        warnings.warn("low_budget_policy outside its intended range B < 1/m^2")
+    check_budget(B)
     return ConstantBidPolicy(bid=float(B))
 
 
 def high_budget_policy(m: int, B: float) -> ConstantBidPolicy:
     """Bid B/m on every item (meant for B > (m-1)/m)."""
-    _check_budget(B)
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    check_budget(B)
     if B <= (m - 1) / m:
         warnings.warn("high_budget_policy outside its intended range B > (m-1)/m")
     return ConstantBidPolicy(bid=float(B) / m)
@@ -104,7 +99,9 @@ class AlphaTildeAdversary:
 
 
 def alpha_tilde_adversary(m: int, x: float) -> AlphaTildeAdversary:
-    _check_budget(x)
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    check_budget(x)
     return AlphaTildeAdversary(m=m, budget=float(x))
 
 
@@ -153,7 +150,7 @@ def tangent_value(k: int, B: float) -> float:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    _check_budget(B)
+    check_budget(B)
     return 1.0 / (k + 1) - B / k
 
 
@@ -171,7 +168,7 @@ def tangent_peak(B: float, j_max: int) -> tuple[int, float]:
     ``top`` is min(j*, j_max) up to one, and the scan is replayed on
     top - 1 and top.
     """
-    _check_budget(B)
+    check_budget(B)
     top = j_max if B >= 1.0 else min(j_max, math.ceil(2.0 * B / (1.0 - B)))
     best_j = max(1, top - 1)
     best_val = tangent_value(best_j, B)
@@ -260,8 +257,8 @@ class UniformRandomBidder:
     """Simultaneous bidder drawing an independent U(0,1) ratio per item.
 
     ``draw`` returns one bid vector X_i * gstar_i; the stream is seeded and
-    counter-based, so runs replay exactly.  Use ``with_seed`` to fork an
-    independent copy instead of sharing one instance across workers.
+    counter-based, so runs replay exactly.  Build one per worker, each with
+    its own seed, instead of sharing one instance.
     """
 
     def __init__(self, gstar: AdditiveValuation, seed: int):
@@ -272,10 +269,3 @@ class UniformRandomBidder:
     def draw(self) -> np.ndarray:
         x = self._rng.random(len(self.gstar.weights))
         return x * np.asarray(self.gstar.weights)
-
-    def with_seed(self, seed: int) -> "UniformRandomBidder":
-        return UniformRandomBidder(self.gstar, seed)
-
-
-def uniform_random_policy(gstar: AdditiveValuation, seed: int) -> UniformRandomBidder:
-    return UniformRandomBidder(gstar, seed)

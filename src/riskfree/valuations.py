@@ -55,6 +55,18 @@ def item_vector(values: Iterable[float], m: int, name: str) -> np.ndarray:
     return out
 
 
+def check_budget(B: float) -> None:
+    """ValueError unless the budget B is finite and non-negative."""
+    if not (math.isfinite(B) and B >= 0.0):
+        raise ValueError(f"budget must be finite and non-negative, got {B}")
+
+
+def check_price_rule(price_rule: str) -> None:
+    """ValueError unless ``price_rule`` is 'first' or 'second'."""
+    if price_rule not in ("first", "second"):
+        raise ValueError(f"price_rule must be 'first' or 'second', got {price_rule!r}")
+
+
 def _as_index_tuple(subset: Iterable[int], m: int) -> tuple[int, ...]:
     """Sorted distinct item indices; TypeError on a non-integral index, as in
     Python indexing, instead of truncating 1.9 to item 1."""
@@ -215,23 +227,19 @@ class CoverCertificate:
 # -- operations --------------------------------------------------------------
 
 
-def value(v: Valuation, subset: Iterable[int]) -> float:
-    """Set value under any valuation class; v(empty) = 0."""
-    return v.value(subset)
-
-
 def gamma_star(v: XOSValuation | AdditiveValuation) -> AdditiveValuation:
     """The additive clause attaining the valuation's total on the full set.
 
     Ties are broken toward the lowest clause index so results are
-    reproducible.  For an additive valuation this is the identity.
+    reproducible.  For an additive valuation this is the identity; an
+    identical-item table has no clauses and raises ValueError.
     """
     if isinstance(v, AdditiveValuation):
         return v
+    if not isinstance(v, XOSValuation):
+        raise ValueError(f"gamma_star needs an additive or XOS valuation, got {type(v).__name__}")
     totals = [c.total() for c in v.clauses]
-    best = max(totals)
-    idx = next(i for i, t in enumerate(totals) if t >= best - 0.0)
-    return v.clauses[idx]
+    return v.clauses[totals.index(max(totals))]
 
 
 def normalize(v: Valuation) -> tuple[Valuation, float]:

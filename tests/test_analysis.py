@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from riskfree import analysis as A
-from riskfree import seq
+from riskfree import seq, simul
 from riskfree.strategies import tangent_value
-from riskfree.valuations import l_threshold
+from riskfree.valuations import l_threshold, sigma_of
 
 
 def table_transcription(m, B):
@@ -132,9 +132,9 @@ class TestClosedForms:
             seq.alpha_tilde(3, np.array([0.5, B]))
 
     def test_budget_split_examples(self):
-        s = A.budget_split(0.1)
+        s = simul.budget_split(0.1)
         assert (s.w1, s.w2) == (pytest.approx(0.2), pytest.approx(0.0))
-        assert A.sigma(0.125) == pytest.approx(2.0)
+        assert sigma_of(0.125) == pytest.approx(2.0)
         assert l_threshold(0.125) == pytest.approx(8.0)
 
 

@@ -298,3 +298,52 @@ def test_reader_gone_before_output_exits_quietly():
         code = proc.wait(timeout=60)
     assert err == b""
     assert code == cli.EXIT_BROKEN_PIPE
+
+
+TABLE = {"kind": "subadditive_identical", "table": [0.0, 0.6, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        dict(valuation={"kind": "s_instance", "x": 0.125, "m": 10}, budget=0.125, adversary="s_adversary"),
+        dict(valuation=TABLE, adversary="fixed(0.1,0.1)"),
+        dict(auction="simultaneous", valuation=TABLE, bidder="truthful", adversary="fixed(0.1,0.1)"),
+        dict(auction="simultaneous", valuation=TABLE, bidder="xos_sqrt", adversary="fixed(0.1,0.1)"),
+        dict(auction="simultaneous", valuation=TABLE, bidder="uniform_random", adversary="fixed(0.1,0.1)"),
+    ],
+    ids=["sequential-s_instance", "sequential-table", "simultaneous-truthful", "simultaneous-xos_sqrt",
+         "simultaneous-uniform_random"],
+)
+def test_dominant_clause_bidder_on_an_identical_item_table_exits_1(capsys, tmp_path, scenario):
+    code, out, err = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, **scenario))
+    assert (code, out) == (1, "")
+    assert "SubadditiveIdenticalValuation" in err and "Traceback" not in err
+
+
+def test_simultaneous_fixed_bids_on_an_identical_item_table(capsys, tmp_path):
+    path = scenario_file(tmp_path, auction="simultaneous", valuation=TABLE, bidder="fixed(0.5,0.1)",
+                         adversary="fixed(0.2,0.2)", budget=0.4)
+    code, out, _ = run(capsys, "simulate", "--scenario", path)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["allocation"] == [0]
+    assert rec["profit"] == pytest.approx(0.6 - 0.5)
+
+
+@pytest.mark.parametrize("text", ['["a"]', "3", "null", '{"valuation": [1], "budget": 0.3, "bidder": "fixed(0.1)", '
+                                  '"adversary": "fixed(0.1)"}'], ids=["list", "number", "null", "valuation-list"])
+def test_scenario_that_is_not_an_object_exits_1(capsys, tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "simulate", "--scenario", str(path))
+    assert (code, out) == (1, "")
+    assert "JSON object" in err or "valuation kind" in err
+
+
+def test_uniform_random_bidder_under_second_price_exits_1(capsys, tmp_path):
+    path = scenario_file(tmp_path, auction="simultaneous", price_rule="second", bidder="uniform_random",
+                         adversary="fixed(0.2,0.2)", budget=0.4)
+    code, out, err = run(capsys, "simulate", "--scenario", path)
+    assert (code, out) == (1, "")
+    assert "first price" in err

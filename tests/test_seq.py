@@ -19,7 +19,6 @@ from riskfree.seq import (
     alpha_params,
     best_response_to_fixed_bids,
     equalization_alpha,
-    f_ladder,
     g_h,
     simulate,
     solve_discretized,
@@ -78,9 +77,8 @@ class TestUniformAdditiveValue:
         # independent check of the recursion: brute-force the inner
         # min over alpha on a fine grid and compare
         for m, x in ((2, 0.3), (3, 0.22), (4, 0.4), (5, 0.11)):
-            fp = f_ladder(m - 1)[-1]
             alphas = np.linspace(0.0, min(1.0, m * x), 4001)
-            grid_min = min(max(g_h(m, x, float(a), fp)) for a in alphas)
+            grid_min = min(max(g_h(m, x, float(a))) for a in alphas)
             fm = uniform_additive_value(m)
             # the grid minimum can only overshoot, by at most slope * spacing
             assert fm(x) <= grid_min + 1e-12
@@ -119,11 +117,10 @@ class TestGH:
     def test_arrays_match_scalar_calls(self):
         rng = np.random.Generator(np.random.Philox(12))
         for m in (2, 5, 17):
-            fp = f_ladder(m - 1)[-1]
             xs = rng.uniform(0.0, 1.2, 64)
             alphas = rng.random(64) * np.minimum(1.0, m * xs)
-            g, h = g_h(m, xs, alphas, fp)
-            want = [g_h(m, float(x), float(a), fp) for x, a in zip(xs, alphas)]
+            g, h = g_h(m, xs, alphas)
+            want = [g_h(m, float(x), float(a)) for x, a in zip(xs, alphas)]
             assert g.tolist() == [w[0] for w in want]
             assert h.tolist() == [w[1] for w in want]
 
@@ -224,7 +221,7 @@ class TestEqualization:
     def solve_equal_oracle(m, x):
         """The crossing of g and h by the general solver on the union grid."""
         alpha_max = min(1.0, m * x)
-        fp = f_ladder(m - 1)[-1]
+        fp = seq.LADDER.level(m - 1)
         r = (m - 1.0) / m
         g0 = 1.0 / m + r * fp(m * x / (m - 1.0))
         if alpha_max <= 0.0:
@@ -591,7 +588,7 @@ class TestBestResponse:
 
 def test_theorem2_bound_at_breakpoints():
     for m in range(1, 31):
-        fm = f_ladder(m)[-1]
+        fm = seq.LADDER.level(m)
         xs = np.clip(fm.xs, 0.0, None)
         margin = (1 - np.sqrt(xs)) ** 2 + 1 / math.sqrt(m) - fm.ys
         assert margin.min() >= -1e-9
@@ -681,7 +678,7 @@ class TestLadder:
         assert records[197].err <= 1e-7
 
     def test_levels_are_convex_with_exact_anchors(self):
-        for m, fm in enumerate(f_ladder(198), start=1):
+        for m, fm in enumerate(seq.LADDER.levels(198), start=1):
             assert fm(0.0) == 1.0 and fm(1.0) == 0.0, m
             assert np.all(np.diff(np.diff(fm.ys) / np.diff(fm.xs)) >= 0.0), m
 
@@ -700,8 +697,9 @@ class TestLadder:
         fp = uniform_additive_value(9)
         xs, exact = seq._lift(fp, 10)
         monkeypatch.setattr(seq, "_simplify", lambda xs, ys, band: (xs[[0, -1]], ys[[0, -1]]))
-        fm, pieces_raw, eta = seq._level_up(fp, 10, seq.LADDER.eta)
-        assert pieces_raw == len(xs) - 1
+        fm, rec = seq.LADDER._next(fp, seq.LADDER.records(9)[-1])
+        eta = rec.eta
+        assert (rec.m, rec.pieces_raw, rec.pieces) == (10, len(xs) - 1, fm.piece_count())
         lift = PiecewiseLinear(xs, np.where(np.abs(exact) <= seq._ZERO_SNAP, 0.0, exact))
         assert fm.piece_count() > 1
         np.testing.assert_array_equal(fm.xs, lift.xs)
@@ -733,7 +731,7 @@ class TestLadder:
         results = [None] * 4
 
         def work(i):
-            results[i] = f_ladder(18)
+            results[i] = seq.LADDER.levels(18)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()

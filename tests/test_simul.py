@@ -403,3 +403,33 @@ def test_second_price_truthful_worst_bad_budget_rejected(B):
 def test_exact_xos_expected_profit_bad_ratios_rejected(ratios):
     with pytest.raises(ValueError):
         exact_xos_expected_profit(XOSValuation([(0.5, 0.5), (0.7, 0.1)]), ratios)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: deterministic_counter([0.1, 0.2], math.nan),
+        lambda: deterministic_counter([0.1, 0.2], -0.1),
+        lambda: deterministic_counter([math.nan, 0.2], 0.3),
+        lambda: optimal_counter_price(4, math.nan),
+        lambda: optimal_counter_price(4, -1.0),
+        lambda: expected_profit_uniform_random(AdditiveValuation((0.5, 0.5)), [math.nan, 0.2]),
+        lambda: expected_profit_uniform_random(AdditiveValuation((0.5, 0.5)), [0.2]),
+    ],
+    ids=[
+        "counter-nan-budget", "counter-negative-budget", "counter-nan-bid",
+        "counter_price-nan", "counter_price-negative",
+        "uniform_random-nan-ratio", "uniform_random-short",
+    ],
+)
+def test_closed_forms_reject_out_of_domain_input(call):
+    with pytest.raises(ValueError, match="budget|bids|ratios"):
+        call()
+
+
+def test_best_response_profit_shares_the_oracle_domain():
+    for B in (math.nan, 1.5, -0.5, 0.0):
+        with pytest.raises(ValueError, match=r"B must lie in \(0, 1\)"):
+            exhaustive_best_response_split(4, B)
+        with pytest.raises(ValueError, match=r"B must lie in \(0, 1\)"):
+            best_response_profit(4, B)

@@ -10,6 +10,7 @@ from riskfree.errors import InfeasibleInstanceError
 from riskfree.seq import SeqGameState, best_response_to_fixed_bids, simulate
 from riskfree.strategies import (
     FixedBidsPolicy,
+    UniformRandomBidder,
     alpha_tilde_adversary,
     choose_k,
     constant_price_policy,
@@ -19,7 +20,6 @@ from riskfree.strategies import (
     s_instance_adversary,
     tangent_peak,
     tangent_value,
-    uniform_random_policy,
     xos_sqrt_policy,
 )
 from riskfree.valuations import (
@@ -215,7 +215,7 @@ class TestConstantPrice:
         "build",
         [
             lambda B: xos_sqrt_policy(AdditiveValuation((0.5, 0.5)), B),
-            lambda B: low_budget_policy(B, 4),
+            lambda B: low_budget_policy(B),
             lambda B: high_budget_policy(4, B),
             lambda B: alpha_tilde_adversary(4, B),
         ],
@@ -224,6 +224,11 @@ class TestConstantPrice:
     def test_non_finite_budget_rejected(self, build, B):
         with pytest.raises(ValueError, match="finite"):
             build(B)
+
+    @pytest.mark.parametrize("build", [high_budget_policy, alpha_tilde_adversary], ids=["high_budget", "alpha_tilde"])
+    def test_no_items_rejected(self, build):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            build(0, 0.5)
 
     def test_choose_k_tie_breaks_small(self):
         assert choose_k(0.5) == 3  # t_2(1/2) = t_3(1/2) = 1/12
@@ -349,21 +354,21 @@ class TestSInstanceAdversary:
 class TestUniformRandomPolicy:
     def test_seed_reproducibility(self):
         g = AdditiveValuation((0.5, 0.3, 0.2))
-        a = uniform_random_policy(g, 7)
-        b = uniform_random_policy(g, 7)
+        a = UniformRandomBidder(g, 7)
+        b = UniformRandomBidder(g, 7)
         np.testing.assert_array_equal(a.draw(), b.draw())
         np.testing.assert_array_equal(a.draw(), b.draw())
 
     def test_mean_bid_is_half_weight(self):
         g = AdditiveValuation((0.5, 0.3, 0.2))
-        pol = uniform_random_policy(g, 11)
+        pol = UniformRandomBidder(g, 11)
         draws = np.stack([pol.draw() for _ in range(20000)])
         np.testing.assert_allclose(draws.mean(axis=0), np.asarray(g.weights) / 2, atol=5e-3)
 
     def test_fork_is_independent_stream(self):
         g = AdditiveValuation((1.0,))
-        a = uniform_random_policy(g, 3)
-        b = a.with_seed(4)
+        a = UniformRandomBidder(g, 3)
+        b = UniformRandomBidder(g, 4)
         assert a.draw() != b.draw()
 
 

@@ -18,6 +18,7 @@ from riskfree.valuations import (
     XOSValuation,
     _check_certificate,
     beta_cover,
+    check_price_rule,
     cover_lower_bound,
     gamma_star,
     l_threshold,
@@ -26,14 +27,13 @@ from riskfree.valuations import (
     random_subadditive_identical,
     s_instance_params,
     sigma_of,
-    value,
 )
 
 
 class TestValue:
     def test_xos_singleton(self):
         v = XOSValuation([(0.7, 0.2), (0.5, 0.5)])
-        assert value(v, {1}) == pytest.approx(0.5)
+        assert v.value({1}) == pytest.approx(0.5)
 
     def test_empty_set_is_zero(self):
         for v in (
@@ -41,16 +41,16 @@ class TestValue:
             XOSValuation([(1.0, 0.0)]),
             SubadditiveIdenticalValuation((0.0, 0.6, 1.0)),
         ):
-            assert value(v, set()) == 0.0
+            assert v.value(set()) == 0.0
 
     def test_s_instance_singleton(self):
         # sigma(1/8) = 2, so a single item is worth 1/(2+2)
         v, _ = make_s_instance(0.125, 10)
-        assert value(v, {3}) == pytest.approx(0.25, abs=1e-12)
+        assert v.value({3}) == pytest.approx(0.25, abs=1e-12)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            value(AdditiveValuation((1.0,)), {1})
+            AdditiveValuation((1.0,)).value({1})
 
     @pytest.mark.parametrize("subset", [[1.9], [0.0, 0.4], [np.float64(1.0)], ["1"]], ids=repr)
     def test_non_integral_index_rejected(self, subset):
@@ -58,11 +58,11 @@ class TestValue:
         for v in (AdditiveValuation((0.5, 0.3, 0.2)), XOSValuation([(0.5, 0.3, 0.2), (0.1, 0.1, 0.9)]),
                   SubadditiveIdenticalValuation((0.0, 0.6, 0.9, 1.0))):
             with pytest.raises(TypeError):
-                value(v, subset)
+                v.value(subset)
 
     def test_integer_indices_of_any_type_accepted(self):
         v = AdditiveValuation((0.5, 0.3, 0.2))
-        assert value(v, np.array([2, 0])) == value(v, [np.int64(0), 2]) == value(v, (0, 2, 2)) == 0.5 + 0.2
+        assert v.value(np.array([2, 0])) == v.value([np.int64(0), 2]) == v.value((0, 2, 2)) == 0.5 + 0.2
 
     def test_monotone_random_instances(self):
         rng = np.random.Generator(np.random.Philox(11))
@@ -77,7 +77,7 @@ class TestValue:
                 v = random_subadditive_identical(m, rng)
             small = set(int(i) for i in rng.integers(0, m, size=rng.integers(0, m + 1)))
             extra = set(int(i) for i in rng.integers(0, m, size=rng.integers(0, m + 1)))
-            assert value(v, small) <= value(v, small | extra) + 1e-12
+            assert v.value(small) <= v.value(small | extra) + 1e-12
 
 
 class TestGammaStar:
@@ -92,6 +92,10 @@ class TestGammaStar:
     def test_tie_breaks_to_lowest_index(self):
         v = XOSValuation([(0.6, 0.4), (0.5, 0.5)])
         assert gamma_star(v).weights == (0.6, 0.4)
+
+    def test_identical_item_table_has_no_dominant_clause(self):
+        with pytest.raises(ValueError, match="SubadditiveIdenticalValuation"):
+            gamma_star(SubadditiveIdenticalValuation((0.0, 0.6, 1.0)))
 
     def test_dominates_all_subsets(self):
         rng = np.random.Generator(np.random.Philox(5))
@@ -392,3 +396,9 @@ def test_random_tables_are_valid_and_normalized():
     for _ in range(100):
         v = random_subadditive_identical(int(rng.integers(1, 30)), rng)
         assert v.total() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("rule", ["third", "First", None])
+def test_check_price_rule_rejects(rule):
+    with pytest.raises(ValueError, match="price_rule must be 'first' or 'second'"):
+        check_price_rule(rule)
