@@ -167,7 +167,7 @@ def run_scenario(sc: Scenario) -> dict:
     name1, args1 = _parse_call(sc.bidder)
     name2, args2 = _parse_call(sc.adversary)
     if name2 == "fixed":
-        bids2 = np.asarray(args2, dtype=float)
+        bids2 = simul.bid_vector(args2, sc.valuation.m, "adversary")
     elif name2 == "split":
         bids2 = simul.randomized_adversary(sc.valuation.m, sc.budget, seed=sc.seed)
     else:

@@ -66,6 +66,7 @@ from .valuations import (
     check_price_rule,
     item_vector,
     subset_sums,
+    workspace,
 )
 
 _TOL = 1e-12
@@ -735,22 +736,28 @@ def best_response_to_fixed_bids(
         raise ValueError("bids must be non-negative")
     check_budget(B)
 
-    cost = subset_sums(bids)  # the adversary's limit cost of each take-set
+    cost, profit, vals = workspace(m)[:3]
+    subset_sums(bids, cost)  # the adversary's limit cost of each take-set
     if price_rule == "first":
         pay = cost[::-1]  # the bidder pays her bids on the complement
     else:
         # round-order drain: extending the masks below 2^i by item i, the
         # half where the bidder wins it pays min(b_i, budget left), the half
-        # where the adversary takes it spends b_i, which cost already holds
-        pay = np.empty(1 << m)
+        # where the adversary takes it spends b_i, which cost already holds;
+        # pay is built in the profit row, the capped payments in vals[:n]
+        # until the values overwrite them
+        pay = profit
         pay[0] = 0.0
         for i, bi in enumerate(bids.tolist()):
             n = 1 << i
             pay[n : 2 * n] = pay[:n]
-            pay[:n] += np.clip(np.minimum(bi, B - cost[:n]), 0.0, None)
-    profit = v.values_all()[::-1] - pay
-    feasible = cost < B - 1e-12
-    feasible[0] = True  # the empty plan is always available
-    best_mask = int(np.argmin(np.where(feasible, profit, math.inf)))
+            drain = np.subtract(B, cost[:n], out=vals[:n])
+            np.minimum(bi, drain, out=drain)
+            pay[:n] += np.clip(drain, 0.0, None, out=drain)
+    np.subtract(v.values_all(vals)[::-1], pay, out=profit)
+    infeasible = cost >= B - 1e-12
+    infeasible[0] = False  # the empty plan is always available
+    np.copyto(profit, math.inf, where=infeasible)
+    best_mask = int(np.argmin(profit))
     plan = tuple(i for i in range(m) if best_mask >> i & 1)
     return plan, float(profit[best_mask])

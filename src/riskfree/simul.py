@@ -32,6 +32,7 @@ from .valuations import (
     gamma_star,
     item_vector,
     subset_sums,
+    workspace,
 )
 
 _TOL = 1e-12
@@ -83,16 +84,25 @@ def budget_split(B: float) -> BudgetSplit:
 # -- one-shot resolution ------------------------------------------------------
 
 
+def bid_vector(bids: Iterable[float], m: int, whose: str) -> np.ndarray:
+    """``bids`` as m finite, non-negative floats; a ValueError names ``whose``."""
+    b = item_vector(bids, m, f"{whose} bids")
+    if np.any(b < 0.0):
+        raise ValueError(f"{whose} bids must be non-negative")
+    return b
+
+
 def resolve(
     v: Valuation,
     bids1: Iterable[float],
     bids2: Iterable[float],
     price_rule: str = "first",
 ) -> SimulOutcome:
-    """Resolve one simultaneous auction; per-item ties go to the adversary."""
+    """Resolve one simultaneous auction; per-item ties go to the adversary.
+    Bids must be finite and non-negative on both sides."""
     check_price_rule(price_rule)
-    b1 = item_vector(bids1, v.m, "bids")
-    b2 = item_vector(bids2, v.m, "bids")
+    b1 = bid_vector(bids1, v.m, "bidder")
+    b2 = bid_vector(bids2, v.m, "adversary")
     bidder_wins = b1 > b2
     if price_rule == "first":
         paid1 = float(b1[bidder_wins].sum())
@@ -136,16 +146,16 @@ def exact_xos_expected_profit(v: XOSValuation, ratios: Sequence[float]) -> float
     b = item_vector(ratios, v.m, "ratios")
     if np.any((b < 0.0) | (b > 1.0)):
         raise ValueError("ratios must lie in [0, 1]")
-    vals = v.values_all()
+    p, vals = workspace(v.m)[:2]
+    v.values_all(vals)
     g = np.asarray(gamma_star(v).weights)
-    p = np.empty(1 << v.m)
     p[0] = 1.0
     for i, bi in enumerate(b.tolist()):
         n = 1 << i
         np.multiply(p[:n], 1.0 - bi, out=p[n : 2 * n])
         p[:n] *= bi
     expected_pay = float(np.sum(g * (1.0 - b**2) / 2.0))
-    return float(p @ vals) - expected_pay
+    return float(np.multiply(p, vals, out=p).sum()) - expected_pay
 
 
 # -- the adversarial quadratic program ------------------------------------------
@@ -293,10 +303,13 @@ def second_price_truthful_worst(
     to the smallest mask.
     """
     check_budget(B)
-    cost = subset_sums(gamma_star(v).weights)  # dominant-clause mass of each take-set
+    g = gamma_star(v).weights
+    cost, profit, vals = workspace(v.m)[:3]
+    subset_sums(g, cost)  # dominant-clause mass of each take-set
     won_mass = cost[::-1]  # the same mass over the complement, which the bidder wins
-    drain = np.minimum(B - cost, won_mass)
-    profit = np.where(cost <= B + 1e-12, v.values_all()[::-1] - drain, math.inf)
+    drain = np.minimum(np.subtract(B, cost, out=profit), won_mass, out=profit)
+    np.subtract(v.values_all(vals)[::-1], drain, out=profit)
+    np.copyto(profit, math.inf, where=cost > B + 1e-12)
     worst_mask = int(np.argmin(profit))
     plan = tuple(i for i in range(v.m) if worst_mask >> i & 1)
     return float(profit[worst_mask]), plan
@@ -406,7 +419,7 @@ def bidder_counter_to_pure(
     profit is at least 1 - sum(bids2); violation raises.
     """
     g = np.asarray(gamma_star(v).weights)
-    b2 = item_vector(bids2, v.m, "bids")
+    b2 = bid_vector(bids2, v.m, "adversary")
     wins = b2 < g
     bids1 = np.where(wins, b2, 0.0)
     won = tuple(np.nonzero(wins)[0].tolist())

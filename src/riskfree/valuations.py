@@ -4,12 +4,20 @@ All valuations are monotone set functions with v(empty) = 0.  Instances are
 immutable after construction and safe to share across workers.  Construction
 validates the class invariants (non-negativity, monotonicity, subadditivity
 of identical-item tables) and rejects degenerate inputs.
+
+The 2^m enumerations (``subset_sums``, ``values_all`` and their callers in
+``seq`` and ``simul``) work in place in ``workspace(m)``: rows of 2^m floats
+that each thread allocates once and keeps, so a repeated call neither
+allocates nor faults in fresh pages.  The buffer only grows: a thread keeps
+4 x 2^m x 8 bytes for the largest m it has enumerated, 2 MB at m = 16 and
+32 MB at m = 20.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -20,11 +28,30 @@ from .errors import DegenerateValuationError, InfeasibleInstanceError
 _TOL = 1e-9
 
 #: Largest item count for which a 2^m enumeration is allowed; each array
-#: over the masks then takes 8 MB.
+#: over the masks then takes 8 MB, and a thread's workspace keeps 4 of them.
 MAX_ENUM_M = 20
 
+_local = threading.local()
 
-def subset_sums(w: Sequence[float] | np.ndarray) -> np.ndarray:
+
+def workspace(m: int) -> np.ndarray:
+    """The calling thread's scratch rows over the 2^m masks: a (4, 2^m) view.
+
+    Rows 0-2 are the caller's; row 3 is the one ``values_all`` uses for its
+    own partial results, so a caller must not hand it to ``values_all``.
+    One buffer per thread backs every call, grown (never shrunk) to the
+    largest m seen; what a call writes there is overwritten by the thread's
+    next enumeration, so results that outlive the call must be copied out.
+    """
+    if m > MAX_ENUM_M:
+        raise ValueError(f"2^m enumeration is capped at m = {MAX_ENUM_M}, got m = {m}")
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.shape[1] < 1 << m:
+        buf = _local.buf = np.empty((4, 1 << m))
+    return buf[:, : 1 << m]
+
+
+def subset_sums(w: Sequence[float] | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """s[S] = sum of ``w`` over the item set S, for every mask S.
 
     Bit i of S stands for item i, so mask 0 is the empty set and the full
@@ -32,12 +59,18 @@ def subset_sums(w: Sequence[float] | np.ndarray) -> np.ndarray:
     ``s[::-1][S]`` is the sum over the complement of S.  Built by doubling:
     the masks below 2^i are extended by item i, so the cost is O(2^m) and
     each s[S] adds its items in increasing index order, like ``value``.
+    Written into ``out`` (shape (2^m,)) when given, else into a new array.
     """
     w = np.asarray(w, dtype=float)
     m = len(w)
     if m > MAX_ENUM_M:
         raise ValueError(f"2^m enumeration is capped at m = {MAX_ENUM_M}, got m = {m}")
-    s = np.empty(1 << m)
+    if out is None:
+        s = np.empty(1 << m)
+    elif out.shape != (1 << m,):
+        raise ValueError(f"out must have shape ({1 << m},), got {out.shape}")
+    else:
+        s = out
     s[0] = 0.0
     for i, wi in enumerate(w.tolist()):
         n = 1 << i
@@ -100,9 +133,10 @@ class AdditiveValuation:
     def value(self, subset: Iterable[int]) -> float:
         return float(sum(self.weights[i] for i in _as_index_tuple(subset, self.m)))
 
-    def values_all(self) -> np.ndarray:
-        """v(S) for every mask S (bit order of ``subset_sums``)."""
-        return subset_sums(self.weights)
+    def values_all(self, out: np.ndarray | None = None) -> np.ndarray:
+        """v(S) for every mask S (bit order of ``subset_sums``), into ``out``
+        when given."""
+        return subset_sums(self.weights, out)
 
     def total(self) -> float:
         return self._total
@@ -133,11 +167,14 @@ class XOSValuation:
         items = _as_index_tuple(subset, self.m)
         return float(max(sum(c.weights[i] for i in items) for c in self.clauses))
 
-    def values_all(self) -> np.ndarray:
-        """v(S) for every mask S: the elementwise max of the clauses' sums."""
-        out = self.clauses[0].values_all()
+    def values_all(self, out: np.ndarray | None = None) -> np.ndarray:
+        """v(S) for every mask S: the elementwise max of the clauses' sums,
+        into ``out`` when given.  Each later clause is summed in the
+        workspace's row 3."""
+        out = self.clauses[0].values_all(out)
+        row = workspace(self.m)[3]
         for c in self.clauses[1:]:
-            np.maximum(out, c.values_all(), out=out)
+            np.maximum(out, c.values_all(row), out=out)
         return out
 
     def total(self) -> float:
@@ -188,10 +225,16 @@ class SubadditiveIdenticalValuation:
     def value(self, subset: Iterable[int]) -> float:
         return float(self.table[len(_as_index_tuple(subset, self.m))])
 
-    def values_all(self) -> np.ndarray:
-        """v(S) = table[|S|] for every mask S; |S| is the subset sum of ones."""
-        counts = subset_sums(np.ones(self.m)).astype(np.intp)
-        return np.asarray(self.table)[counts]
+    def values_all(self, out: np.ndarray | None = None) -> np.ndarray:
+        """v(S) = table[|S|] for every mask S, into ``out`` when given.  The
+        counts |S| double like ``subset_sums``, as integers in the
+        workspace's row 3."""
+        counts = workspace(self.m)[3].view(np.int64)
+        counts[0] = 0
+        for i in range(self.m):
+            n = 1 << i
+            np.add(counts[:n], 1, out=counts[n : 2 * n])
+        return np.take(np.asarray(self.table), counts, out=out, mode="clip")
 
     def value_of_count(self, k: int) -> float:
         if not 0 <= k <= self.m:

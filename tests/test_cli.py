@@ -347,3 +347,22 @@ def test_uniform_random_bidder_under_second_price_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", "--scenario", path)
     assert (code, out) == (1, "")
     assert "first price" in err
+
+
+@pytest.mark.parametrize(
+    "bidder, adversary, message",
+    [
+        ("truthful", "fixed(-5,0.2)", "adversary bids must be non-negative"),
+        ("fixed(-1,0.2)", "fixed(0.1,0.1)", "bidder bids must be non-negative"),
+        ("uniform_random", "fixed(-5,0.2)", "adversary bids must be non-negative"),
+        ("uniform_random", "fixed(0.1,0.1,0.1)", "adversary bids must have one entry per item (2)"),
+        ("truthful", "fixed(0.1,0.1,0.1)", "adversary bids must have one entry per item (2)"),
+    ],
+    ids=["negative-adversary", "negative-bidder", "negative-adversary-uniform_random",
+         "long-adversary-uniform_random", "long-adversary-truthful"],
+)
+def test_simultaneous_bad_fixed_bids_exit_1(capsys, tmp_path, bidder, adversary, message):
+    path = scenario_file(tmp_path, auction="simultaneous", bidder=bidder, adversary=adversary, budget=0.3)
+    code, out, err = run(capsys, "simulate", "--scenario", path)
+    assert (code, out) == (1, "")
+    assert message in err and "Traceback" not in err

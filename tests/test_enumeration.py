@@ -7,6 +7,10 @@ available), the round-order second-price drain, and ties to the adversary.
 
 import itertools
 import math
+import platform
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from riskfree.valuations import (
     gamma_star,
     random_subadditive_identical,
     subset_sums,
+    workspace,
 )
 
 
@@ -197,3 +202,104 @@ def test_entry_points_raise_above_the_cap():
     for call in calls:
         with pytest.raises(ValueError, match="capped"):
             call()
+
+
+# -- the per-thread workspace ----------------------------------------------------
+
+
+def instance(m, seed=0):
+    """An XOS valuation, an identical-item table, bids, a budget and ratios at m."""
+    rng = np.random.default_rng([m, seed])
+    xos = XOSValuation([rng.random(m) * rng.uniform(0.3, 1.0) for _ in range(3)])
+    table = random_subadditive_identical(m, rng)
+    bids = tuple((rng.random(m) * 0.4 / m).tolist())
+    return xos, table, bids, float(rng.uniform(0.05, 0.3)), tuple(rng.random(m).tolist())
+
+
+def enumerate_all(m, seed=0):
+    """Every enumeration entry point at m, as bytes and Python values."""
+    xos, table, bids, B, ratios = instance(m, seed)
+    return (
+        subset_sums(bids).tobytes(),
+        xos.values_all().tobytes(),
+        table.values_all().tobytes(),
+        xos.clauses[0].values_all().tobytes(),
+        *(best_response_to_fixed_bids(v, bids, B, rule) for v in (xos, table) for rule in ("first", "second")),
+        second_price_truthful_worst(xos, B),
+        exact_xos_expected_profit(xos, ratios),
+    )
+
+
+def in_fresh_thread(call):
+    got = []
+    t = threading.Thread(target=lambda: got.append(call()))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and len(got) == 1
+    return got[0]
+
+
+def test_public_arrays_are_not_overwritten():
+    xos, table, bids, _, _ = instance(12)
+    kept = [subset_sums(bids), xos.values_all(), table.values_all(), xos.clauses[0].values_all()]
+    copies = [a.copy() for a in kept]
+    for m in (12, 14, 12):  # same size, larger size, same size again
+        enumerate_all(m, seed=1)
+    for a, c in zip(kept, copies):
+        assert not np.shares_memory(a, workspace(12))
+        assert a.tobytes() == c.tobytes()
+
+
+def test_values_all_writes_into_out():
+    xos, table, bids, _, _ = instance(10)
+    row = workspace(10)[0]
+    for v in (xos, table, xos.clauses[0]):
+        fresh = v.values_all()
+        assert v.values_all(row) is row
+        assert row.tobytes() == fresh.tobytes()
+    assert subset_sums(bids, row) is row
+    assert row.tobytes() == subset_sums(bids).tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        subset_sums(bids, workspace(11)[0])
+
+
+def test_mixed_sizes_in_one_thread_equal_fresh_threads():
+    sizes = (16, 4, 12, 16)
+    serial = [enumerate_all(m) for m in sizes]
+    assert serial == [in_fresh_thread(lambda m=m: enumerate_all(m)) for m in sizes]
+
+
+def test_threads_interleaving_sizes_match_serial():
+    sizes = (12, 14)
+    want = {(m, seed): enumerate_all(m, seed) for m in sizes for seed in range(3)}
+
+    def worker(k):
+        return [((m, (k + r) % 3), enumerate_all(m, (k + r) % 3))
+                for r in range(3) for m in (sizes if k % 2 else sizes[::-1])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(worker, k) for k in range(4)]
+            results = [r for f in futures for r in f.result(timeout=120)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 * 3 * len(sizes)
+    for key, got in results:
+        assert got == want[key]
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="minor-fault counts are measured on Linux with glibc",
+)
+def test_repeated_calls_fault_in_no_fresh_pages():
+    import resource  # POSIX only
+
+    xos, _, bids, B, _ = instance(16)
+    best_response_to_fixed_bids(xos, bids, B, "second")  # the workspace grows here, once
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        best_response_to_fixed_bids(xos, bids, B, "second")
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100

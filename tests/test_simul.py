@@ -71,6 +71,22 @@ class TestResolve:
         with pytest.raises(ValueError, match="finite"):
             resolve(AdditiveValuation((0.5, 0.5)), b1, b2, "first")
 
+    @pytest.mark.parametrize("rule", ["first", "second"])
+    @pytest.mark.parametrize(
+        "b1, b2, whose",
+        [
+            ((-1.0, 0.2), (0.1, 0.1), "bidder bids must be non-negative"),
+            ((0.3, 0.1), (-5.0, 0.2), "adversary bids must be non-negative"),
+            ((0.3, -1e-300), (0.1, 0.1), "bidder bids must be non-negative"),
+            ((0.3, 0.1), (0.2, math.nan), "adversary bids must be finite"),
+            ((math.inf, 0.1), (0.2, 0.2), "bidder bids must be finite"),
+        ],
+        ids=["bidder-negative", "adversary-negative", "bidder-tiny-negative", "adversary-nan", "bidder-inf"],
+    )
+    def test_bad_bid_names_whose(self, b1, b2, whose, rule):
+        with pytest.raises(ValueError, match=whose):
+            resolve(AdditiveValuation((0.5, 0.5)), b1, b2, rule)
+
 
 class TestExpectedProfit:
     def test_half_ratios(self):
@@ -369,8 +385,8 @@ class TestCounterToPure:
             _, profit = bidder_counter_to_pure(v, bids2)
             assert profit >= 1 - B - 1e-9
 
-    @pytest.mark.parametrize("bids2", [(math.nan, 0.2), (0.1, math.inf), (0.1,)],
-                             ids=["nan", "inf", "short"])
+    @pytest.mark.parametrize("bids2", [(math.nan, 0.2), (0.1, math.inf), (0.1,), (-0.1, 0.2)],
+                             ids=["nan", "inf", "short", "negative"])
     def test_bad_bids_rejected(self, bids2):
         with pytest.raises(ValueError):
             bidder_counter_to_pure(XOSValuation([(0.5, 0.5)]), bids2)
