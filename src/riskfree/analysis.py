@@ -405,10 +405,12 @@ def verify_tangency(k_max: int = 50, grid_step: float = 0.001, tol: float = 1e-9
     touch = [(k / (k + 1.0)) ** 2 for k in ks]
     gaps = [-abs(tangent_value(k, pt) - f_bound(pt)) for k, pt in zip(ks, touch)]
     sweep.note_all(np.array(gaps), lambda i: (i + 1,))
-    budgets = np.arange(grid_step, 1.0, grid_step).tolist()
+    grid = np.arange(grid_step, 1.0, grid_step)
+    budgets = grid.tolist()
     env = np.array([t_star(B)[0] for B in budgets])
-    t_k = np.fromiter((tangent_value(k, B) for B in budgets for k in ks), float, len(budgets) * k_max)
-    sweep.note_all(np.repeat(env, k_max) - t_k, lambda i: (budgets[i // k_max], i % k_max + 1))
+    k = np.arange(1.0, k_max + 1.0)
+    t_k = 1.0 / (k + 1.0) - grid[:, None] / k  # row B, column k: tangent_value(k, B)
+    sweep.note_all((env[:, None] - t_k).ravel(), lambda i: (budgets[i // k_max], i % k_max + 1))
     return sweep.report(sweep.worst >= -tol)
 
 

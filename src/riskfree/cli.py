@@ -183,8 +183,7 @@ def run_scenario(sc: Scenario) -> dict:
         ratios = np.clip(bids2 / np.maximum(np.asarray(g.weights), 1e-300), 0.0, 1.0)
         closed = simul.expected_profit_uniform_random(g, ratios)
         n = max(sc.mc_samples, 1)
-        rng = np.random.Generator(np.random.Philox(sc.seed))
-        draws = rng.random((n, sc.valuation.m)) * np.asarray(g.weights)
+        draws = strategies.UniformRandomBidder(g, sc.seed).draws(n)
         wins = draws > bids2
         profits = (np.asarray(g.weights) * wins).sum(axis=1) - (draws * wins).sum(axis=1)
         numeric = float(profits.mean())

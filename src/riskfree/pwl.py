@@ -76,8 +76,9 @@ class PiecewiseLinear:
     """Immutable continuous piecewise-linear function with constant extension.
 
     ``xs`` and ``ys`` are read-only views of private writeable arrays, which
-    evaluation hands to ``np.interp``: it copies read-only inputs, which
-    would make every scalar read O(breakpoints).
+    evaluation (and ``seq.equalization_alpha``'s fused read) hands to
+    ``np.interp``: it copies read-only inputs, which would make every scalar
+    read O(breakpoints).
     """
 
     __slots__ = ("_xs", "_ys", "xs", "ys")
@@ -109,11 +110,15 @@ class PiecewiseLinear:
 
         Values are ``np.interp``'s.  A scalar x (``float``, ``np.float64``,
         ``int`` or 0-d array) gives a Python ``float``, an array an array.  A
-        ``float`` is answered before the ``np.ndim`` tests, whose dispatch
-        costs about as much as the interpolation itself.
+        ``float`` and an ndarray of one or more dimensions go straight to
+        ``np.interp``, before the ``np.ndim`` tests, whose dispatch costs
+        about as much as the interpolation itself; on a one-breakpoint
+        function ``np.interp`` already gives the constant everywhere.
         """
         if isinstance(x, float):
             return float(np.interp(x, self._xs, self._ys))
+        if isinstance(x, np.ndarray) and x.ndim:
+            return np.interp(x, self._xs, self._ys)
         if self.xs.size == 1:
             return np.full_like(np.asarray(x, dtype=float), self.ys[0]) if np.ndim(x) else float(self.ys[0])
         out = np.interp(x, self._xs, self._ys)

@@ -354,12 +354,17 @@ class Ladder:
 
     of the exact f_m, up to floating-point rounding in the lift (a few ulps
     per level).  ``records`` reports each level's piece counts, eta_m,
-    err_m and build time.  Extension holds a lock, so threads sharing a
-    ladder see each level built once.  ``stream`` yields the same levels and
-    records in order without caching the ones it builds, for a reader that
-    needs each level only until the next one exists.  ``crossing`` adds a
-    level's search key, built on its first crossing read and kept beside
-    the level.
+    err_m and build time.  ``stream`` yields the same levels and records in
+    order without caching the ones it builds, for a reader that needs each
+    level only until the next one exists.  ``crossing`` adds a level's
+    search key, built on its first crossing read and kept beside the level.
+
+    The lock guards building only, so threads sharing a ladder see each
+    level and key built once.  A read of what is already built takes no
+    lock: the lists and the key dict only grow, a level is appended before
+    its record and a key is stored once it is final, so each read checks
+    the length of the list it slices, or finds its key, and otherwise
+    builds under the lock.
     """
 
     def __init__(self, eta: float = _ETA):
@@ -373,8 +378,7 @@ class Ladder:
 
     def __len__(self) -> int:
         """Number of levels built so far."""
-        with self._lock:
-            return len(self._levels)
+        return len(self._levels)
 
     def _next(self, fp: PiecewiseLinear, prev: LevelRecord) -> tuple[PiecewiseLinear, LevelRecord]:
         """The level ``_store`` keeps of ``fp``'s exact lift, and its record."""
@@ -399,11 +403,17 @@ class Ladder:
 
     def levels(self, m: int) -> list[PiecewiseLinear]:
         """[f_1, ..., f_m], building missing levels."""
+        levels = self._levels
+        if 0 < m <= len(levels):
+            return levels[:m]
         with self._lock:
             return self._levels[: self._upto(m)]
 
     def level(self, m: int) -> PiecewiseLinear:
         """f_m, building missing levels."""
+        levels = self._levels
+        if 0 < m <= len(levels):
+            return levels[m - 1]
         with self._lock:
             return self._levels[self._upto(m) - 1]
 
@@ -416,18 +426,25 @@ class Ladder:
         is monotone in both operands.  It is built under the lock on the
         first call for level m and kept, at 8 bytes a breakpoint (half the
         level's own arrays); ``levels``, ``records`` and ``stream`` never
-        build one.
+        build one.  A kept key is read without the lock.
         """
+        key = self._keys.get(m)
+        if key is not None:
+            return self._levels[m - 1], key
         with self._lock:
             fm = self._levels[self._upto(m) - 1]
             key = self._keys.get(m)
             if key is None:
-                key = self._keys[m] = fm.xs - fm.ys
+                key = fm.xs - fm.ys
                 key.setflags(write=False)
+                self._keys[m] = key
             return fm, key
 
     def records(self, m: int) -> list[LevelRecord]:
         """Build records of f_1, ..., f_m, building missing levels."""
+        records = self._records
+        if 0 < m <= len(records):
+            return records[:m]
         with self._lock:
             return self._records[: self._upto(m)]
 
@@ -437,13 +454,12 @@ class Ladder:
         The levels already cached come first, as ``levels`` holds them; the
         rest are built as ``levels`` would build them, bit for bit up to
         ``build_s``, but only the previous one is kept alive, so memory stays
-        at two levels however far the stream goes.  The lock is held only to
-        read the cached prefix, never across a ``yield``.
+        at two levels however far the stream goes.  It takes no lock: the
+        cached prefix ends at the last level whose record exists.
         """
         if m_max < 1:
             raise ValueError("m must be at least 1")
-        with self._lock:
-            cached = list(zip(self._levels[:m_max], self._records[:m_max]))
+        cached = list(zip(self._levels[:m_max], self._records[:m_max]))
         return self._stream(cached, m_max)
 
     def _stream(self, cached: list, m_max: int) -> Iterator[tuple[int, PiecewiseLinear, LevelRecord]]:
@@ -531,28 +547,30 @@ def equalization_alpha(m: int, x: float) -> tuple[float, float]:
     is bracketed by one ``searchsorted`` of -c in the level's sorted key
     ``xs - ys`` (``Ladder.crossing``, built on the level's first crossing
     read and then cached) and solved exactly inside the bracketing segment,
-    on Python floats.
+    on Python floats.  f_{m-1} is read at both ends of the feasible range
+    in one ``np.interp`` call on the level's arrays, whose values are those
+    of two scalar reads.
     """
     if m < 2:
         raise ValueError("equalization needs m >= 2")
     check_budget(x)
     alpha_max = min(1.0, m * x)
     fp, key = LADDER.crossing(m - 1)
+    xs, ys = fp._xs, fp._ys
     r = (m - 1.0) / m
-    g0 = 1.0 / m + r * fp(m * x / (m - 1.0))
+    f0, f_end = np.interp((m * x / (m - 1.0), (m * x - alpha_max) / (m - 1.0)), xs, ys).tolist()
+    g0 = 1.0 / m + r * f0
     if alpha_max <= 0.0:
         return 0.0, g0
     g_end = g0 - alpha_max / m
-    if g_end - r * fp((m * x - alpha_max) / (m - 1.0)) >= -_TOL:
+    if g_end - r * f_end >= -_TOL:
         return alpha_max, g_end  # g - h stays above -_TOL on the feasible range
     c = (g0 - x) / r  # the crossing solves phi(u) = c
-    xs, ys = fp.xs, fp.ys
     i = int(key.searchsorted(-c))
     if i == 0 or i == len(xs):  # beyond the breakpoints f_{m-1} is constant
         u = ys.item(min(i, len(xs) - 1)) - c
     else:
-        x0, x1 = xs[i - 1 : i + 1].tolist()
-        y0, y1 = ys[i - 1 : i + 1].tolist()
+        x0, x1, y0, y1 = xs.item(i - 1), xs.item(i), ys.item(i - 1), ys.item(i)
         phi0, phi1 = y0 - x0, y1 - x1
         u = x0 + (phi0 - c) / (phi0 - phi1) * (x1 - x0)
     alpha = min(max(m * x - (m - 1.0) * u, 0.0), alpha_max)
@@ -591,9 +609,10 @@ def simulate(
     paid = 0.0
     spent = 0.0
     rounds: list[tuple[str, float]] = []
+    items = tuple(range(m))
     for t in range(m):
         # by position, which costs a third of keyword construction
-        state = SeqGameState(tuple(range(t, m)), budget_left, frozenset(won), paid, t, price_rule, m)
+        state = SeqGameState(items[t:], budget_left, frozenset(won), paid, t, price_rule, m)
         b1 = float(bidder(state))
         b2 = float(adversary(state))
         if not (math.isfinite(b1) and math.isfinite(b2)):

@@ -256,9 +256,11 @@ def s_instance_adversary(params: SInstanceParams) -> SInstanceAdversary:
 class UniformRandomBidder:
     """Simultaneous bidder drawing an independent U(0,1) ratio per item.
 
-    ``draw`` returns one bid vector X_i * gstar_i; the stream is seeded and
-    counter-based, so runs replay exactly.  Build one per worker, each with
-    its own seed, instead of sharing one instance.
+    ``draw`` returns one bid vector X_i * gstar_i and ``draws(n)`` the next
+    n of them as the rows of an (n, m) array, the same as n stacked
+    ``draw()`` calls; the stream is seeded and counter-based, so runs replay
+    exactly.  Build one per worker, each with its own seed, instead of
+    sharing one instance.
     """
 
     def __init__(self, gstar: AdditiveValuation, seed: int):
@@ -267,5 +269,8 @@ class UniformRandomBidder:
         self._rng = np.random.Generator(np.random.Philox(self.seed))
 
     def draw(self) -> np.ndarray:
-        x = self._rng.random(len(self.gstar.weights))
+        return self.draws(1)[0]
+
+    def draws(self, n: int) -> np.ndarray:
+        x = self._rng.random((n, len(self.gstar.weights)))
         return x * np.asarray(self.gstar.weights)

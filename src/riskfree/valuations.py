@@ -15,6 +15,7 @@ allocates nor faults in fresh pages.  The buffer only grows: a thread keeps
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -181,41 +182,52 @@ class XOSValuation:
         return self._total
 
 
+@functools.lru_cache(maxsize=8)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i + j, i, j)`` over the pairs 1 <= i <= j with i + j <= m, ordered
+    by i, then j.  A subadditivity violation (i, j) with i > j is also one
+    at (j, i), which comes first, so these pairs find the first violation
+    in that order over all pairs.  Cached per m, read-only."""
+    i, j = np.triu_indices(m + 1)
+    keep = (i >= 1) & (i + j <= m)
+    out = (i[keep] + j[keep], i[keep], j[keep])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class SubadditiveIdenticalValuation:
     """Identical items: any k-subset has value table[k].
 
     Invariants checked at construction, to a tolerance relative to v(I):
     table[0] = 0, monotone non-decreasing, and subadditive
-    (table[i+j] <= table[i] + table[j]).  Subadditivity is one numpy test
-    over all pairs with i + j <= m; a violation names the pair with the
-    least i, then the least j.
+    (table[i+j] <= table[i] + table[j]).  The table is read into one array;
+    monotonicity is one numpy test over it and subadditivity another, over
+    every pair of ``_pairs(m)`` at once.  A violation names the pair with
+    the least i, then the least j.
     """
 
     table: tuple[float, ...]
 
     def __init__(self, table: Sequence[float]):
-        t = tuple(float(x) for x in table)
-        if len(t) < 2:
+        t = tuple(map(float, table))
+        m = len(t) - 1
+        if m < 1:
             raise ValueError("table must cover counts 0..m with m >= 1")
-        if not all(math.isfinite(x) for x in t):
+        if not all(map(math.isfinite, t)):
             raise ValueError("table entries must be finite")
         tol = _TOL * abs(t[-1])
         if abs(t[0]) > tol:
             raise ValueError("v(0) must be 0")
-        if any(t[i + 1] < t[i] - tol for i in range(len(t) - 1)):
+        a = np.array(t)
+        if np.count_nonzero(a[1:] < a[:-1] - tol):
             raise ValueError("table must be non-decreasing")
-        # One broadcast test of v(i+j) > v(i) + v(j) + tol, row i, column j.
-        # Rows stop at m // 2: the first violation (least i, then least j)
-        # has i <= j.  The -inf padding passes every pair with i + j > m.
-        m = len(t) - 1
-        padded = np.array(t + (-math.inf,) * m)
-        k = np.arange(1, m)
-        h = m // 2
-        viol = padded[k[:h, None] + k] > padded[1 : h + 1, None] + padded[1:m] + tol
+        sums, i, j = _pairs(m)
+        viol = a[sums] > a[i] + a[j] + tol
         if np.count_nonzero(viol):
-            i, j = (np.argwhere(viol)[0] + 1).tolist()
-            raise ValueError(f"not subadditive: v({i + j}) > v({i}) + v({j})")
+            k = int(viol.argmax())
+            raise ValueError(f"not subadditive: v({sums[k]}) > v({i[k]}) + v({j[k]})")
         object.__setattr__(self, "table", t)
 
     @property
@@ -394,7 +406,8 @@ def random_subadditive_identical(
     pair (k-i, i), so i <= k // 2 suffices."""
     t = [0.0, 1.0]
     for k in range(2, m + 1):
-        ceiling = min(t[i] + t[k - i] for i in range(1, k // 2 + 1))
+        h = k // 2
+        ceiling = min(map(operator.add, t[1 : h + 1], t[k - 1 : k - h - 1 : -1]))
         floor = t[k - 1]
         t.append(floor + float(rng.random()) * (ceiling - floor))
     scale = t[-1]

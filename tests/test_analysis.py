@@ -159,6 +159,23 @@ class TestSweeps:
         rep = A.verify_tangency(grid_step=2.0)
         assert rep.passed and rep.n_points == 50
 
+    @pytest.mark.parametrize("k_max, grid_step", [(50, 0.001), (7, 0.013), (1, 0.3)])
+    def test_tangency_replays_the_former_generator(self, k_max, grid_step):
+        # the t_k grid as it was built, one tangent_value call per (B, k)
+        ks = range(1, k_max + 1)
+        touch = [(k / (k + 1.0)) ** 2 for k in ks]
+        gaps = [-abs(tangent_value(k, pt) - A.f_bound(pt)) for k, pt in zip(ks, touch)]
+        budgets = np.arange(grid_step, 1.0, grid_step).tolist()
+        env = np.array([A.t_star(B)[0] for B in budgets])
+        t_k = np.fromiter((tangent_value(k, B) for B in budgets for k in ks), float, len(budgets) * k_max)
+        margins = np.concatenate((gaps, np.repeat(env, k_max) - t_k))
+        i = int(np.argmin(margins))
+        point = (i + 1,) if i < k_max else (budgets[(i - k_max) // k_max], (i - k_max) % k_max + 1)
+        rep = A.verify_tangency(k_max=k_max, grid_step=grid_step)
+        assert rep.n_points == len(margins)
+        assert rep.min_margin.hex() == float(margins[i]).hex()
+        assert rep.worst_point == point
+
     def test_si_lower_small(self):
         rep = A.verify_si_lower(n_instances=60, seed=0)
         assert rep.passed

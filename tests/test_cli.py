@@ -206,6 +206,26 @@ def test_simulate_simultaneous_monte_carlo(capsys, tmp_path):
     assert rec["gap"] == pytest.approx(rec["numeric"] - rec["closed_form"])
 
 
+def test_monte_carlo_replays_the_former_philox_block(capsys, tmp_path):
+    # run_scenario once drew its own Philox(seed) block; the bidder's stream is the same
+    w, bids2, n = np.array([0.5, 0.3, 0.2]), np.array([0.1, 0.05, 0.15]), 1000
+    path = scenario_file(
+        tmp_path,
+        auction="simultaneous",
+        valuation={"kind": "additive", "weights": w.tolist()},
+        budget=0.3,
+        bidder="uniform_random",
+        adversary="fixed(0.1,0.05,0.15)",
+        mc_samples=n,
+        seed=5,
+    )
+    code, out, _ = run(capsys, "simulate", "--scenario", path)
+    assert code == 0
+    draws = np.random.Generator(np.random.Philox(5)).random((n, 3)) * w
+    wins = draws > bids2
+    assert json.loads(out)["numeric"] == float(((w * wins).sum(axis=1) - (draws * wins).sum(axis=1)).mean())
+
+
 def test_unknown_policy_exits_1(capsys, tmp_path):
     path = scenario_file(tmp_path, bidder="mystery")
     code, _, err = run(capsys, "simulate", "--scenario", path)

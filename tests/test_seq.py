@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -860,6 +861,106 @@ class TestLadderStream:
         for got in streams:
             assert_same_levels(got, serial_ladders[1e-8])
         assert_same_levels(list(ladder.stream(top)), serial_ladders[1e-8])
+
+
+class _NoLock:
+    """Stands in for a ladder's lock: entering it fails the test."""
+
+    def __enter__(self):
+        raise AssertionError("a read of a built level took the lock")
+
+    def __exit__(self, *exc):
+        return False
+
+
+class _LateList(list):
+    """A list whose ``append`` first sleeps, so readers run between a level's
+    append and its record's."""
+
+    def append(self, item):
+        time.sleep(1e-3)
+        super().append(item)
+
+
+class TestLockFreeReads:
+    def test_reads_while_another_thread_extends_match_the_serial_build(self, serial_ladders):
+        ladder, top, serial = seq.Ladder(eta=1e-8), 24, serial_ladders[1e-8]
+        ladder._records = _LateList(ladder._records)
+        start = threading.Barrier(4)
+        done = threading.Event()
+        seen = [[], [], []]
+
+        def read(out):
+            start.wait()
+            while True:
+                finished = done.is_set()
+                m = len(ladder)
+                # crossing last: a key not built yet waits on the lock
+                out.append((m, ladder.level(m), ladder.levels(m), ladder.records(m), *ladder.crossing(m)))
+                if finished:
+                    return
+
+        def extend():
+            start.wait()
+            try:
+                for m in range(2, top + 1):
+                    ladder.level(m)
+            finally:
+                done.set()
+
+        threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+        threads.append(threading.Thread(target=extend))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # what the ladder holds is the serial build, and every read returned
+        # what it holds: the same objects (list equality tests identity first)
+        assert_same_levels(list(ladder.stream(top)), serial)
+        levels, records = ladder.levels(top), ladder.records(top)
+        for m, key in ladder._keys.items():
+            np.testing.assert_array_equal(key, levels[m - 1].xs - levels[m - 1].ys)
+        for out in seen:
+            assert out[-1][0] == top
+            for m, got_level, got_levels, got_records, fm, key in out:
+                assert len(got_levels) == m and len(got_records) == m
+                assert got_levels == levels[:m] and got_records == records[:m]
+                assert got_level is fm is levels[m - 1] and key is ladder._keys[m]
+
+    def test_reading_built_levels_and_keys_takes_no_lock(self):
+        ladder = seq.Ladder()
+        ladder.levels(12)
+        fm, key = ladder.crossing(7)
+        ladder._lock = _NoLock()
+        for m in (1, 7, 12):
+            assert ladder.level(m) is ladder.levels(m)[-1]
+            assert len(ladder.records(m)) == m
+        got_fm, got_key = ladder.crossing(7)
+        assert got_fm is fm and got_key is key
+        assert [m for m, _, _ in ladder.stream(12)] == list(range(1, 13))
+        assert len(ladder) == 12
+        # a level or key not built yet does enter the lock
+        for read in (ladder.level, ladder.levels, ladder.records, ladder.crossing):
+            with pytest.raises(AssertionError, match="took the lock"):
+                read(13)
+        with pytest.raises(AssertionError, match="took the lock"):
+            ladder.crossing(8)
+
+
+@pytest.mark.parametrize("m", range(2, 40))
+def test_equalization_at_zero_and_at_alpha_max_matches_the_bisect(m):
+    assert as_hex(equalization_alpha(m, 0.0)) == as_hex(bisect_equalization_alpha(m, 0.0))
+    # low budgets: g stays above h, and the optimum is the early return at alpha_max
+    for x in (0.25 / m**2, 0.5 / m**2, 1e-300):
+        got = equalization_alpha(m, x)
+        assert got[0] == min(1.0, m * x), (m, x)
+        assert as_hex(got) == as_hex(bisect_equalization_alpha(m, x)), (m, x)
 
 
 @pytest.fixture(scope="module")

@@ -365,6 +365,12 @@ class TestUniformRandomPolicy:
         draws = np.stack([pol.draw() for _ in range(20000)])
         np.testing.assert_allclose(draws.mean(axis=0), np.asarray(g.weights) / 2, atol=5e-3)
 
+    def test_draws_are_stacked_draw_calls(self):
+        g = AdditiveValuation((0.5, 0.3, 0.2))
+        a, b = UniformRandomBidder(g, 5), UniformRandomBidder(g, 5)
+        np.testing.assert_array_equal(a.draws(1000), np.stack([b.draw() for _ in range(1000)]))
+        np.testing.assert_array_equal(a.draws(3), np.stack([b.draw() for _ in range(3)]))  # streams stay in step
+
     def test_fork_is_independent_stream(self):
         g = AdditiveValuation((1.0,))
         a = UniformRandomBidder(g, 3)

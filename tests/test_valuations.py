@@ -391,6 +391,23 @@ class TestBetaCover:
             beta_cover(AdditiveValuation((0.125,) * 9))
 
 
+def former_random_table(m, rng):
+    """``random_subadditive_identical``'s former ceiling loop, kept as the oracle."""
+    t = [0.0, 1.0]
+    for k in range(2, m + 1):
+        ceiling = min(t[i] + t[k - i] for i in range(1, k // 2 + 1))
+        t.append(t[k - 1] + float(rng.random()) * (ceiling - t[k - 1]))
+    return tuple(x / t[-1] for x in t)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 20, 50, 100])
+def test_random_tables_replay_the_former_generator_bit_for_bit(m):
+    for seed in range(8):
+        got = random_subadditive_identical(m, np.random.Generator(np.random.Philox(seed))).table
+        want = former_random_table(m, np.random.Generator(np.random.Philox(seed)))
+        assert [x.hex() for x in got] == [x.hex() for x in want], seed
+
+
 def test_random_tables_are_valid_and_normalized():
     rng = np.random.Generator(np.random.Philox(2))
     for _ in range(100):
