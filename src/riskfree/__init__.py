@@ -16,9 +16,7 @@ from .analysis import (
 )
 from .pwl import PiecewiseLinear, pointwise_extreme, solve_equal
 from .seq import (
-    AlphaParams,
     SeqGameState,
-    alpha_params,
     best_response_to_fixed_bids,
     equalization_alpha,
     g_h,

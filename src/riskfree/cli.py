@@ -1,10 +1,12 @@
 """Batch front end: scenario files in, JSON/CSV reports out.
 
 Exit codes: 0 on success (all bounds pass), 2 when a verification sweep
-reports a violated bound, 1 on usage or configuration errors, and 141
+reports a violated bound, 1 on usage or configuration errors, on a file
+that cannot be read or written and on an allocation that fails, and 141
 (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended) when the
 reader of stdout closes it early, as ``riskfree solve-uniform | head``
-does; that exit prints nothing to stderr.
+does; that exit prints nothing to stderr.  Every exit 1 prints one
+``riskfree: error: ...`` line to stderr, with no traceback.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .valuations import (
     SubadditiveIdenticalValuation,
     Valuation,
     XOSValuation,
+    bid_vector,
     check_budget,
     check_price_rule,
     gamma_star,
@@ -60,6 +63,20 @@ class Scenario:
     s_params: Any = None
 
 
+def _number(value: Any, field: str, whole: bool = False) -> float | int:
+    """Scenario ``field`` as a float, or with ``whole`` as a non-negative
+    int (3.0 counts, 3.5 does not); a boolean or a non-number raises a
+    ValueError naming the field, as does a fraction or a negative with
+    ``whole``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    if not whole:
+        return float(value)
+    if value < 0 or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{field} must be a non-negative whole number, got {value!r}")
+    return int(value)
+
+
 def parse_valuation(spec: dict) -> tuple[Valuation, Any]:
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "additive":
@@ -69,7 +86,7 @@ def parse_valuation(spec: dict) -> tuple[Valuation, Any]:
     if kind == "subadditive_identical":
         return SubadditiveIdenticalValuation(spec["table"]), None
     if kind == "s_instance":
-        return make_s_instance(float(spec["x"]), int(spec["m"]))
+        return make_s_instance(float(spec["x"]), _number(spec["m"], "s_instance m", whole=True))
     raise ValueError(f"unknown valuation kind: {kind!r}")
 
 
@@ -86,11 +103,11 @@ def load_scenario(path: str) -> Scenario:
             auction=raw.get("auction", "sequential"),
             price_rule=raw.get("price_rule", "first"),
             valuation=valuation,
-            budget=float(raw["budget"]),
+            budget=_number(raw["budget"], "budget"),
             bidder=str(raw["bidder"]),
             adversary=str(raw["adversary"]),
-            seed=int(raw.get("seed", 0)),
-            mc_samples=int(raw.get("mc_samples", 0)),
+            seed=_number(raw.get("seed", 0), "seed", whole=True),
+            mc_samples=_number(raw.get("mc_samples", 0), "mc_samples", whole=True),
             out=raw.get("out"),
             s_params=s_params,
         )
@@ -132,7 +149,7 @@ def make_policy(spec: str, side: str, sc: Scenario):
         if name == "constant_price":
             if not isinstance(v, SubadditiveIdenticalValuation):
                 raise ValueError("constant_price needs an identical-item valuation")
-            k = int(args[0]) if args else strategies.choose_k(B)
+            k = _number(args[0], "constant_price's k", whole=True) if args else strategies.choose_k(B)
             return strategies.constant_price_policy(v, B, k)[0]
     else:
         if name == "alpha_tilde":
@@ -167,7 +184,7 @@ def run_scenario(sc: Scenario) -> dict:
     name1, args1 = _parse_call(sc.bidder)
     name2, args2 = _parse_call(sc.adversary)
     if name2 == "fixed":
-        bids2 = simul.bid_vector(args2, sc.valuation.m, "adversary")
+        bids2 = bid_vector(args2, sc.valuation.m, "adversary")
     elif name2 == "split":
         bids2 = simul.randomized_adversary(sc.valuation.m, sc.budget, seed=sc.seed)
     else:
@@ -355,8 +372,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (RiskFreeError, ValueError, IndexError, KeyError) as exc:
-        print(f"riskfree: error: {exc}", file=sys.stderr)
+    except (RiskFreeError, ValueError, IndexError, KeyError, OSError, MemoryError) as exc:
+        print(f"riskfree: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

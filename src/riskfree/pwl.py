@@ -119,8 +119,6 @@ class PiecewiseLinear:
             return float(np.interp(x, self._xs, self._ys))
         if isinstance(x, np.ndarray) and x.ndim:
             return np.interp(x, self._xs, self._ys)
-        if self.xs.size == 1:
-            return np.full_like(np.asarray(x, dtype=float), self.ys[0]) if np.ndim(x) else float(self.ys[0])
         out = np.interp(x, self._xs, self._ys)
         return float(out) if np.ndim(x) == 0 else out
 

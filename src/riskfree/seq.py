@@ -62,9 +62,9 @@ from .valuations import (
     AdditiveValuation,
     SubadditiveIdenticalValuation,
     Valuation,
+    bid_vector,
     check_budget,
     check_price_rule,
-    item_vector,
     subset_sums,
     workspace,
 )
@@ -105,17 +105,6 @@ class SeqOutcome:
     bidder_paid: float
     adversary_spent: float
     profit: float
-
-
-@dataclass(frozen=True)
-class AlphaParams:
-    """First-round bid ratio data for the m-item uniform additive auction."""
-
-    m: int
-    x: float
-    alpha_tilde: float
-    alpha_max: float
-    intermediate: bool  # x in [1/m^2, (m-1)/m]
 
 
 # -- exact uniform additive solver --------------------------------------------
@@ -530,13 +519,6 @@ def alpha_tilde(m: int, x):
     return 1.0 - 2.0 * m * one_minus_sqrt + 2.0 * math.sqrt(m * (m - 1.0)) * one_minus_sqrt
 
 
-def alpha_params(m: int, x: float) -> AlphaParams:
-    """The sufficient first-round bid ratio and its feasibility cap."""
-    at, alpha_max = float(alpha_tilde(m, x)), min(1.0, m * x)
-    inter = 1.0 / m**2 <= x <= (m - 1.0) / m
-    return AlphaParams(m=m, x=float(x), alpha_tilde=at, alpha_max=alpha_max, intermediate=inter)
-
-
 def equalization_alpha(m: int, x: float) -> tuple[float, float]:
     """Optimal first-round bid ratio for the adversary in A_m at budget x.
 
@@ -587,20 +569,18 @@ def simulate(
     bidder: Policy,
     adversary: Policy,
     price_rule: str = "first",
-    budget: float | None = None,
+    *,
+    budget: float,
 ) -> SeqOutcome:
     """Play all m rounds; higher bid wins with ties to the adversary.
 
     First price: the winner pays their own bid.  Second price: the winner
-    pays the opponent's bid.  The adversary's budget decreases only when he
-    wins (first price: by his bid; second price: by Bidder 1's bid).  It
-    starts at ``budget``, or at the adversary's ``.budget`` when that is None.
+    pays the opponent's bid.  The adversary's budget starts at ``budget``, a
+    required keyword (a policy is only a map from state to bid), and
+    decreases only when he wins (first price: by his bid; second price: by
+    Bidder 1's bid).
     """
     check_price_rule(price_rule)
-    if budget is None:
-        budget = getattr(adversary, "budget", None)
-        if budget is None:
-            raise ValueError("pass budget= or use an adversary policy exposing .budget")
     check_budget(budget)
 
     m = v.m
@@ -750,9 +730,7 @@ def best_response_to_fixed_bids(
     """
     check_price_rule(price_rule)
     m = v.m
-    bids = item_vector(bids1, m, "bids")
-    if np.any(bids < -_TOL):
-        raise ValueError("bids must be non-negative")
+    bids = bid_vector(bids1, m, "bidder")
     check_budget(B)
 
     cost, profit, vals = workspace(m)[:3]

@@ -10,9 +10,10 @@ best response is the quadratic program
 whose optimum, for a normalized weight vector g, is the constant vector
 b_i = B with value (1 - B)^2 / 2.  ``adversary_qp`` returns that closed form
 with its Lagrange multipliers and checks the KKT conditions on every call;
-the QP is convex, so they prove optimality.  An exact breakpoint-scan solver
-(``exact_qp``) and a lattice search are kept as independent oracles for the
-verification sweep.
+the QP is convex, so they prove optimality.  An exact solver for any
+non-negative weights (``exact_qp``, which clips 1 - theta at the least budget
+multiplier theta that fits) and a lattice search are kept as independent
+oracles for the verification sweep.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .valuations import (
     AdditiveValuation,
     Valuation,
     XOSValuation,
+    bid_vector,
     check_budget,
     check_price_rule,
     gamma_star,
@@ -82,14 +84,6 @@ def budget_split(B: float) -> BudgetSplit:
 
 
 # -- one-shot resolution ------------------------------------------------------
-
-
-def bid_vector(bids: Iterable[float], m: int, whose: str) -> np.ndarray:
-    """``bids`` as m finite, non-negative floats; a ValueError names ``whose``."""
-    b = item_vector(bids, m, f"{whose} bids")
-    if np.any(b < 0.0):
-        raise ValueError(f"{whose} bids must be non-negative")
-    return b
 
 
 def resolve(
@@ -161,52 +155,29 @@ def exact_xos_expected_profit(v: XOSValuation, ratios: Sequence[float]) -> float
 # -- the adversarial quadratic program ------------------------------------------
 
 
-def _budget_scan(z: np.ndarray, d: np.ndarray, g: np.ndarray, B: float) -> np.ndarray:
-    """clip(z - theta * d, 0, 1) at the least theta >= 0 with spend g . b <= B.
-
-    For d >= 0 the spend is piecewise linear and non-increasing in theta,
-    with a breakpoint wherever a coordinate leaves 1 or reaches 0; theta is
-    found exactly by scanning those breakpoints and interpolating inside
-    the first piece that fits the budget.
-    """
-    b = np.clip(z, 0.0, 1.0)
-    if float(g @ b) <= B + _TOL:
-        return b
-    thetas = np.concatenate(([0.0], (z - 1.0) / d, z / d))
-    thetas = np.unique(thetas[thetas >= 0.0])
-    vals = g @ np.clip(z[:, None] - thetas[None, :] * d[:, None], 0.0, 1.0)
-    below = np.nonzero(vals <= B)[0]
-    if below.size == 0:
-        return np.zeros_like(z)  # B <= 0: only the origin is feasible
-    i = int(below[0])
-    if i == 0 or vals[i] == vals[i - 1]:
-        theta = float(thetas[i])
-    else:
-        frac = (vals[i - 1] - B) / (vals[i - 1] - vals[i])
-        theta = float(thetas[i - 1] + frac * (thetas[i] - thetas[i - 1]))
-    return np.clip(z - theta * d, 0.0, 1.0)
-
-
-def project_budget_box(z: np.ndarray, g: np.ndarray, B: float) -> np.ndarray:
-    """Euclidean projection onto {0 <= b <= 1, g . b <= B}: the scan with d = g."""
-    return _budget_scan(z, g, g, B)
-
-
 def exact_qp(g: np.ndarray, B: float) -> tuple[np.ndarray, float]:
     """Exact minimizer of (1/2) sum g_i (1 - b_i)^2 over {0 <= b <= 1, g . b <= B}.
 
     With a multiplier theta on the budget row, coordinate i minimizes
     (1/2) g_i (1 - b_i)^2 + theta g_i b_i on [0, 1] at clip(1 - theta).  The
-    optimal theta is the least one whose point fits the budget, which is
-    the breakpoint scan with z = d = 1.  ``g`` may be any finite
-    non-negative vector; it need not sum to 1.  Returns (b, value).
+    optimal theta is the least one whose point fits the budget.  The spend
+    g . clip(1 - theta) falls linearly from g . 1 at theta = 0 to 0 at
+    theta = 1, so theta is 0 when g . 1 fits and otherwise interpolates the
+    spend between those two points.  ``g`` may be any finite non-negative
+    vector; it need not sum to 1.  Returns (b, value).
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g) & (g >= 0.0)):
         raise ValueError("weights must be finite and non-negative")
     check_budget(B)
-    ones = np.ones_like(g)
-    b = _budget_scan(ones, ones, g, B)
+    b = np.ones_like(g)
+    if float(g @ b) > B + _TOL:
+        # the spend at theta = 0 is read as the first column of g @ [1, 0]:
+        # its BLAS sum can differ from the dot's in the last bits, and this
+        # read keeps b bit-identical to the breakpoint scan over theta = 0
+        # and 1 (the oracle in tests/test_simul.py); a spend within B clips to 1
+        spend = float((g @ np.column_stack((b, np.zeros_like(g))))[0])
+        b = np.clip(b - (spend - B) / spend, 0.0, 1.0)
     return b, float(np.sum(g * 0.5 * (1.0 - b) ** 2))
 
 

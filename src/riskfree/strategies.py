@@ -29,7 +29,6 @@ class FixedBidsPolicy:
     """Non-adaptive: bid ``bids[t]`` on the round-t item regardless of history."""
 
     bids: tuple[float, ...]
-    budget: float | None = None
 
     def __call__(self, state: SeqGameState) -> float:
         return self.bids[state.round]
@@ -91,7 +90,7 @@ class AlphaTildeAdversary:
         x_sub = r / (m_rem * per_item)
         if m_rem == 1:
             ratio = min(1.0, x_sub)
-        elif 1.0 / m_rem**2 <= x_sub <= (m_rem - 1.0) / m_rem:  # seq.alpha_params' intermediate regime
+        elif 1.0 / m_rem**2 <= x_sub <= (m_rem - 1.0) / m_rem:  # the intermediate regime
             ratio = min(max(alpha_tilde(m_rem, x_sub), 0.0), min(1.0, m_rem * x_sub))
         else:
             ratio = equalization_alpha(m_rem, x_sub)[0]
@@ -200,7 +199,7 @@ def constant_price_worst_profit(
     policy, plan = constant_price_policy(si, B, k)
     m, q, p = si.m, plan.q, plan.p
     if p <= 0:
-        return si.value_of_count(q) if q <= m else si.total(), 0
+        return si.value_of_count(q), 0
     w_max = min(m, int(math.floor((B - 1e-12) / p - 1e-12)) + 1)
     # w wins at price p each require w * p < B strictly
     while w_max > 0 and w_max * p >= B - 1e-12:
@@ -225,10 +224,6 @@ class SInstanceAdversary:
     """
 
     params: SInstanceParams
-
-    @property
-    def budget(self) -> float:
-        return self.params.x
 
     def __call__(self, state: SeqGameState) -> float:
         if len(state.won_by_1) == 0:

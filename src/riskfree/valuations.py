@@ -89,6 +89,14 @@ def item_vector(values: Iterable[float], m: int, name: str) -> np.ndarray:
     return out
 
 
+def bid_vector(bids: Iterable[float], m: int, whose: str) -> np.ndarray:
+    """``bids`` as m finite, non-negative floats; a ValueError names ``whose``."""
+    b = item_vector(bids, m, f"{whose} bids")
+    if np.any(b < 0.0):
+        raise ValueError(f"{whose} bids must be non-negative")
+    return b
+
+
 def check_budget(B: float) -> None:
     """ValueError unless the budget B is finite and non-negative."""
     if not (math.isfinite(B) and B >= 0.0):

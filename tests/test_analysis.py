@@ -127,7 +127,7 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             A.f_bound(B)
         with pytest.raises(ValueError):
-            seq.alpha_params(3, B)
+            seq.alpha_tilde(3, B)
         with pytest.raises(ValueError):
             seq.alpha_tilde(3, np.array([0.5, B]))
 

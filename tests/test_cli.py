@@ -386,3 +386,89 @@ def test_simultaneous_bad_fixed_bids_exit_1(capsys, tmp_path, bidder, adversary,
     code, out, err = run(capsys, "simulate", "--scenario", path)
     assert (code, out) == (1, "")
     assert message in err and "Traceback" not in err
+
+
+S_INSTANCE = dict(valuation={"kind": "s_instance", "x": 0.125, "m": 10}, budget=0.125,
+                  bidder="constant_price(2)", adversary="s_adversary")
+MC = dict(auction="simultaneous", bidder="uniform_random", adversary="fixed(0.1,0.1)")
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        (dict(MC, mc_samples=-7), "mc_samples"),
+        (dict(MC, mc_samples=2.9), "mc_samples"),
+        (dict(MC, mc_samples=True), "mc_samples"),
+        (dict(MC, seed=2.7), "seed"),
+        (dict(MC, seed=-1), "seed"),
+        (dict(MC, seed=float("nan")), "seed"),
+        (dict(seed=False), "seed"),
+        (dict(seed="3"), "seed"),
+        (dict(S_INSTANCE, valuation={"kind": "s_instance", "x": 0.125, "m": 40.7}), "s_instance m"),
+        (dict(S_INSTANCE, valuation={"kind": "s_instance", "x": 0.125, "m": True}), "s_instance m"),
+        (dict(S_INSTANCE, bidder="constant_price(3.9)"), "constant_price's k"),
+        (dict(S_INSTANCE, bidder="constant_price(inf)"), "constant_price's k"),
+        (dict(budget=True), "budget"),
+        (dict(budget="0.3"), "budget"),
+    ],
+    ids=["mc_samples-negative", "mc_samples-fraction", "mc_samples-bool", "seed-fraction", "seed-negative",
+         "seed-nan", "seed-bool", "seed-string", "m-fraction", "m-bool", "k-fraction", "k-inf", "budget-bool",
+         "budget-string"],
+)
+def test_scenario_number_that_is_not_whole_exits_1(capsys, tmp_path, scenario, field):
+    code, out, err = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, **scenario))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"riskfree: error: {field} must be ") and "Traceback" not in err
+
+
+def test_scenario_whole_numbers_written_as_floats_run(capsys, tmp_path):
+    # constant_price(3) parses as 3.0; a whole float is a whole number
+    sc = dict(S_INSTANCE, valuation={"kind": "s_instance", "x": 0.125, "m": 12.0}, bidder="constant_price(3)",
+              seed=4.0)
+    code, out, _ = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, **sc))
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["seed"] == 4 and len(rec["rounds"]) == 12
+    assert sum(r[0] == "bidder" for r in rec["rounds"]) <= 4  # k = 3 targets ceil(12 / 3) wins
+
+
+def test_zero_mc_samples_draws_one_sample(capsys, tmp_path):
+    code, out, _ = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, **MC, mc_samples=0))
+    assert code == 0
+    assert json.loads(out)["mc_samples"] == 1
+
+
+def not_a_directory(tmp_path):
+    """A path whose parent is a regular file: no process can create it."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    return blocker / "out"
+
+
+def test_unwritable_outputs_exit_1(capsys, tmp_path, monkeypatch):
+    bad = not_a_directory(tmp_path)
+    code, _, err = run(capsys, "solve-uniform", "--m", "3", "--dump-csv", str(bad))
+    assert code == 1 and err.startswith("riskfree: error: ") and "Traceback" not in err
+    scenario = scenario_file(tmp_path, out=str(bad))
+    code, _, err = run(capsys, "simulate", "--scenario", scenario)
+    assert code == 1 and err.startswith("riskfree: error: ") and "Traceback" not in err
+    code, _, err = run(capsys, "figures", "--out", str(tmp_path / "file"))
+    assert code == 1 and err.startswith("riskfree: error: ") and "Traceback" not in err
+    ok = SweepReport(name="stub", description="", n_points=1, min_margin=1.0, worst_point=(0,), passed=True,
+                     runtime_s=0.0)
+    monkeypatch.setattr(analysis, "verify_all", lambda **kw: [ok])
+    code, _, err = run(capsys, "verify", "--suite", "simul", "--report", str(bad))
+    assert code == 1 and err.startswith("riskfree: error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
+def test_failed_allocation_exits_1(capsys, monkeypatch, message):
+    # stands in for numpy's "Unable to allocate 7.28 TiB" at --grid-step 1e-12,
+    # which a machine that overcommits memory might not raise
+    def allocate(**kw):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(analysis, "verify_all", allocate)
+    code, out, err = run(capsys, "verify", "--suite", "xos", "--grid-step", "1e-12")
+    assert (code, out) == (1, "")
+    assert err == f"riskfree: error: {message or 'MemoryError'}\n"

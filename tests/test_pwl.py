@@ -56,6 +56,25 @@ class TestEval:
             assert isinstance(got, np.ndarray) and got.shape == arr.shape
             assert np.array_equal(got, np.interp(arr, f.xs, f.ys))
 
+    @pytest.mark.parametrize(
+        "x",
+        [3, -2, np.int64(4), np.float32(0.5), np.float32(np.nan), np.array(0.2), np.array(np.nan),
+         np.array(1, dtype=np.int32), [0.1, 0.5], (0.1, 2.0), [[0.1, 0.2], [0.3, 5.0]],
+         np.array([[0.1], [0.9]]), True, False, float("nan"), [float("nan")], []],
+        ids=["int", "int-negative", "int64", "float32", "float32-nan", "0-d", "0-d-nan", "0-d-int", "list",
+             "tuple", "2-d-list", "2-d-array", "true", "false", "nan", "nan-list", "empty-list"],
+    )
+    def test_one_breakpoint_matches_interp(self, x):
+        # a constant function reads through np.interp like any other
+        f = PiecewiseLinear([0.3], [0.7])
+        got, want = f(x), np.interp(x, f.xs, f.ys)
+        if np.ndim(x) == 0:
+            assert type(got) is float and got == float(want) == 0.7
+        else:
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape == np.shape(x) and np.array_equal(got, want)
+            assert np.all(got == 0.7)
+
     def test_breakpoints_reject_writes(self):
         f = f2_table()
         for arr in (f.xs, f.ys):

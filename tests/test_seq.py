@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from oracles import alpha_params
 
 from riskfree import pwl, seq
 from riskfree.errors import ContractViolationError, PolicyContractError, StateSpaceError
 from riskfree.pwl import PiecewiseLinear
 from riskfree.seq import (
     SeqGameState,
-    alpha_params,
     best_response_to_fixed_bids,
     equalization_alpha,
     g_h,
@@ -502,12 +502,22 @@ class TestSimulate:
         with pytest.raises(PolicyContractError, match="finite"):
             simulate(uniform(1), FixedBidsPolicy((b1,)), FixedBidsPolicy((b2,)), budget=0.4)
 
-    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, -0.5])
-    @pytest.mark.parametrize("passed", [True, False], ids=["argument", "adversary-attribute"])
-    def test_bad_budget_rejected(self, budget, passed):
-        adversary = FixedBidsPolicy((0.0,), budget=None if passed else budget)
+    BAD_BUDGETS = [math.nan, math.inf, -math.inf, -0.5]
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS, ids=[f"argument-{b}" for b in BAD_BUDGETS])
+    def test_bad_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="finite and non-negative"):
-            simulate(uniform(1), FixedBidsPolicy((0.6,)), adversary, budget=budget if passed else None)
+            simulate(uniform(1), FixedBidsPolicy((0.6,)), FixedBidsPolicy((0.0,)), budget=budget)
+
+    def test_budget_is_a_required_keyword(self):
+        # a policy maps the state to a bid; the budget comes only from simulate's caller
+        bidder, adversary = FixedBidsPolicy((0.6,)), FixedBidsPolicy((0.0,))
+        with pytest.raises(TypeError, match="budget"):
+            simulate(uniform(1), bidder, adversary)
+        with pytest.raises(TypeError):
+            simulate(uniform(1), bidder, adversary, "first", 0.3)
+        with pytest.raises(TypeError):
+            FixedBidsPolicy((0.0,), budget=0.3)
 
     def test_second_price_budget_decreases_by_bidder_bid(self):
         # adversary wins round one; his budget drops by the bidder's bid
@@ -576,10 +586,11 @@ class TestBestResponse:
             ((0.1, 0.2), math.nan, "first"),
             ((0.1, 0.2), math.inf, "second"),
             ((0.1, 0.2), -0.5, "first"),
+            ((0.1, -1e-13), 0.3, "first"),
         ],
         ids=[
             "rule", "bid-nan", "bid-inf", "bids-short", "bids-long", "budget-nan", "budget-inf",
-            "budget-negative",
+            "budget-negative", "bid-slightly-negative",
         ],
     )
     def test_bad_input_rejected(self, bids, B, rule):

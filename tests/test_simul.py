@@ -16,13 +16,35 @@ from riskfree.simul import (
     exhaustive_best_response_split,
     expected_profit_uniform_random,
     optimal_counter_price,
-    project_budget_box,
     qp_grid_search,
     randomized_adversary,
     resolve,
     second_price_truthful_worst,
 )
 from riskfree.valuations import AdditiveValuation, XOSValuation
+
+
+def budget_scan(z, d, g, B):
+    """clip(z - theta * d, 0, 1) at the least theta >= 0 with spend g . b <= B,
+    by scanning the breakpoints where a coordinate leaves 1 or reaches 0 and
+    interpolating inside the first piece that fits: the general scan that
+    ``exact_qp`` ran with z = d = 1 before it kept only that case."""
+    b = np.clip(z, 0.0, 1.0)
+    if float(g @ b) <= B + 1e-12:
+        return b
+    thetas = np.concatenate(([0.0], (z - 1.0) / d, z / d))
+    thetas = np.unique(thetas[thetas >= 0.0])
+    vals = g @ np.clip(z[:, None] - thetas[None, :] * d[:, None], 0.0, 1.0)
+    below = np.nonzero(vals <= B)[0]
+    if below.size == 0:
+        return np.zeros_like(z)
+    i = int(below[0])
+    if i == 0 or vals[i] == vals[i - 1]:
+        theta = float(thetas[i])
+    else:
+        frac = (vals[i - 1] - B) / (vals[i - 1] - vals[i])
+        theta = float(thetas[i - 1] + frac * (thetas[i] - thetas[i - 1]))
+    return np.clip(z - theta * d, 0.0, 1.0)
 
 
 def full_lattice(g, B, step):
@@ -272,23 +294,29 @@ class TestQP:
             worst = min(worst, expected_profit_uniform_random(g, b))
         assert worst >= sol.value - 1e-9
 
-    def test_projection_is_euclidean(self):
-        rng = np.random.Generator(np.random.Philox(31))
-        for _ in range(50):
-            m = int(rng.integers(2, 6))
-            g = rng.random(m) + 0.05
-            B = float(rng.uniform(0.05, 0.9))
-            z = rng.uniform(-0.5, 1.5, m)
-            p = project_budget_box(z, g, B)
-            assert np.all(p >= -1e-12) and np.all(p <= 1 + 1e-12)
-            assert float(g @ p) <= B + 1e-9
-            # no feasible grid point is closer than the projection
-            grid = rng.uniform(0, 1, (4000, m))
-            grid = grid[grid @ g <= B]
-            if len(grid):
-                d_p = float(np.sum((p - z) ** 2))
-                d_grid = np.min(np.sum((grid - z) ** 2, axis=1))
-                assert d_p <= d_grid + 1e-9
+    def test_exact_oracle_replays_the_breakpoint_scan_bitwise(self):
+        rng = np.random.Generator(np.random.Philox(23))
+        cases = 0
+        for m in [1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 33, 64]:
+            for _ in range(30):
+                g = rng.random(m) * float(10.0 ** rng.integers(-3, 4))
+                if rng.random() < 0.3:
+                    g[rng.random(m) < 0.4] = 0.0  # zero weights
+                if rng.random() < 0.3:
+                    g = g / g.sum() if g.sum() > 0.0 else g  # normalized
+                total = float(g.sum())
+                # the budget ends, the edge of the early exit and random budgets
+                for B in (0.0, total, 2.0 * total, total - 1e-12, float(g @ np.ones(m)) - 1e-12,
+                          float(np.nextafter(total, 0.0)), *rng.uniform(0.0, 1.2 * total + 1e-3, 3)):
+                    B = max(B, 0.0)
+                    b, value = exact_qp(g, B)
+                    ones = np.ones_like(g)
+                    want = budget_scan(ones, ones, g, B)
+                    want_value = float(np.sum(g * 0.5 * (1.0 - want) ** 2))
+                    assert b.dtype == want.dtype and b.tobytes() == want.tobytes(), (g, B)
+                    assert value.hex() == want_value.hex(), (g, B)
+                    cases += 1
+        assert cases == 12 * 30 * 9
 
     def test_beats_sqrt_bound_beyond_threshold(self):
         for B in np.arange(3 - 2 * math.sqrt(2) + 1e-3, 1.0, 0.01):

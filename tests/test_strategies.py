@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from oracles import alpha_params
 
 from riskfree import seq
 from riskfree.errors import InfeasibleInstanceError
@@ -151,7 +152,7 @@ class TestAlphaTildeAdversary:
 
 def alpha_params_bid(state):
     """The alpha-tilde adversary's bid with its regime read from
-    ``seq.alpha_params``, as the policy made it before it inlined the test:
+    ``oracles.alpha_params``, as the policy made it before it inlined the test:
     the oracle for ``AlphaTildeAdversary``."""
     m_rem = len(state.remaining)
     per_item = 1.0 / state.m
@@ -162,7 +163,7 @@ def alpha_params_bid(state):
     if m_rem == 1:
         ratio = min(1.0, x_sub)
     else:
-        p = seq.alpha_params(m_rem, x_sub)
+        p = alpha_params(m_rem, x_sub)
         if p.intermediate:
             ratio = min(max(p.alpha_tilde, 0.0), p.alpha_max)
         else:
