@@ -12,12 +12,13 @@ does; that exit prints nothing to stderr.  Every exit 1 prints one
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -113,6 +114,8 @@ def load_scenario(path: str) -> Scenario:
         )
     except KeyError as exc:
         raise ValueError(f"scenario is missing required key {exc}") from exc
+    if sc.out is not None and not isinstance(sc.out, str):
+        raise ValueError(f"out must be a path string, got {sc.out!r}")
     if sc.auction not in ("sequential", "simultaneous"):
         raise ValueError(f"unknown auction kind: {sc.auction!r}")
     check_price_rule(sc.price_rule)
@@ -237,20 +240,59 @@ def run_scenario(sc: Scenario) -> dict:
 
 
 def _cmd_solve_uniform(args) -> int:
-    fm = seq.uniform_additive_value(args.m)
-    xs, ys = fm.xs, fm.ys
-    slope = np.diff(ys) / np.diff(xs)
-    intercept = ys[:-1] - slope * xs[:-1]
-    branches = np.column_stack((xs[:-1], xs[1:], slope, intercept)).tolist()
-    print(json.dumps({"m": args.m, "branches": branches}))
-    if args.dump_csv:
-        _write_pwl_csv(fm, args.dump_csv)
+    levels = seq.LADDER.stream(args.m)  # checks m before the CSV path is claimed
+    with _claim_output(args.dump_csv):
+        for _, fm, _ in levels:  # keeps f_m, not f_1..f_m
+            pass
+        xs, ys = fm.xs, fm.ys
+        slope = np.diff(ys) / np.diff(xs)
+        intercept = ys[:-1] - slope * xs[:-1]
+        branches = np.column_stack((xs[:-1], xs[1:], slope, intercept))
+        # the bytes of print(json.dumps({"m": m, "branches": branches.tolist()}))
+        sys.stdout.write(f'{{"m": {args.m}, "branches": [')
+        _write_blocks(sys.stdout, branches, lambda rows: json.dumps(rows)[1:-1], ", ")
+        sys.stdout.write("]}\n")
+        if args.dump_csv:
+            _write_pwl_csv(fm, args.dump_csv)
     return 0
 
 
+#: Rows that ``_write_blocks`` turns into text at a time.
+_BLOCK_ROWS = 1024
+
+
+def _write_blocks(out, rows: np.ndarray, render: Callable[[list], str], sep: str) -> None:
+    """Write ``render`` of each block of ``_BLOCK_ROWS`` rows of ``rows`` (as
+    lists of floats) to ``out``, with ``sep`` between blocks, so only one
+    block's text exists at a time."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        if start:
+            out.write(sep)
+        out.write(render(rows[start : start + _BLOCK_ROWS].tolist()))
+
+
+@contextlib.contextmanager
+def _claim_output(path: str | None):
+    """Fail before the work when ``path`` cannot be written: open it for
+    appending, which creates a missing file and changes no existing one.
+    A body that raises leaves no file it created behind."""
+    created = bool(path) and not os.path.exists(path)
+    if path:
+        open(path, "a").close()
+    try:
+        yield
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _write_pwl_csv(fm, path: str) -> None:
-    lines = ["x,value"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in fm.csv_rows()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write("x,value\n")
+        _write_blocks(out, np.column_stack((fm.xs, fm.ys)),
+                      lambda rows: "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in rows), "")
 
 
 def _cmd_tables(args) -> int:
@@ -260,10 +302,11 @@ def _cmd_tables(args) -> int:
 
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
-    report = run_scenario(sc)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if sc.out:
-        Path(sc.out).write_text(text + "\n")
+    with _claim_output(sc.out):
+        report = run_scenario(sc)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if sc.out:
+            Path(sc.out).write_text(text + "\n")
     print(text)
     return 0
 
@@ -285,15 +328,16 @@ def _cmd_qp(args) -> int:
 
 def _cmd_verify(args) -> int:
     suites = tuple(analysis.SUITES) if args.suite == "all" else (args.suite,)
-    reports = analysis.verify_all(
-        suites=suites, m_max=args.m_max, grid_step=args.grid_step, seed=args.seed
-    )
-    for rep in reports:
-        print(rep.summary_line())
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    with _claim_output(args.report):
+        reports = analysis.verify_all(
+            suites=suites, m_max=args.m_max, grid_step=args.grid_step, seed=args.seed
         )
+        for rep in reports:
+            print(rep.summary_line())
+        if args.report:
+            Path(args.report).write_text(
+                json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+            )
     return 0 if all(r.passed for r in reports) else 2
 
 

@@ -444,7 +444,9 @@ class Ladder:
         rest are built as ``levels`` would build them, bit for bit up to
         ``build_s``, but only the previous one is kept alive, so memory stays
         at two levels however far the stream goes.  It takes no lock: the
-        cached prefix ends at the last level whose record exists.
+        cached prefix ends at the last level whose record exists.  Readers:
+        ``riskfree solve-uniform``, which keeps only f_m, and the
+        ``si_upper`` sweep, which reads each level once.
         """
         if m_max < 1:
             raise ValueError("m must be at least 1")
@@ -476,7 +478,9 @@ def g_h(m: int, x: float, alpha: float) -> tuple[float, float]:
     ``alpha`` is the adversary's first-round bid in units of the per-item
     value 1/m; it must satisfy 0 <= alpha <= min(1, m*x).  ``x`` and
     ``alpha`` may be arrays (broadcast together); g and h then are too.
-    Both read f_{m-1} from ``LADDER``.
+    Both read f_{m-1} from ``LADDER``; scalars read it at both budgets in
+    one ``np.interp`` call on the level's arrays, as ``equalization_alpha``
+    does, whose values are those of two scalar reads.
     """
     if m < 2:
         raise ValueError("g/h need m >= 2")
@@ -495,9 +499,12 @@ def g_h(m: int, x: float, alpha: float) -> tuple[float, float]:
         raise ContractViolationError(f"alpha = {alpha} outside the feasible range [0, min(1, m x) = {cap}]")
     fp = LADDER.level(m - 1)
     r = (m - 1.0) / m
-    g = (1.0 - alpha) / m + r * fp(m * x / (m - 1.0))
-    h = r * fp((m * x - alpha) / (m - 1.0))
-    return (g, h) if array else (float(g), float(h))
+    if array:
+        g = (1.0 - alpha) / m + r * fp(m * x / (m - 1.0))
+        h = r * fp((m * x - alpha) / (m - 1.0))
+        return g, h
+    f_all, f_rest = np.interp((m * x / (m - 1.0), (m * x - alpha) / (m - 1.0)), fp._xs, fp._ys).tolist()
+    return float((1.0 - alpha) / m + r * f_all), r * f_rest
 
 
 def alpha_tilde(m: int, x):
@@ -750,7 +757,7 @@ def best_response_to_fixed_bids(
             pay[n : 2 * n] = pay[:n]
             drain = np.subtract(B, cost[:n], out=vals[:n])
             np.minimum(bi, drain, out=drain)
-            pay[:n] += np.clip(drain, 0.0, None, out=drain)
+            pay[:n] += np.maximum(drain, 0.0, out=drain)
     np.subtract(v.values_all(vals)[::-1], pay, out=profit)
     infeasible = cost >= B - 1e-12
     infeasible[0] = False  # the empty plan is always available

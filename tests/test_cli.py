@@ -1,13 +1,15 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from riskfree import analysis, cli
+from riskfree import analysis, cli, seq
 from riskfree.analysis import SweepReport
 
 
@@ -282,6 +284,48 @@ def test_solve_uniform_json_matches_per_branch_loop(capsys):
     assert out == json.dumps({"m": m, "branches": branches}) + "\n"
 
 
+@pytest.mark.parametrize("blocks", ["below", "equal", "above"])
+def test_solve_uniform_blocks_match_whole_record(capsys, tmp_path, monkeypatch, blocks):
+    # the references: the per-branch loop above and the per-row CSV writer
+    # the block writer replaced; the branch count is below, equal to and
+    # above one block
+    m = 12
+    fm = seq.uniform_additive_value(m)
+    n = len(fm.xs) - 1
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", {"below": n + 1, "equal": n, "above": n // 3}[blocks])
+    xs, ys = fm.xs, fm.ys
+    branches = []
+    for i in range(n):
+        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+        intercept = ys[i] - slope * xs[i]
+        branches.append([float(xs[i]), float(xs[i + 1]), float(slope), float(intercept)])
+    rows = [f"{cli._fmt(x)},{cli._fmt(y)}" for x, y in fm.csv_rows()]
+    csv_path = tmp_path / "f.csv"
+    code, out, _ = run(capsys, "solve-uniform", "--m", str(m), "--dump-csv", str(csv_path))
+    assert code == 0
+    assert out == json.dumps({"m": m, "branches": branches}) + "\n"
+    assert csv_path.read_text() == "\n".join(["x,value"] + rows) + "\n"
+
+
+def test_solve_uniform_streams_levels(tmp_path):
+    # f_m is the last level of LADDER.stream: no level past the cache is
+    # kept, and the peak stays near one level and one block, where caching
+    # the 20 levels and the whole record took 9.7-16 MB
+    cached = len(seq.LADDER)
+    with open(tmp_path / "out.json", "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(["solve-uniform", "--m", str(cached + 20)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert len(seq.LADDER) == cached
+    assert peak < 6e6
+    rec = json.loads((tmp_path / "out.json").read_text())
+    assert rec["m"] == cached + 20 and rec["branches"][-1][1] == 1.0
+
+
 def cli_process(*argv, **kwargs):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -421,6 +465,13 @@ def test_scenario_number_that_is_not_whole_exits_1(capsys, tmp_path, scenario, f
     assert err.startswith(f"riskfree: error: {field} must be ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("out", [1.5, ["out.json"]], ids=["number", "list"])
+def test_scenario_out_that_is_not_a_path_exits_1(capsys, tmp_path, out):
+    code, printed, err = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, out=out))
+    assert (code, printed) == (1, "")
+    assert err.startswith("riskfree: error: out must be a path string") and "Traceback" not in err
+
+
 def test_scenario_whole_numbers_written_as_floats_run(capsys, tmp_path):
     # constant_price(3) parses as 3.0; a whole float is a whole number
     sc = dict(S_INSTANCE, valuation={"kind": "s_instance", "x": 0.125, "m": 12.0}, bidder="constant_price(3)",
@@ -447,18 +498,35 @@ def not_a_directory(tmp_path):
 
 def test_unwritable_outputs_exit_1(capsys, tmp_path, monkeypatch):
     bad = not_a_directory(tmp_path)
-    code, _, err = run(capsys, "solve-uniform", "--m", "3", "--dump-csv", str(bad))
+    calls = []  # work that an unwritable path must not reach
+    code, out, err = run(capsys, "solve-uniform", "--m", "3", "--dump-csv", str(bad))
     assert code == 1 and err.startswith("riskfree: error: ") and "Traceback" not in err
+    assert out == ""  # the path is opened before the ladder is read
     scenario = scenario_file(tmp_path, out=str(bad))
+    monkeypatch.setattr(cli, "run_scenario", lambda sc: calls.append(sc) or {})
     code, _, err = run(capsys, "simulate", "--scenario", scenario)
     assert code == 1 and err.startswith("riskfree: error: ") and "Traceback" not in err
     code, _, err = run(capsys, "figures", "--out", str(tmp_path / "file"))
     assert code == 1 and err.startswith("riskfree: error: ") and "Traceback" not in err
     ok = SweepReport(name="stub", description="", n_points=1, min_margin=1.0, worst_point=(0,), passed=True,
                      runtime_s=0.0)
-    monkeypatch.setattr(analysis, "verify_all", lambda **kw: [ok])
+    monkeypatch.setattr(analysis, "verify_all", lambda **kw: calls.append(kw) or [ok])
     code, _, err = run(capsys, "verify", "--suite", "simul", "--report", str(bad))
     assert code == 1 and err.startswith("riskfree: error: ") and "Traceback" not in err
+    assert calls == []  # neither the scenario nor the sweep ran
+
+
+def test_output_files_written_on_success_only(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    code, printed, _ = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, out=str(out)))
+    assert code == 0 and out.read_text() == printed
+    out.unlink()
+    code, printed, _ = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, out=str(out), bidder="nope"))
+    assert code == 1 and printed == ""
+    assert not out.exists()  # the file claimed before the run is removed again
+    out.write_text("kept")
+    code, _, _ = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, out=str(out), bidder="nope"))
+    assert code == 1 and out.read_text() == "kept"  # an existing file is left as it was
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
