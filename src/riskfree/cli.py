@@ -45,6 +45,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value, checked while parsing: digits only, so >= 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -78,16 +85,24 @@ def _number(value: Any, field: str, whole: bool = False) -> float | int:
     return int(value)
 
 
+def _list(value: Any, field: str, entry: Callable[[Any, str], Any] = _number) -> list:
+    """Scenario ``field`` as a list, entry i read by ``entry`` as ``field[i]``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return [entry(x, f"{field}[{i}]") for i, x in enumerate(value)]
+
+
 def parse_valuation(spec: dict) -> tuple[Valuation, Any]:
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "additive":
-        return AdditiveValuation(spec["weights"]), None
+        return AdditiveValuation(_list(spec["weights"], "weights")), None
     if kind == "xos":
-        return XOSValuation([tuple(c) for c in spec["clauses"]]), None
+        return XOSValuation(_list(spec["clauses"], "clauses", lambda c, name: tuple(_list(c, name)))), None
     if kind == "subadditive_identical":
-        return SubadditiveIdenticalValuation(spec["table"]), None
+        return SubadditiveIdenticalValuation(_list(spec["table"], "table")), None
     if kind == "s_instance":
-        return make_s_instance(float(spec["x"]), _number(spec["m"], "s_instance m", whole=True))
+        x = _number(spec["x"], "s_instance x")
+        return make_s_instance(x, _number(spec["m"], "s_instance m", whole=True))
     raise ValueError(f"unknown valuation kind: {kind!r}")
 
 
@@ -321,8 +336,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_qp(args) -> int:
     weights = tuple(float(w) for w in args.gamma_star.split(","))
     sol = simul.adversary_qp(AdditiveValuation(weights), args.b)
-    _, exact_value = simul.exact_qp(weights, args.b)
-    print(json.dumps({"value": sol.value, "pg_value": exact_value, "ratios": list(sol.ratios)}))
+    print(json.dumps({"value": sol.value, "ratios": list(sol.ratios)}))
     return 0
 
 
@@ -391,7 +405,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--suite", choices=(*analysis.SUITES, "all"), default="all")
     sp.add_argument("--m-max", type=int, default=30)
     sp.add_argument("--grid-step", type=float, default=0.01)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--report", default=None)
     sp.set_defaults(fn=_cmd_verify)
 

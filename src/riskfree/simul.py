@@ -10,10 +10,10 @@ best response is the quadratic program
 whose optimum, for a normalized weight vector g, is the constant vector
 b_i = B with value (1 - B)^2 / 2.  ``adversary_qp`` returns that closed form
 with its Lagrange multipliers and checks the KKT conditions on every call;
-the QP is convex, so they prove optimality.  An exact solver for any
-non-negative weights (``exact_qp``, which clips 1 - theta at the least budget
-multiplier theta that fits) and a lattice search are kept as independent
-oracles for the verification sweep.
+the QP is convex, so they prove optimality.  The general solvers that
+re-check such closed forms (an exact QP scan for any non-negative weights, a
+lattice search, an enumerated best reply to the split adversary) live in the
+tests, as oracles.
 """
 
 from __future__ import annotations
@@ -155,69 +155,6 @@ def exact_xos_expected_profit(v: XOSValuation, ratios: Sequence[float]) -> float
 # -- the adversarial quadratic program ------------------------------------------
 
 
-def exact_qp(g: np.ndarray, B: float) -> tuple[np.ndarray, float]:
-    """Exact minimizer of (1/2) sum g_i (1 - b_i)^2 over {0 <= b <= 1, g . b <= B}.
-
-    With a multiplier theta on the budget row, coordinate i minimizes
-    (1/2) g_i (1 - b_i)^2 + theta g_i b_i on [0, 1] at clip(1 - theta).  The
-    optimal theta is the least one whose point fits the budget.  The spend
-    g . clip(1 - theta) falls linearly from g . 1 at theta = 0 to 0 at
-    theta = 1, so theta is 0 when g . 1 fits and otherwise interpolates the
-    spend between those two points.  ``g`` may be any finite non-negative
-    vector; it need not sum to 1.  Returns (b, value).
-    """
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g) & (g >= 0.0)):
-        raise ValueError("weights must be finite and non-negative")
-    check_budget(B)
-    b = np.ones_like(g)
-    if float(g @ b) > B + _TOL:
-        # the spend at theta = 0 is read as the first column of g @ [1, 0]:
-        # its BLAS sum can differ from the dot's in the last bits, and this
-        # read keeps b bit-identical to the breakpoint scan over theta = 0
-        # and 1 (the oracle in tests/test_simul.py); a spend within B clips to 1
-        spend = float((g @ np.column_stack((b, np.zeros_like(g))))[0])
-        b = np.clip(b - (spend - B) / spend, 0.0, 1.0)
-    return b, float(np.sum(g * 0.5 * (1.0 - b) ** 2))
-
-
-def qp_grid_search(g: np.ndarray, B: float, step: float = 0.001) -> float:
-    """Independent lattice oracle for the two-item QP.
-
-    The minimum of the objective over the lattice points (b1, b2) that pass
-    ``g[0]*b1 + g[1]*b2 <= B + 1e-12``.  With g >= 0 that test holds on a
-    prefix of each b1 row, and the objective falls as b2 rises to 1, so a
-    row needs only its last feasible b2 and the point before it (the last
-    lattice point may pass 1, and its objective can then round above the
-    one before it).  That index is estimated with ``searchsorted`` and
-    walked to the exact boundary of the same float test, so the value is
-    the full lattice's to the bit, in O(1/step).
-    """
-    if len(g) != 2:
-        raise ValueError("the lattice oracle is for m = 2")
-    if not (g[0] >= 0.0 and g[1] >= 0.0):
-        raise ValueError("weights must be non-negative")
-    axis = np.arange(0.0, 1.0 + step / 2, step)
-    last = len(axis) - 1
-    cap = B + 1e-12
-
-    def fits(j: np.ndarray) -> np.ndarray:
-        return g[0] * axis + g[1] * axis[j] <= cap
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j = np.searchsorted(axis, (cap - g[0] * axis) / g[1], side="right") - 1
-    while (down := (j >= 0) & ~fits(np.maximum(j, 0))).any():
-        j = j - down
-    while (up := (j < last) & fits(np.minimum(j + 1, last))).any():
-        j = j + up
-    b1, j = axis[j >= 0], j[j >= 0]
-
-    def obj(b2: np.ndarray) -> np.ndarray:
-        return 0.5 * (g[0] * (1.0 - b1) ** 2 + g[1] * (1.0 - b2) ** 2)
-
-    return float(np.minimum(obj(axis[j]), obj(axis[np.maximum(j - 1, 0)])).min())
-
-
 def adversary_qp(gstar: AdditiveValuation, B: float) -> QPSolution:
     """Optimal adversary ratios against the uniform-random bidder.
 
@@ -349,32 +286,15 @@ def randomized_adversary(m: int, B: float, seed: int) -> np.ndarray:
 def best_response_profit(m: int, B: float) -> float:
     """Bidder 1's best-response value against the randomized adversary on the
     uniform additive instance: 1 - 2B below budget 1/4, else 2(1-B)/3.
-    B must lie in (0, 1), the domain of ``budget_split``."""
+    B must lie in (0, 1), the domain of ``budget_split``.
+    Undominated per-item bids skip, beat w2/m (winning with probability 1/2)
+    or beat w1/m (always winning); by linearity the best reply plays every
+    item at the better gain, (1 - w2)/(2m) or (1 - w1)/m."""
     if m % 2 != 0:
         raise ValueError("m must be even")
     if budget_split(B).regime == "low":
         return 1.0 - 2.0 * B
     return 2.0 * (1.0 - B) / 3.0
-
-
-def exhaustive_best_response_split(m: int, B: float) -> tuple[float, tuple[int, int]]:
-    """Enumerated bidder best response against the w1/w2 adversary.
-
-    Undominated per-item bids are: skip, beat w2/m (wins when the item is off
-    the random subset, probability 1/2), or beat w1/m (always wins).  The
-    expectation is linear, so enumerating the counts (n1, n2) of items played
-    at each level is exhaustive.
-    """
-    split = budget_split(B)
-    gain_mid = 0.5 * (1.0 - split.w2) / m  # wins iff off-subset, pays w2/m
-    gain_top = (1.0 - split.w1) / m  # always wins, pays w1/m
-    best, arg = 0.0, (0, 0)
-    for n1 in range(m + 1):
-        for n2 in range(m + 1 - n1):
-            val = n1 * gain_mid + n2 * gain_top
-            if val > best + _TOL:
-                best, arg = val, (n1, n2)
-    return float(best), arg
 
 
 # -- pure-adversary counter ------------------------------------------------------

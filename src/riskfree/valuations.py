@@ -373,7 +373,7 @@ def cover_lower_bound(v: SubadditiveIdenticalValuation, q: int) -> float:
     return v.total() / math.ceil(v.m / q)
 
 
-def beta_cover(v: Valuation, max_m: int = 8) -> CoverCertificate:
+def beta_cover(v: Valuation) -> CoverCertificate:
     """Best cover factor for v by a single bid vector, in closed form.
 
     Minimizes beta subject to sum(r) = v(I), sum_{j in S} r_j <= beta * v(S)
@@ -387,11 +387,9 @@ def beta_cover(v: Valuation, max_m: int = 8) -> CoverCertificate:
       beta >= (q/m) v(I) / v(q), so beta = max(1, max_q (q/m) v(I) / v(q)).
 
     The certificate is checked against every one of the 2^m - 1 cover
-    constraints, so m is capped (default 8).
+    constraints, so m is capped at ``MAX_ENUM_M``, as in every 2^m kernel.
     """
     m = v.m
-    if m > max_m:
-        raise ValueError(f"m = {m} exceeds the enumeration cap {max_m}")
     vI = v.total()
     if vI <= _TOL:
         raise DegenerateValuationError("v(I) must be positive")

@@ -25,6 +25,8 @@ from riskfree.valuations import (
     random_subadditive_identical,
 )
 
+from oracles import exhaustive_best_response_split, qp_grid_search, scan_qp
+
 TOL = 1e-9
 
 
@@ -128,7 +130,7 @@ def test_criterion_05_second_price_floor():
 
 def test_criterion_06_adversarial_qp():
     rng = np.random.Generator(np.random.Philox(6))
-    worst_pg, worst_lattice = 0.0, 0.0
+    worst_scan, worst_lattice = 0.0, 0.0
     for i in range(20):
         m = 2 if i < 8 else int(rng.integers(3, 9))
         w = rng.random(m) + 0.05
@@ -136,10 +138,10 @@ def test_criterion_06_adversarial_qp():
         for B in np.arange(0.1, 0.95, 0.1):
             sol = simul.adversary_qp(g, float(B))
             rng.integers(2**31)  # the seed an iterative oracle drew; later draws stay put
-            _, pg_value = simul.exact_qp(np.asarray(g.weights), float(B))
-            worst_pg = max(worst_pg, abs(pg_value - sol.value))
+            _, scan_value = scan_qp(g.weights, float(B))
+            worst_scan = max(worst_scan, abs(scan_value - sol.value))
             if m == 2:
-                lattice = simul.qp_grid_search(np.asarray(g.weights), float(B), step=0.001)
+                lattice = qp_grid_search(np.asarray(g.weights), float(B), step=0.001)
                 worst_lattice = max(worst_lattice, abs(lattice - sol.value))
     # Monte Carlo vs the closed form at the QP optimizer b = B
     mc_ok = True
@@ -153,13 +155,13 @@ def test_criterion_06_adversarial_qp():
         profits = (g * wins).sum(axis=1) - (draws * wins).sum(axis=1)
         se = float(profits.std()) / math.sqrt(n)
         mc_ok &= abs(float(profits.mean()) - 0.5 * (1 - B) ** 2) <= 3 * se
-    ok = worst_pg <= 1e-6 and worst_lattice <= 1e-4 and mc_ok
+    ok = worst_scan <= 1e-6 and worst_lattice <= 1e-4 and mc_ok
     announce(
         6,
         ok,
-        f"max |closed-PG| {worst_pg:.2e}, max |closed-lattice| {worst_lattice:.2e}, MC within 3 SE: {mc_ok}",
+        f"max |closed-scan| {worst_scan:.2e}, max |closed-lattice| {worst_lattice:.2e}, MC within 3 SE: {mc_ok}",
     )
-    assert worst_pg <= 1e-6
+    assert worst_scan <= 1e-6
     assert worst_lattice <= 1e-4
     assert mc_ok
 
@@ -170,7 +172,7 @@ def test_criterion_07_randomized_adversary_values():
     for m in (4, 8, 12):
         for B in np.arange(0.02, 1.0, 0.02):
             B = float(B)
-            got, _ = simul.exhaustive_best_response_split(m, B)
+            got, _ = exhaustive_best_response_split(m, B)
             want = 1 - 2 * B if B < 0.25 else 2 * (1 - B) / 3
             worst = max(worst, abs(got - want))
             strict_ok &= got < 1 - B

@@ -363,6 +363,14 @@ class TestVerifyAll:
         for rep in reps:
             assert abs(rep.min_margin - want[rep.name]) <= 1e-7, rep.name
 
+    def test_simul_margins_replay_the_benchmark_reference_at_every_seed(self):
+        seeded = json.loads(REFERENCE.read_text())["verify"]["full"]["seeded"]
+        assert sorted(map(int, seeded)) == list(range(64))
+        for seed, want in seeded.items():
+            rep = A.verify_simul(seed=int(seed))
+            assert rep.passed, seed
+            assert abs(rep.min_margin - want["simultaneous"]) <= 1e-7, seed  # the benchmark's REF_TOL
+
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("suites", [("xos", "si", "simul"), ("xos",), ("si",), ("simul",)])
     def test_reports_equal_direct_calls(self, suites, seed):

@@ -35,8 +35,9 @@ def test_qp(capsys):
     code, out, _ = run(capsys, "qp", "--gamma-star", "0.5,0.5", "--b", "0.5")
     assert code == 0
     rec = json.loads(out)
+    assert list(rec) == ["value", "ratios"]
     assert rec["value"] == pytest.approx(0.125)
-    assert rec["pg_value"] == pytest.approx(0.125, abs=1e-6)
+    assert rec["ratios"] == [0.5, 0.5]
 
 
 def test_qp_bad_weights_exit_1(capsys):
@@ -465,6 +466,29 @@ def test_scenario_number_that_is_not_whole_exits_1(capsys, tmp_path, scenario, f
     assert err.startswith(f"riskfree: error: {field} must be ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "valuation, message",
+    [
+        ({"kind": "additive", "weights": 5}, "weights must be a list, got 5"),
+        ({"kind": "additive", "weights": ["0.5", "0.5"]}, "weights[0] must be a number, got '0.5'"),
+        ({"kind": "additive", "weights": [True, False]}, "weights[0] must be a number, got True"),
+        ({"kind": "xos", "clauses": 5}, "clauses must be a list, got 5"),
+        ({"kind": "xos", "clauses": [0.5, 0.5]}, "clauses[0] must be a list, got 0.5"),
+        ({"kind": "xos", "clauses": [[0.5, 0.5], [0.5, "a"]]}, "clauses[1][1] must be a number, got 'a'"),
+        ({"kind": "subadditive_identical", "table": None}, "table must be a list, got None"),
+        ({"kind": "subadditive_identical", "table": [0, 0.6, "1"]}, "table[2] must be a number, got '1'"),
+        ({"kind": "s_instance", "x": [0.1], "m": 10}, "s_instance x must be a number, got [0.1]"),
+        ({"kind": "s_instance", "x": "0.1", "m": 10}, "s_instance x must be a number, got '0.1'"),
+    ],
+    ids=["weights-number", "weights-strings", "weights-bools", "clauses-number", "clause-number",
+         "clause-string", "table-null", "table-string", "x-list", "x-string"],
+)
+def test_scenario_valuation_of_the_wrong_type_exits_1(capsys, tmp_path, valuation, message):
+    code, out, err = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, valuation=valuation))
+    assert (code, out) == (1, "")
+    assert err == f"riskfree: error: {message}\n"
+
+
 @pytest.mark.parametrize("out", [1.5, ["out.json"]], ids=["number", "list"])
 def test_scenario_out_that_is_not_a_path_exits_1(capsys, tmp_path, out):
     code, printed, err = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, out=out))
@@ -514,6 +538,18 @@ def test_unwritable_outputs_exit_1(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "verify", "--suite", "simul", "--report", str(bad))
     assert code == 1 and err.startswith("riskfree: error: ") and "Traceback" not in err
     assert calls == []  # neither the scenario nor the sweep ran
+
+
+@pytest.mark.parametrize("seed", ["-1", "x", "2.5"])
+def test_verify_bad_seed_exits_1_before_any_sweep(capsys, monkeypatch, seed):
+    calls = []
+    monkeypatch.setattr(analysis, "verify_all", lambda **kw: calls.append(kw) or [])
+    with pytest.raises(SystemExit) as e:
+        cli.main(["verify", "--seed", seed])
+    out = capsys.readouterr()
+    assert e.value.code == 1 and out.out == ""
+    assert "argument --seed: must be a non-negative integer" in out.err and "Traceback" not in out.err
+    assert calls == []  # rejected while parsing, before the sweep
 
 
 def test_output_files_written_on_success_only(capsys, tmp_path):

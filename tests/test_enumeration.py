@@ -179,7 +179,7 @@ def test_entry_points_run_at_the_cap():
         assert math.isfinite(profit)
     assert math.isfinite(second_price_truthful_worst(xos, 0.3)[0])
     assert math.isfinite(exact_xos_expected_profit(xos, [0.5] * MAX_ENUM_M))
-    assert beta_cover(table, max_m=MAX_ENUM_M).beta == pytest.approx(1.0)
+    assert beta_cover(table).beta == pytest.approx(1.0)
 
 
 def test_entry_points_raise_above_the_cap():
@@ -197,7 +197,7 @@ def test_entry_points_raise_above_the_cap():
         ),
         lambda: second_price_truthful_worst(xos, 0.3),
         lambda: exact_xos_expected_profit(xos, [0.5] * m),
-        lambda: beta_cover(table, max_m=m),
+        lambda: beta_cover(table),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="capped"):

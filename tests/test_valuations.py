@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 from riskfree.errors import DegenerateValuationError, InfeasibleInstanceError
 from riskfree.valuations import (
     _TOL,
+    MAX_ENUM_M,
     AdditiveValuation,
     CoverCertificate,
     SInstanceParams,
@@ -387,8 +388,20 @@ class TestBetaCover:
             _check_certificate(v, CoverCertificate(r=(2e-9, 0.0, 0.0), beta=0.0))
 
     def test_m_cap(self):
-        with pytest.raises(ValueError):
-            beta_cover(AdditiveValuation((0.125,) * 9))
+        # the 2^m kernel that checks the certificate is the only cap
+        with pytest.raises(ValueError, match="capped"):
+            beta_cover(AdditiveValuation((1.0 / (MAX_ENUM_M + 1),) * (MAX_ENUM_M + 1)))
+
+    @pytest.mark.parametrize("m", [9, 10, 11, 12])
+    def test_identical_tables_above_eight_items(self, m):
+        rng = np.random.Generator(np.random.Philox(m))
+        extremal = (0.0,) + (0.5,) * (m - 1) + (1.0,)
+        tables = [random_subadditive_identical(m, rng).table for _ in range(5)] + [extremal]
+        for table in tables:
+            cert = beta_cover(SubadditiveIdenticalValuation(table))
+            expect = max(1.0, max((q / m) / table[q] for q in range(1, m)))
+            assert cert.beta == pytest.approx(expect, abs=1e-12)
+        assert cert.beta == pytest.approx(2.0 * (m - 1) / m, abs=1e-12)  # the extremal table
 
 
 def former_random_table(m, rng):
