@@ -12,7 +12,12 @@ import math
 import numpy as np
 
 from riskfree import analysis
-from riskfree.strategies import choose_k, constant_price_policy, constant_price_worst_profit
+from riskfree.strategies import (
+    choose_k,
+    constant_price_policy,
+    constant_price_worst_profit,
+    tangent_value,
+)
 from riskfree.valuations import make_s_instance, random_subadditive_identical
 
 rng = np.random.Generator(np.random.Philox(5))
@@ -38,7 +43,7 @@ for B in (0.1, 0.3, 0.5):
 
 print("\nhard tables: every response class stays near t_1(x) = 1/2 - x")
 for x in (0.05, 0.1, 0.2):
-    t1 = analysis.tangent_bound(1, x).value
+    t1 = tangent_value(1, x)
     for m in (50, 200):
         r = analysis.si_upper_response_value(x, m)
         print(

@@ -11,7 +11,6 @@ from .analysis import (
     f_bound,
     t_star,
     table_A,
-    tangent_bound,
     verify_all,
 )
 from .pwl import PiecewiseLinear, pointwise_extreme, solve_equal
@@ -52,11 +51,9 @@ from .valuations import (
     SubadditiveIdenticalValuation,
     XOSValuation,
     beta_cover,
-    cover_lower_bound,
     gamma_star,
     l_threshold,
     make_s_instance,
-    normalize,
     sigma_of,
 )
 

@@ -37,13 +37,6 @@ from .valuations import (
 )
 
 
-@dataclass(frozen=True)
-class TangentBound:
-    k: int
-    value: float
-    tangency: float  # budget where t_k touches (1 - sqrt(B))^2
-
-
 @dataclass
 class SweepReport:
     name: str
@@ -74,11 +67,6 @@ def f_bound(B: float) -> float:
     """The fair-split bound (1 - sqrt(B))^2."""
     check_budget(B)
     return (1.0 - math.sqrt(B)) ** 2
-
-
-def tangent_bound(k: int, B: float) -> TangentBound:
-    check_budget(B)
-    return TangentBound(k=k, value=tangent_value(k, B), tangency=(k / (k + 1.0)) ** 2)
 
 
 def t_star(B: float) -> tuple[float, int]:

@@ -54,7 +54,8 @@ def _seed(text: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        # "riskfree", not self.prog: a subcommand's prog is "riskfree verify"
+        self.exit(1, f"riskfree: error: {message}\n")
 
 
 @dataclass

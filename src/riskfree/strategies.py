@@ -178,39 +178,29 @@ def tangent_peak(B: float, j_max: int) -> tuple[int, float]:
     return best_j, best_val
 
 
-def choose_k(B: float, k_cap: int = 400) -> int:
+def choose_k(B: float) -> int:
     """Allocation coarseness whose tangent bound is highest at budget B.
 
-    Maximizes t_{k-1}(B) over 2 <= k <= k_cap; ties break toward smaller k.
+    Maximizes t_{k-1}(B) over 2 <= k <= 400; ties break toward smaller k.
     """
-    return tangent_peak(B, k_cap - 1)[0] + 1
+    return tangent_peak(B, 399)[0] + 1
 
 
 def constant_price_worst_profit(
     si: SubadditiveIdenticalValuation, B: float, k: int
 ) -> tuple[float, int]:
-    """Exhaustive adversary best response to the flat-price policy.
+    """Adversary best response to the flat-price policy, in closed form.
 
     Against a bidder who pays p until she holds q items, the adversary's only
-    lever is how many rounds to win while she is still bidding; each such win
-    costs him p (he must outbid it), and the total must stay strictly below
-    B.  Returns (bidder profit, adversary win count at the minimum).
+    lever is how many rounds to win while she is still bidding.  Each such
+    win costs him p (he must outbid it), and his wins must total strictly
+    below B = (m - q + 1) p, so he wins at most m - q rounds.  Every
+    affordable count therefore leaves her exactly q items at price p, and
+    her profit is v(q) - q p.  Returns (bidder profit, adversary win count
+    at the minimum); every count ties, and the least is 0.
     """
-    policy, plan = constant_price_policy(si, B, k)
-    m, q, p = si.m, plan.q, plan.p
-    if p <= 0:
-        return si.value_of_count(q), 0
-    w_max = min(m, int(math.floor((B - 1e-12) / p - 1e-12)) + 1)
-    # w wins at price p each require w * p < B strictly
-    while w_max > 0 and w_max * p >= B - 1e-12:
-        w_max -= 1
-    worst, worst_w = math.inf, 0
-    for w in range(w_max + 1):
-        c = min(q, m - w)
-        profit = si.value_of_count(c) - c * p
-        if profit < worst:
-            worst, worst_w = profit, w
-    return float(worst), worst_w
+    plan = constant_price_policy(si, B, k)[1]
+    return float(si.value_of_count(plan.q) - plan.q * plan.p), 0
 
 
 @dataclass(frozen=True)

@@ -305,21 +305,6 @@ def gamma_star(v: XOSValuation | AdditiveValuation) -> AdditiveValuation:
     return v.clauses[totals.index(max(totals))]
 
 
-def normalize(v: Valuation) -> tuple[Valuation, float]:
-    """Scale so the full set is worth exactly 1; returns (valuation, divisor)."""
-    scale = v.total()
-    if scale <= _TOL:
-        raise DegenerateValuationError("v(I) must be positive to normalize")
-    if isinstance(v, AdditiveValuation):
-        return AdditiveValuation(tuple(w / scale for w in v.weights)), scale
-    if isinstance(v, XOSValuation):
-        return (
-            XOSValuation(tuple(tuple(w / scale for w in c.weights) for c in v.clauses)),
-            scale,
-        )
-    return SubadditiveIdenticalValuation(tuple(t / scale for t in v.table)), scale
-
-
 def sigma_of(x: float) -> float:
     """sigma(x) = 8x / (1 - 4x) on (0, 1/4)."""
     if not 0.0 < x < 0.25:
@@ -364,13 +349,6 @@ def make_s_instance(x: float, m: int) -> tuple[SubadditiveIdenticalValuation, SI
         table.append(1.0 / denom + (i - 1) * s / (d * denom))
     table.append(1.0)
     return SubadditiveIdenticalValuation(table), params
-
-
-def cover_lower_bound(v: SubadditiveIdenticalValuation, q: int) -> float:
-    """Partition bound: any q-subset is worth at least v(I) / ceil(m/q)."""
-    if not 1 <= q <= v.m:
-        raise ValueError("q out of range")
-    return v.total() / math.ceil(v.m / q)
 
 
 def beta_cover(v: Valuation) -> CoverCertificate:

@@ -9,14 +9,20 @@ solvers: ``scan_qp`` solves the adversarial QP for any non-negative weights
 by the breakpoint scan ``budget_scan``, ``qp_grid_search`` searches a
 lattice at m = 2, and ``exhaustive_best_response_split`` enumerates the
 bidder's replies to the split adversary.
+
+``flat_price_scan`` is the adversary's exhaustive best response to the
+flat-price policy, which ``strategies.constant_price_worst_profit`` gives in
+closed form.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from riskfree.seq import alpha_tilde
 from riskfree.simul import budget_split
+from riskfree.strategies import constant_price_policy
 
 
 @dataclass(frozen=True)
@@ -124,3 +130,28 @@ def exhaustive_best_response_split(m: int, B: float) -> tuple[float, tuple[int, 
             if val > best + 1e-12:
                 best, arg = val, (n1, n2)
     return float(best), arg
+
+
+def flat_price_scan(si, B: float, k: int) -> tuple[float, int]:
+    """Exhaustive adversary best response to the flat-price policy.
+
+    Against a bidder who pays p until she holds q items, the adversary's only
+    lever is how many rounds to win while she is still bidding; each such win
+    costs him p (he must outbid it), and the total must stay strictly below
+    B.  Returns (bidder profit, adversary win count at the minimum).
+    """
+    policy, plan = constant_price_policy(si, B, k)
+    m, q, p = si.m, plan.q, plan.p
+    if p <= 0:
+        return si.value_of_count(q), 0
+    w_max = min(m, int(math.floor((B - 1e-12) / p - 1e-12)) + 1)
+    # w wins at price p each require w * p < B strictly
+    while w_max > 0 and w_max * p >= B - 1e-12:
+        w_max -= 1
+    worst, worst_w = math.inf, 0
+    for w in range(w_max + 1):
+        c = min(q, m - w)
+        profit = si.value_of_count(c) - c * p
+        if profit < worst:
+            worst, worst_w = profit, w
+    return float(worst), worst_w

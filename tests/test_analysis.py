@@ -91,15 +91,8 @@ class TestClosedForms:
         assert A.t_star(1.5) == t_star_scan(1.5)
         assert A.t_star(1.5)[1] == 64
 
-    def test_tangent_bound_fields(self):
-        tb = A.tangent_bound(3, 0.5)
-        assert tb.tangency == pytest.approx(9 / 16)
-        assert tb.value == pytest.approx(0.25 - 0.5 / 3)
-
     @pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf, -0.5])
     def test_tangent_forms_reject_bad_budgets(self, B):
-        with pytest.raises(ValueError, match="budget"):
-            A.tangent_bound(3, B)
         with pytest.raises(ValueError, match="budget"):
             A.t_star(B)
 
@@ -342,6 +335,20 @@ class TestSweepAccumulator:
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
+@pytest.fixture(scope="module")
+def si_ladder_cached():
+    """Build f_1..f_198 of the si family's ladder once, for every full-size
+    ``verify_si_upper`` call below (its default m_list tops out at 200).
+
+    Its stream yields cached levels unchanged, so each margin keeps its
+    bits.  The cold stream is covered on fresh ladders by
+    ``test_streamed_sweep_matches_the_response_value`` and
+    ``test_ladder_build_and_error_are_reported``.
+    """
+    A._SI_LADDER.levels(198)
+
+
+@pytest.mark.usefixtures("si_ladder_cached")
 class TestVerifyAll:
     @pytest.mark.parametrize("suites", ["xos", "all", ("bogus",), ("xos", "typo")])
     def test_unknown_suites_rejected(self, suites):

@@ -548,8 +548,18 @@ def test_verify_bad_seed_exits_1_before_any_sweep(capsys, monkeypatch, seed):
         cli.main(["verify", "--seed", seed])
     out = capsys.readouterr()
     assert e.value.code == 1 and out.out == ""
-    assert "argument --seed: must be a non-negative integer" in out.err and "Traceback" not in out.err
+    assert out.err == f"riskfree: error: argument --seed: must be a non-negative integer, got {seed!r}\n"
     assert calls == []  # rejected while parsing, before the sweep
+
+
+def test_subcommand_usage_error_names_the_program(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["tables", "--m", "4", "--b", "0.5"])
+    out = capsys.readouterr()
+    assert e.value.code == 1 and out.out == ""
+    # argparse words the choice list differently across Python versions
+    assert out.err.startswith("riskfree: error: argument --m: invalid choice: ")
+    assert out.err.count("\n") == 1 and out.err.endswith("\n")
 
 
 def test_output_files_written_on_success_only(capsys, tmp_path):

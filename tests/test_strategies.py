@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from oracles import alpha_params
+from oracles import alpha_params, flat_price_scan
 
 from riskfree import seq
 from riskfree.errors import InfeasibleInstanceError
@@ -26,6 +26,7 @@ from riskfree.strategies import (
 from riskfree.valuations import (
     AdditiveValuation,
     SInstanceParams,
+    SubadditiveIdenticalValuation,
     gamma_star,
     make_s_instance,
     random_subadditive_identical,
@@ -244,13 +245,14 @@ class TestConstantPrice:
     @settings(max_examples=300, deadline=None)
     @given(B=budgets, k_cap=hst.integers(1, 400))
     def test_choose_k_matches_the_scan(self, B, k_cap):
-        k = choose_k(B, k_cap)
+        k = tangent_peak(B, k_cap - 1)[0] + 1
         assert k == choose_k_scan(B, k_cap)
         assert tangent_value(k - 1, B) == tangent_value(choose_k_scan(B, k_cap) - 1, B)
+        assert choose_k(B) == choose_k_scan(B)
 
     def test_choose_k_reaches_the_cap(self):
         assert choose_k(0.999) == choose_k_scan(0.999) == 400
-        assert choose_k(2.0, k_cap=37) == choose_k_scan(2.0, k_cap=37) == 37
+        assert tangent_peak(2.0, 36)[0] + 1 == choose_k_scan(2.0, k_cap=37) == 37
 
     @pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf])
     def test_tangent_value_rejects_non_finite_budgets(self, B):
@@ -280,6 +282,23 @@ class TestConstantPrice:
             profit, _ = constant_price_worst_profit(si, B, k)
             q = math.ceil(m / k)
             assert profit >= 1 / math.ceil(m / q) - q * B / (m - q + 1) - 1e-12
+
+    @pytest.mark.parametrize("B", [5e-324, 1e-300, 1e-13, 9.99e-13])
+    def test_worst_profit_is_finite_below_the_scan_tolerance(self, B):
+        si = SubadditiveIdenticalValuation((0.0, 0.5, 0.75, 1.0))
+        plan = constant_price_policy(si, B, 2)[1]  # q = 2, p = B/2
+        assert constant_price_worst_profit(si, B, 2) == (0.75 - 2 * plan.p, 0)
+
+    def test_worst_profit_replays_the_scan_bitwise(self):
+        rng = np.random.Generator(np.random.Philox(29))
+        for _ in range(300):
+            m = int(rng.integers(2, 120))
+            si = random_subadditive_identical(m, rng)
+            k = int(rng.integers(2, m + 1))
+            for B in (0.0, 1e-12, float(rng.uniform(0.0, 10.0))):
+                got = constant_price_worst_profit(si, B, k)
+                assert got == flat_price_scan(si, B, k), (m, k, B)
+                assert type(got[0]) is float
 
     def test_worst_profit_matches_game_tree(self):
         # oracle: enumerate every adversary win/lose pattern with the strict

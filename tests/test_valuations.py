@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from riskfree.errors import DegenerateValuationError, InfeasibleInstanceError
+from riskfree.errors import InfeasibleInstanceError
 from riskfree.valuations import (
     _TOL,
     MAX_ENUM_M,
@@ -20,11 +20,9 @@ from riskfree.valuations import (
     _check_certificate,
     beta_cover,
     check_price_rule,
-    cover_lower_bound,
     gamma_star,
     l_threshold,
     make_s_instance,
-    normalize,
     random_subadditive_identical,
     s_instance_params,
     sigma_of,
@@ -111,33 +109,6 @@ class TestGammaStar:
             assert np.all(vals >= bits @ g - 1e-12)
 
 
-class TestNormalize:
-    def test_additive(self):
-        nv, scale = normalize(AdditiveValuation((2.0, 2.0)))
-        assert nv.weights == (0.5, 0.5)
-        assert scale == pytest.approx(4.0)  # the divisor restoring v(I) = 1
-        assert nv.total() == pytest.approx(1.0)
-
-    def test_already_normalized_identity(self):
-        v = XOSValuation([(0.5, 0.5)])
-        nv, scale = normalize(v)
-        assert scale == pytest.approx(1.0)
-        assert gamma_star(nv).weights == (0.5, 0.5)
-
-    def test_s_instance_scale_matches_marginal_total(self):
-        # unnormalized marginals are (1, sigma/d * (m-2 copies), 1), total 2 + sigma
-        x, m = 0.125, 10
-        v, params = make_s_instance(x, m)
-        assert v.total() == pytest.approx(1.0)
-        marginals = np.diff(np.asarray(v.table)) * (2.0 + params.sigma)
-        expect = np.concatenate(([1.0], np.full(m - 2, params.sigma / params.d), [1.0]))
-        np.testing.assert_allclose(marginals, expect, atol=1e-12)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateValuationError):
-            normalize(AdditiveValuation((0.0, 0.0)))
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -169,6 +140,15 @@ def test_stored_total_keeps_equality_and_repr():
 
 
 class TestSInstance:
+    def test_s_instance_scale_matches_marginal_total(self):
+        # unnormalized marginals are (1, sigma/d * (m-2 copies), 1), total 2 + sigma
+        x, m = 0.125, 10
+        v, params = make_s_instance(x, m)
+        assert v.total() == pytest.approx(1.0)
+        marginals = np.diff(np.asarray(v.table)) * (2.0 + params.sigma)
+        expect = np.concatenate(([1.0], np.full(m - 2, params.sigma / params.d), [1.0]))
+        np.testing.assert_allclose(marginals, expect, atol=1e-12)
+
     def test_reference_values(self):
         v, params = make_s_instance(0.125, 10)
         assert params.sigma == pytest.approx(2.0)
@@ -283,19 +263,8 @@ def test_subadditivity_check_matches_the_double_loop(table):
 
 
 class TestCoverLowerBound:
-    def test_examples(self):
-        v, _ = make_s_instance(0.125, 10)
-        assert cover_lower_bound(v, 3) == pytest.approx(0.25)  # ceil(10/3) = 4
-        assert cover_lower_bound(v, 10) == pytest.approx(1.0)
-        v6 = SubadditiveIdenticalValuation((0, 0.5, 0.5, 0.5, 0.75, 0.9, 1.0))
-        assert cover_lower_bound(v6, 3) == pytest.approx(0.5)
-
-    def test_q_out_of_range(self):
-        v, _ = make_s_instance(0.125, 10)
-        with pytest.raises(ValueError):
-            cover_lower_bound(v, 0)
-        with pytest.raises(ValueError):
-            cover_lower_bound(v, 11)
+    """Subadditivity's partition bound: any q-subset is worth at least
+    v(I) / ceil(m/q), since ceil(m/q) q-subsets cover the m items."""
 
     def test_never_exceeds_value(self):
         rng = np.random.Generator(np.random.Philox(23))
@@ -303,7 +272,7 @@ class TestCoverLowerBound:
             m = int(rng.integers(2, 13))
             v = random_subadditive_identical(m, rng)
             for q in range(1, m + 1):
-                assert v.value_of_count(q) >= cover_lower_bound(v, q) - 1e-12
+                assert v.value_of_count(q) >= v.total() / math.ceil(m / q) - 1e-12
 
 
 class TestBetaCover:
