@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ContractViolationError,
@@ -173,8 +172,7 @@ def _simplify(xs: np.ndarray, ys: np.ndarray, band: float) -> tuple[np.ndarray, 
     px = np.concatenate((xs, xs[-1] + np.arange(1.0, pad + 1.0)))
     py = np.concatenate((ys, np.full(pad, ys[-1])))
     # column b holds the points b * _BLOCK .. (b + 1) * _BLOCK
-    bx = sliding_window_view(px, _BLOCK + 1)[::_BLOCK].T.copy()
-    by = sliding_window_view(py, _BLOCK + 1)[::_BLOCK].T.copy()
+    bx, by = (np.vstack((p[:-1].reshape(nb, _BLOCK).T, p[_BLOCK::_BLOCK])) for p in (px, py))
     # the window of an anchor at point t - 1 once point t is skipped
     step_x, step_lo = np.diff(bx, axis=0), np.diff(by, axis=0)
     step_hi = step_lo + band
@@ -238,37 +236,38 @@ def _lift(fp: PiecewiseLinear, m: int) -> tuple[np.ndarray, np.ndarray]:
     feasible; for x < 1/m, the crossing leaves the feasible range where
     u(x) = 0, the event of f_{m-1}'s breakpoint u = 0.  Every value is
     computed from segment coefficients; nothing is bisected.
+
+    ``fp`` must start at (0, 1) and reach 0 at its last breakpoint, at or
+    before u = 1, as every stored level does (some stop ulps short of 1).
+    Past that breakpoint f_{m-1} is 0, where f_cross is clamped to 0, so
+    ``fp`` needs no knot at u = 1.
     """
     r = (m - 1.0) / m
     # knots of psi: those of B, E_g's kink at 1/m and the window ends
     xs, b = _with_knots(r * fp.xs, r * fp.ys, [0.0, 1.0 / m, 1.0])
     psi = (1.0 / m + b - xs) / r
-    us, fu = _with_knots(fp.xs, fp.ys, [0.0, 1.0])
-    phi = fu - us  # phi(0) = 1, phi(1) = -1
+    phi = fp.ys - fp.xs  # phi(0) = 1, and phi(u) = -u from the last breakpoint
 
-    u = np.interp(psi, phi[::-1], us[::-1])
+    u = np.interp(psi, phi[::-1], fp.xs[::-1])
     cross = r * (psi + u)
     cross[psi >= phi[0]] = r  # crossing needs a < 0: f_{m-1}(u) = 1
-    cross[psi <= phi[-1]] = 0.0  # crossing beyond u = 1: f_{m-1}(u) = 0
+    cross[psi <= phi[-1]] = 0.0  # crossing past the last breakpoint: f_{m-1}(u) = 0
 
     # events: x where psi(x) = phi(u_k) at a breakpoint u_k of f_{m-1}; there
     # u = u_k, f_cross = r f_{m-1}(u_k) and B = r phi(u_k) - 1/m + x
     inside = (phi < psi[0]) & (phi > psi[-1])
     ev_phi = phi[inside]
     ev_x = np.interp(ev_phi, psi[::-1], xs[::-1])
-    ev_at = np.searchsorted(xs, ev_x) + np.arange(len(ev_x))
-    xs_at = np.ones(len(xs) + len(ev_x), dtype=bool)
-    xs_at[ev_at] = False
-    xs_at = np.nonzero(xs_at)[0]
-    grid, e_g, f_cross = np.empty((3, len(xs_at) + len(ev_at)))
-    grid[xs_at], grid[ev_at] = xs, ev_x
-    f_cross[xs_at], f_cross[ev_at] = cross, r * fu[inside]
-    e_g[xs_at], e_g[ev_at] = b, r * ev_phi - 1.0 / m + ev_x
-    e_g += np.maximum(1.0 / m - grid, 0.0)
+    grid = np.concatenate((ev_x, xs))
+    e_g = np.concatenate((r * ev_phi - 1.0 / m + ev_x, b)) + np.maximum(1.0 / m - grid, 0.0)
+    f_cross = np.concatenate((r * fp.ys[inside], cross))
 
     # E_g and f_cross meet only at grid points (see above), so their max is
-    # affine between grid points too
+    # affine between grid points too; events and knots are each sorted, so
+    # the stable sort merges them, an event ahead of a knot at the same x
     vals = np.maximum(e_g, f_cross)
+    order = np.argsort(grid, kind="stable")
+    grid, vals = grid[order], vals[order]
     keep = np.concatenate(([True], grid[1:] > grid[:-1]))
     return grid[keep], vals[keep]
 

@@ -106,10 +106,8 @@ def alpha_tilde_adversary(m: int, x: float) -> AlphaTildeAdversary:
 
 @dataclass(frozen=True)
 class ConstantPricePlan:
-    k: int
     q: int
     p: float
-    bound: float  # t_{k-1}(B) - (B k / (k-1)) / m
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,8 @@ def constant_price_policy(
     """Flat-price strategy targeting q = ceil(m/k) wins at p = B/(m-q+1).
 
     The price is the smallest at which the adversary's budget cannot block
-    the target allocation; the plan's ``bound`` is the guaranteed profit.
+    the target allocation; the guaranteed profit is at least
+    t_{k-1}(B) - (B k / (k-1)) / m.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -138,8 +137,7 @@ def constant_price_policy(
         raise ValueError("need m >= k")
     q = math.ceil(m / k)
     p = B / (m - q + 1)
-    bound = tangent_value(k - 1, B) - (B * k / (k - 1)) / m
-    return ConstantPricePolicy(p=p, q=q), ConstantPricePlan(k=k, q=q, p=p, bound=bound)
+    return ConstantPricePolicy(p=p, q=q), ConstantPricePlan(q=q, p=p)
 
 
 def tangent_value(k: int, B: float) -> float:

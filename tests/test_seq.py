@@ -644,15 +644,20 @@ def composed_lift(fp, m):
     return pwl.pointwise_extreme(e_g, PiecewiseLinear(grid, cross), "max")
 
 
+def check_lift(fp, m):
+    """``seq._lift(fp, m)`` has strictly increasing abscissae and is within
+    1e-12 of ``composed_lift(fp, m)``."""
+    xs, ys = seq._lift(fp, m)
+    assert np.all(np.diff(xs) > 0.0)
+    want = composed_lift(fp, m)
+    grid = np.union1d(xs, want.xs)
+    assert float(np.max(np.abs(np.interp(grid, xs, ys) - want(grid)))) <= 1e-12
+
+
 class TestLadder:
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 12, 20, 31, 60])
     def test_lift_matches_composed_pwl_operations(self, m):
-        fp = uniform_additive_value(m - 1)
-        xs, ys = seq._lift(fp, m)
-        assert np.all(np.diff(xs) > 0.0)
-        want = composed_lift(fp, m)
-        grid = np.union1d(xs, want.xs)
-        assert float(np.max(np.abs(np.interp(grid, xs, ys) - want(grid)))) <= 1e-12
+        check_lift(uniform_additive_value(m - 1), m)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -671,11 +676,7 @@ class TestLadder:
         steps = np.asarray(drops[: len(xs) - 1]) + 1e-3
         ys = np.concatenate(([1.0], 1.0 - np.cumsum(steps) / steps.sum()))
         ys[-1] = 0.0
-        fp = PiecewiseLinear(xs, ys)
-        gx, gy = seq._lift(fp, m)
-        want = composed_lift(fp, m)
-        grid = np.union1d(gx, want.xs)
-        assert float(np.max(np.abs(np.interp(grid, gx, gy) - want(grid)))) <= 1e-12
+        check_lift(PiecewiseLinear(xs, ys), m)
 
     def test_records_follow_the_contraction_bound(self):
         records = seq.LADDER.records(198)
@@ -977,6 +978,21 @@ def test_equalization_at_zero_and_at_alpha_max_matches_the_bisect(m):
 @pytest.fixture(scope="module")
 def unsimplified_ladder():
     return seq.Ladder(eta=0.0)
+
+
+def test_exact_levels_double_their_breakpoints(unsimplified_ladder):
+    # an event the lift drops changes the count exactly
+    for m in range(3, 15):
+        assert len(unsimplified_ladder.level(m).xs) == 7 * 2 ** (m - 3), m
+
+
+@pytest.mark.parametrize("m", [4, 7, 12])
+def test_lift_of_a_level_ending_short_of_one(unsimplified_ladder, m):
+    # the exact levels from f_3 on stop a few ulps short of u = 1, where
+    # their values snap to 0; the lift needs no knot at 1
+    fp = unsimplified_ladder.level(m - 1)
+    assert fp.xs[0] == 0.0 and fp.xs[-1] < 1.0 and fp.ys[-1] == 0.0
+    check_lift(fp, m)
 
 
 @settings(max_examples=60, deadline=None)
