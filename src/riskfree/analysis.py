@@ -16,11 +16,12 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import seq, simul
+from .pwl import PiecewiseLinear
 from .strategies import (
     choose_k,
     constant_price_worst_profit,
@@ -129,11 +130,13 @@ _SI_ETA = 1e-8
 _SI_LADDER = seq.Ladder(eta=_SI_ETA)
 
 
-def _timed_ladder(ladder: seq.Ladder, m: int) -> tuple[list, list, float]:
-    """Levels f_1..f_m of ``ladder``, their build records and the seconds spent building."""
-    t0 = time.perf_counter()
-    levels = ladder.levels(m)
-    return levels, ladder.records(m), time.perf_counter() - t0
+def _stream(ladder: seq.Ladder, top: int) -> Iterator[tuple[int, PiecewiseLinear, seq.LevelRecord, float]]:
+    """``ladder.stream(top)``'s ``(m, f_m, record)``, each with the seconds
+    this pass spent building f_m: its ``build_s``, or 0.0 for a level the
+    ladder held when the pass began, which the stream yields unbuilt."""
+    cached = len(ladder)
+    for m, fm, rec in ladder.stream(top):
+        yield m, fm, rec, rec.build_s if m > cached else 0.0
 
 
 def _check_grid_step(grid_step: float, below: float = math.inf) -> None:
@@ -145,8 +148,8 @@ def _check_grid_step(grid_step: float, below: float = math.inf) -> None:
 class _Sweep:
     """One family's sweep: counts the margins noted and keeps the least, at
     the first point noted that reaches it (strict ``<``).  It is timed from
-    construction, which comes after the family's ladder build; a family
-    that streams its ladder moves ``t0`` past the stream instead."""
+    construction; ``verify_si_upper`` moves ``t0`` past the levels its
+    stream built, and an ``_xos_pass`` sweep counts its own reads alone."""
 
     def __init__(self, name: str, description: str) -> None:
         self.name, self.description = name, description
@@ -167,31 +170,67 @@ class _Sweep:
                 self.worst, self.point = float(margins[i]), point_at(i)
 
     def report(self, passed: bool, **fields) -> SweepReport:
-        """``fields`` sets ``setup_s`` and ``extra``, or overrides ``n_points``."""
+        """``fields`` sets ``setup_s`` and ``extra``, or overrides ``n_points`` or ``runtime_s``."""
         if self.n == 0:
             raise ValueError(f"{self.name}: the sweep checked no point")
-        runtime_s = time.perf_counter() - self.t0
+        runtime_s = fields.pop("runtime_s", time.perf_counter() - self.t0)
         return SweepReport(self.name, self.description, fields.pop("n_points", self.n), self.worst, self.point,
                            passed, runtime_s, **fields)
+
+
+class _LevelSweep(_Sweep):
+    """A sweep fed f_1, f_2, ... of ``seq.LADDER`` in order by ``_xos_pass``,
+    which adds the time of each ``read`` to ``runtime_s``."""
+
+    def __init__(self, name: str, description: str, tol: float) -> None:
+        super().__init__(name, description)
+        self.tol, self.ladder_err, self.runtime_s = tol, 0.0, 0.0
+
+    def finish(self, setup_s: float) -> SweepReport:
+        """Passes when the margin stays above -tol after subtracting ``ladder_err``."""
+        extra = {"ladder_err": self.ladder_err, "eta": seq.LADDER.eta}
+        return self.report(self.worst - self.ladder_err >= -self.tol, runtime_s=self.runtime_s,
+                           setup_s=setup_s, extra=extra)
+
+
+def _xos_pass(top: int, *sweeps: _LevelSweep) -> float:
+    """Hand f_1..f_top to each sweep's ``read`` in one pass over
+    ``seq.LADDER.stream(top)``, which caches no level and keeps two alive at
+    a time.  Returns the seconds the pass spent building levels."""
+    setup_s = 0.0
+    for m, fm, rec, built_s in _stream(seq.LADDER, top):
+        setup_s += built_s
+        for sweep in sweeps:
+            t0 = time.perf_counter()
+            sweep.read(m, fm, rec)
+            sweep.runtime_s += time.perf_counter() - t0
+    return setup_s
+
+
+class _ValueBound(_LevelSweep):
+    """``verify_value_bound``'s sweep, read at f_m for m = 1..m_max."""
+
+    def __init__(self, m_max: int, grid_step: float, tol: float) -> None:
+        super().__init__("xos_value_bound", f"f_m <= f + 1/sqrt(m), m <= {m_max}, step {grid_step}", tol)
+        self.xs = np.arange(grid_step, 1.0, grid_step)
+        self.bound_base = (1.0 - np.sqrt(self.xs)) ** 2
+
+    def read(self, m: int, fm: PiecewiseLinear, rec: seq.LevelRecord) -> None:
+        xs = self.xs
+        self.note_all(self.bound_base + 1.0 / math.sqrt(m) - fm(xs), lambda i: (m, float(xs[i])))
+        self.ladder_err = max(self.ladder_err, rec.err)
 
 
 def verify_value_bound(m_max: int = 30, grid_step: float = 0.005, tol: float = 1e-9) -> SweepReport:
     """(a) f_m(x) <= (1 - sqrt(x))^2 + 1/sqrt(m) on a budget grid.
 
     Passes when the margin stays above -tol after subtracting the ladder's
-    certified error ``extra["ladder_err"]``.
+    certified error ``extra["ladder_err"]``.  f_1..f_m_max are streamed
+    (``_xos_pass``), and ``setup_s`` is the time spent building them.
     """
     _check_grid_step(grid_step)
-    ladder, records, setup_s = _timed_ladder(seq.LADDER, m_max)
-    sweep = _Sweep("xos_value_bound", f"f_m <= f + 1/sqrt(m), m <= {m_max}, step {grid_step}")
-    xs = np.arange(grid_step, 1.0, grid_step)
-    bound_base = (1.0 - np.sqrt(xs)) ** 2
-    for m in range(1, m_max + 1):
-        margins = bound_base + 1.0 / math.sqrt(m) - ladder[m - 1](xs)
-        sweep.note_all(margins, lambda i: (m, float(xs[i])))
-    ladder_err = max(rec.err for rec in records)
-    extra = {"ladder_err": ladder_err, "eta": seq.LADDER.eta}
-    return sweep.report(sweep.worst - ladder_err >= -tol, setup_s=setup_s, extra=extra)
+    sweep = _ValueBound(m_max, grid_step, tol)
+    return sweep.finish(_xos_pass(m_max, sweep))
 
 
 def _intermediate_grid(m: int, grid_step: float) -> np.ndarray:
@@ -212,25 +251,36 @@ def verify_alpha_feasibility(m_max: int = 30, grid_step: float = 0.002, tol: flo
     return sweep.report(sweep.worst >= -tol)
 
 
+class _GhBound(_LevelSweep):
+    """``verify_gh_bound``'s sweep: level f_{m-1} is read for m = 2..m_max."""
+
+    def __init__(self, m_max: int, grid_step: float, tol: float) -> None:
+        super().__init__("gh_at_alpha_tilde", f"g, h at alpha_tilde <= f + 1/sqrt(m), m <= {m_max}, "
+                         f"step {grid_step}", tol)
+        self.m_max, self.grid_step = m_max, grid_step
+
+    def read(self, k: int, fk: PiecewiseLinear, rec: seq.LevelRecord) -> None:
+        m = k + 1
+        if m > self.m_max:
+            return
+        xs = _intermediate_grid(m, self.grid_step)
+        at = np.clip(seq.alpha_tilde(m, xs), 0.0, np.minimum(1.0, m * xs))
+        g, h = seq._g_h_at(fk, m, xs, at)
+        bound = (1.0 - np.sqrt(xs)) ** 2 + 1.0 / math.sqrt(m)
+        self.note_all(bound - np.maximum(g, h), lambda i: (m, float(xs[i])))
+        self.ladder_err = max(self.ladder_err, (m - 1.0) / m * rec.err)
+
+
 def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9) -> SweepReport:
     """(c) g_m(x, alpha_tilde) and h_m(x, alpha_tilde) <= f(x) + 1/sqrt(m).
 
     g and h read f_{m-1} scaled by (m-1)/m, so the ladder's certified error
-    enters ``extra["ladder_err"]`` with that factor.
+    enters ``extra["ladder_err"]`` with that factor.  f_1..f_{m_max-1} are
+    streamed (``_xos_pass``), and ``setup_s`` is the time spent building them.
     """
     _check_grid_step(grid_step)
-    _, records, setup_s = _timed_ladder(seq.LADDER, max(m_max - 1, 1))
-    sweep = _Sweep("gh_at_alpha_tilde", f"g, h at alpha_tilde <= f + 1/sqrt(m), m <= {m_max}, "
-                   f"step {grid_step}")
-    for m in range(2, m_max + 1):
-        xs = _intermediate_grid(m, grid_step)
-        at = np.clip(seq.alpha_tilde(m, xs), 0.0, np.minimum(1.0, m * xs))
-        g, h = seq.g_h(m, xs, at)
-        bound = (1.0 - np.sqrt(xs)) ** 2 + 1.0 / math.sqrt(m)
-        sweep.note_all(bound - np.maximum(g, h), lambda i: (m, float(xs[i])))
-    ladder_err = max([(m - 1.0) / m * records[m - 2].err for m in range(2, m_max + 1)], default=0.0)
-    extra = {"ladder_err": ladder_err, "eta": seq.LADDER.eta}
-    return sweep.report(sweep.worst - ladder_err >= -tol, setup_s=setup_s, extra=extra)
+    sweep = _GhBound(m_max, grid_step, tol)
+    return sweep.finish(_xos_pass(max(m_max - 1, 1), sweep))
 
 
 def verify_si_lower(
@@ -336,8 +386,8 @@ def verify_si_upper(
     The ladder is streamed, not cached: one pass over its levels reads each
     at the ``_si_reads`` budgets of every response that needs it and then
     drops it, so no more than two levels are alive at once.  Each response
-    equals ``si_upper_response_value``'s to the bit.  ``setup_s`` times that
-    pass and ``runtime_s`` the rest.
+    equals ``si_upper_response_value``'s to the bit.  ``setup_s`` is the
+    time that pass spent building levels and ``runtime_s`` the rest.
     """
     m_lists = {}
     for x in x_list:
@@ -351,14 +401,13 @@ def verify_si_upper(
     )
     reads = {(x, m): _si_reads(x, m) for x, ms in m_lists.items() for m in ms}
     vals = {key: [] for key in reads}
-    records = []
-    t0 = time.perf_counter()
-    for k, fk, rec in _SI_LADDER.stream(max(top - 2, 1)):
+    records, setup_s = [], 0.0
+    for k, fk, rec, built_s in _stream(_SI_LADDER, max(top - 2, 1)):
+        setup_s += built_s
         records.append(rec)
         for key, (_, at) in reads.items():
             if k <= len(at):
                 vals[key].append(fk(at[k - 1]).tolist())
-    setup_s = time.perf_counter() - t0
     sweep.t0 += setup_s  # runtime_s counts the rest
 
     rows, c_measured, ladder_err = [], 0.0, 0.0
@@ -447,15 +496,22 @@ def _random_xos(m: int, rng: np.random.Generator) -> XOSValuation:
     return XOSValuation(tuple(clauses))
 
 
-_GRID = ("m_max", "grid_step", "tol")
+def _xos_suite(m_max: int, grid_step: float, tol: float, **_) -> list[SweepReport]:
+    """The xos families in report order.  value_bound and gh read the ladder
+    in one ``_xos_pass``, whose build time value_bound carries; gh reports
+    after alpha_feasibility, so ``m_max`` 1 fails on alpha_feasibility first."""
+    value, gh = _ValueBound(m_max, grid_step, tol), _GhBound(m_max, grid_step, tol)
+    setup_s = _xos_pass(m_max, value, gh)
+    return [value.finish(setup_s), verify_alpha_feasibility(m_max, grid_step, tol), gh.finish(0.0),
+            verify_tangency(tol=tol)]
 
-#: Each suite's families in run order, with the names of the ``verify_all``
-#: arguments each one takes.
-SUITES: dict[str, tuple] = {
-    "xos": ((verify_value_bound, _GRID), (verify_alpha_feasibility, _GRID), (verify_gh_bound, _GRID),
-            (verify_tangency, ("tol",))),
-    "si": ((verify_si_lower, ("seed", "tol")), (verify_si_upper, ())),
-    "simul": ((verify_simul, ("seed", "tol")),),
+
+#: Each suite's run: ``verify_all``'s arguments by name to its families'
+#: reports, in run order.
+SUITES: dict[str, Callable[..., list[SweepReport]]] = {
+    "xos": _xos_suite,
+    "si": lambda seed, tol, **_: [verify_si_lower(seed=seed, tol=tol), verify_si_upper()],
+    "simul": lambda seed, tol, **_: [verify_simul(seed=seed, tol=tol)],
 }
 
 
@@ -469,10 +525,11 @@ def verify_all(
     """Run the families of the chosen suites, in ``SUITES`` order, in this process.
 
     Each report's ``runtime_s`` times its own sweep and ``setup_s`` the
-    ladder levels it built.  The xos families read f_1..f_30 of the cached
-    ``seq.LADDER`` (eta 1e-9), built once however many families read it;
-    ``si_upper_bound`` streams f_1..f_198 of its own ``_SI_LADDER`` (eta
-    1e-8), two levels alive at a time.  A suite name outside
+    ladder levels it built.  The ladder's readers stream it, caching no
+    level and keeping two alive at a time: the xos families value_bound and
+    gh read f_1..f_m_max of ``seq.LADDER`` (eta 1e-9) in one shared pass,
+    and ``si_upper_bound`` reads f_1..f_198 of its own ``_SI_LADDER`` (eta
+    1e-8).  A suite name outside
     ``SUITES``, a bare string for ``suites``, and a grid step that is not
     finite and in (0, 1) raise ValueError.
     """
@@ -483,8 +540,7 @@ def verify_all(
         raise ValueError(f"unknown suite(s) {sorted(unknown)}; choose from {list(SUITES)}")
     _check_grid_step(grid_step, below=1.0)
     args = dict(m_max=m_max, grid_step=grid_step, tol=tol, seed=seed)
-    calls = [call for suite, families in SUITES.items() if suite in wanted for call in families]
-    return [fn(**{name: args[name] for name in takes}) for fn, takes in calls]
+    return [rep for suite, run in SUITES.items() if suite in wanted for rep in run(**args)]
 
 
 # -- figure reproduction ----------------------------------------------------------

@@ -444,8 +444,10 @@ class Ladder:
         ``build_s``, but only the previous one is kept alive, so memory stays
         at two levels however far the stream goes.  It takes no lock: the
         cached prefix ends at the last level whose record exists.  Readers:
-        ``riskfree solve-uniform``, which keeps only f_m, and the
-        ``si_upper`` sweep, which reads each level once.
+        ``riskfree solve-uniform``, which keeps only f_m, and the verify
+        sweeps that read the levels in order, each level once: the xos
+        pass of ``verify_value_bound`` and ``verify_gh_bound`` over
+        ``LADDER``, and ``verify_si_upper`` over its own ladder.
         """
         if m_max < 1:
             raise ValueError("m must be at least 1")
@@ -497,13 +499,18 @@ def g_h(m: int, x: float, alpha: float) -> tuple[float, float]:
     if not feasible:
         raise ContractViolationError(f"alpha = {alpha} outside the feasible range [0, min(1, m x) = {cap}]")
     fp = LADDER.level(m - 1)
-    r = (m - 1.0) / m
     if array:
-        g = (1.0 - alpha) / m + r * fp(m * x / (m - 1.0))
-        h = r * fp((m * x - alpha) / (m - 1.0))
-        return g, h
+        return _g_h_at(fp, m, x, alpha)
+    r = (m - 1.0) / m
     f_all, f_rest = np.interp((m * x / (m - 1.0), (m * x - alpha) / (m - 1.0)), fp._xs, fp._ys).tolist()
     return float((1.0 - alpha) / m + r * f_all), r * f_rest
+
+
+def _g_h_at(fp: PiecewiseLinear, m: int, x: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``g_h``'s array path at f_{m-1} = ``fp``, unchecked: the xos gh sweep
+    calls it on the level ``Ladder.stream`` yields, with feasible alphas."""
+    r = (m - 1.0) / m
+    return (1.0 - alpha) / m + r * fp(m * x / (m - 1.0)), r * fp((m * x - alpha) / (m - 1.0))
 
 
 def alpha_tilde(m: int, x):

@@ -228,13 +228,11 @@ class TestSweeps:
             assert rep.to_dict()["setup_s"] == rep.setup_s
             assert "ladder" in rep.summary_line()
         # a certified error as large as the margin fails the sweep; the
-        # margin itself is unchanged.  The xos sweeps read the cached
-        # records, si_upper the streamed ones.
-        records = [dataclasses.replace(r, err=1.0) for r in ladder.records(len(ladder))]
-        monkeypatch.setattr(ladder, "records", lambda m: records[:m])
-        stream = si_ladder.stream
-        monkeypatch.setattr(si_ladder, "stream", lambda m: (
-            (k, f, dataclasses.replace(rec, err=1.0)) for k, f, rec in stream(m)))
+        # margin itself is unchanged.  Every sweep reads the records its
+        # ladder's stream yields.
+        for lad in (ladder, si_ladder):
+            monkeypatch.setattr(lad, "stream", lambda m, stream=lad.stream: (
+                (k, f, dataclasses.replace(rec, err=1.0)) for k, f, rec in stream(m)))
         for (fn, kw, *_), rep in zip(sweeps, reps):
             worse = fn(**kw)
             assert not worse.passed
@@ -251,6 +249,33 @@ class TestSweeps:
         reps = A.verify_all(suites=("si",))
         assert all(rep.passed for rep in reps)
         assert len(fresh) == 1
+
+    @pytest.mark.parametrize("grid_step", [0.01, 0.02])
+    @pytest.mark.parametrize("m_max", [8, 30, 45])
+    def test_xos_suite_caches_no_level_of_the_shared_ladder(self, monkeypatch, m_max, grid_step):
+        fresh, built = seq.Ladder(), seq.Ladder()
+        built.levels(m_max)
+        monkeypatch.setattr(seq, "LADDER", fresh)
+        streamed = A.verify_all(suites=("xos",), m_max=m_max, grid_step=grid_step)
+        assert len(fresh) == 1
+        assert streamed[0].setup_s > 0.0
+        monkeypatch.setattr(seq, "LADDER", built)
+        cached = A.verify_all(suites=("xos",), m_max=m_max, grid_step=grid_step)
+        assert len(built) == m_max  # the pass built no level
+        assert cached[0].setup_s == 0.0
+        assert all(rep.passed for rep in streamed)
+        assert [untimed(r) for r in streamed] == [untimed(r) for r in cached]
+        # the least margins as the cached sweeps read them: f_m from
+        # ``levels``, g and h through the public ``g_h``
+        xs = np.arange(grid_step, 1.0, grid_step)
+        value = min(np.min((1.0 - np.sqrt(xs)) ** 2 + 1.0 / math.sqrt(m) - fm(xs))
+                    for m, fm in enumerate(built.levels(m_max), 1))
+        gh = math.inf
+        for m in range(2, m_max + 1):
+            xs = A._intermediate_grid(m, grid_step)
+            g, h = seq.g_h(m, xs, np.clip(seq.alpha_tilde(m, xs), 0.0, np.minimum(1.0, m * xs)))
+            gh = min(gh, np.min((1.0 - np.sqrt(xs)) ** 2 + 1.0 / math.sqrt(m) - np.maximum(g, h)))
+        assert (streamed[0].min_margin, streamed[2].min_margin) == (value, gh)
 
     def test_simul(self):
         rep = A.verify_simul(seed=0)
