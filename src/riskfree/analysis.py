@@ -65,9 +65,9 @@ class SweepReport:
 
 
 def f_bound(B: float) -> float:
-    """The fair-split bound (1 - sqrt(B))^2."""
+    """The fair-split bound (1 - sqrt(B))^2 at min(B, 1): 0 for B >= 1, as is every f_m."""
     check_budget(B)
-    return (1.0 - math.sqrt(B)) ** 2
+    return (1.0 - math.sqrt(min(B, 1.0))) ** 2
 
 
 def t_star(B: float) -> tuple[float, int]:

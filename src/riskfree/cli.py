@@ -7,6 +7,9 @@ that cannot be read or written and on an allocation that fails, and 141
 reader of stdout closes it early, as ``riskfree solve-uniform | head``
 does; that exit prints nothing to stderr.  Every exit 1 prints one
 ``riskfree: error: ...`` line to stderr, with no traceback.
+
+``simulate`` checks each side's policy spec, ``name`` or ``name(a, b, ...)``, against one
+table of names and argument counts per auction and side before anything is played.
 """
 
 from __future__ import annotations
@@ -140,116 +143,107 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _parse_call(spec: str) -> tuple[str, list[float]]:
+    """``name`` or ``name(a, b, ...)`` as the name and its float arguments."""
     spec = spec.strip()
-    if "(" not in spec:
-        return spec, []
-    if not spec.endswith(")"):
+    name, paren, inner = spec.partition("(")
+    if paren and not inner.endswith(")"):
         raise ValueError(f"malformed policy spec: {spec!r}")
-    name, _, inner = spec.partition("(")
-    args = [float(a) for a in inner[:-1].split(",") if a.strip()]
-    return name.strip(), args
+    entries = inner[:-1].split(",") if inner[:-1].strip() else []
+    if not all(e.strip() for e in entries):
+        raise ValueError(f"empty entry in policy spec {spec!r}")
+    return name.strip(), [float(e) for e in entries]
 
 
-def make_policy(spec: str, side: str, sc: Scenario):
-    """Resolve a policy name for the sequential game."""
+def _fixed(sc: Scenario, side: str, args: list[float]) -> strategies.FixedBidsPolicy:
+    return strategies.FixedBidsPolicy(tuple(bid_vector(args, sc.valuation.m, side).tolist()))
+
+
+def _xos_sqrt(sc: Scenario, *_) -> strategies.FixedBidsPolicy:
+    return strategies.xos_sqrt_policy(gamma_star(sc.valuation), sc.budget)
+
+
+def _constant_price(sc: Scenario, side: str, args: list[float]) -> strategies.ConstantPricePolicy:
+    if not isinstance(sc.valuation, SubadditiveIdenticalValuation):
+        raise ValueError("constant_price needs an identical-item valuation")
+    k = _number(args[0], "constant_price's k", whole=True) if args else strategies.choose_k(sc.budget)
+    return strategies.constant_price_policy(sc.valuation, sc.budget, k)[0]
+
+
+def _s_adversary(sc: Scenario, *_) -> strategies.SInstanceAdversary:
+    if sc.s_params is None:
+        raise ValueError("s_adversary needs an s_instance valuation")
+    return strategies.s_instance_adversary(sc.s_params)
+
+
+def _split(sc: Scenario, side: str, _) -> strategies.FixedBidsPolicy:
+    return _fixed(sc, side, simul.randomized_adversary(sc.valuation.m, sc.budget, seed=sc.seed))
+
+
+#: Every policy a scenario may name, per (auction, side): name -> (the argument counts it
+#: takes, its builder).  ``fixed`` takes one bid per item, which ``bid_vector`` checks.  A
+#: simultaneous side plays the bids of the FixedBidsPolicy it resolves to, or uniform_random's draws.
+_POLICIES: dict[tuple[str, str], dict[str, tuple[tuple[int, ...] | None, Callable]]] = {
+    ("sequential", "bidder"): {
+        "fixed": (None, _fixed),
+        "xos_sqrt": ((0,), _xos_sqrt),
+        "low_budget": ((0,), lambda sc, *_: strategies.low_budget_policy(sc.budget)),
+        "high_budget": ((0,), lambda sc, *_: strategies.high_budget_policy(sc.valuation.m, sc.budget)),
+        "constant_price": ((0, 1), _constant_price),
+    },
+    ("sequential", "adversary"): {
+        "fixed": (None, _fixed),
+        "alpha_tilde": ((0,), lambda sc, *_: strategies.alpha_tilde_adversary(sc.valuation.m, sc.budget)),
+        "s_adversary": ((0,), _s_adversary),
+    },
+    ("simultaneous", "bidder"): {
+        "fixed": (None, _fixed),
+        "xos_sqrt": ((0,), _xos_sqrt),
+        "truthful": ((0,), lambda sc, *_: strategies.FixedBidsPolicy(gamma_star(sc.valuation).weights)),
+        "uniform_random": (
+            (0,), lambda sc, *_: strategies.UniformRandomBidder(gamma_star(sc.valuation), sc.seed)),
+    },
+    ("simultaneous", "adversary"): {"fixed": (None, _fixed), "split": ((0,), _split)},
+}
+
+
+def _policy(sc: Scenario, side: str):
+    """The scenario's ``side`` ("bidder" or "adversary") policy, checked and built by ``_POLICIES``."""
+    spec = getattr(sc, side)
     name, args = _parse_call(spec)
-    v, B = sc.valuation, sc.budget
-    if name == "fixed":
-        if len(args) != v.m:
-            raise ValueError(f"fixed(...) needs {v.m} bids")
-        return strategies.FixedBidsPolicy(tuple(args))
-    if side == "bidder":
-        if name == "xos_sqrt":
-            return strategies.xos_sqrt_policy(gamma_star(v), B)
-        if name == "low_budget":
-            return strategies.low_budget_policy(B)
-        if name == "high_budget":
-            return strategies.high_budget_policy(v.m, B)
-        if name == "constant_price":
-            if not isinstance(v, SubadditiveIdenticalValuation):
-                raise ValueError("constant_price needs an identical-item valuation")
-            k = _number(args[0], "constant_price's k", whole=True) if args else strategies.choose_k(B)
-            return strategies.constant_price_policy(v, B, k)[0]
-    else:
-        if name == "alpha_tilde":
-            return strategies.alpha_tilde_adversary(v.m, B)
-        if name == "s_adversary":
-            if sc.s_params is None:
-                raise ValueError("s_adversary needs an s_instance valuation")
-            return strategies.s_instance_adversary(sc.s_params)
-    raise ValueError(f"unknown {side} policy: {name!r}")
+    counts, build = _POLICIES[sc.auction, side].get(name, (None, None))
+    if build is None:
+        raise ValueError(f"unknown {side} policy: {name!r}")
+    if counts is not None and len(args) not in counts:
+        raise ValueError(f"{spec!r}: {name} takes {' or '.join(map(str, counts))} arguments, not {len(args)}")
+    return build(sc, side, args)
 
 
 def run_scenario(sc: Scenario) -> dict:
+    bidder, adversary = _policy(sc, "bidder"), _policy(sc, "adversary")
+    report = {"auction": sc.auction, "price_rule": sc.price_rule, "seed": sc.seed, "closed_form": None}
     if sc.auction == "sequential":
-        bidder = make_policy(sc.bidder, "bidder", sc)
-        adversary = make_policy(sc.adversary, "adversary", sc)
         outcome = seq.simulate(sc.valuation, bidder, adversary, sc.price_rule, budget=sc.budget)
-        closed = None
+        report["rounds"] = [list(r) for r in outcome.rounds]
         if isinstance(sc.valuation, AdditiveValuation) and len(set(sc.valuation.weights)) == 1:
-            closed = float(seq.uniform_additive_value(sc.valuation.m)(sc.budget))
-        return {
-            "auction": "sequential",
-            "price_rule": sc.price_rule,
-            "seed": sc.seed,
-            "profit": outcome.profit,
-            "allocation": list(outcome.won_by_1),
-            "rounds": [list(r) for r in outcome.rounds],
-            "closed_form": closed,
-            "gap": None if closed is None else outcome.profit - closed,
-        }
-
-    # simultaneous
-    name1, args1 = _parse_call(sc.bidder)
-    name2, args2 = _parse_call(sc.adversary)
-    if name2 == "fixed":
-        bids2 = bid_vector(args2, sc.valuation.m, "adversary")
-    elif name2 == "split":
-        bids2 = simul.randomized_adversary(sc.valuation.m, sc.budget, seed=sc.seed)
+            report["closed_form"] = float(seq.uniform_additive_value(sc.valuation.m)(sc.budget))
     else:
-        raise ValueError(f"unknown adversary policy: {name2!r}")
-    if float(bids2.sum()) > sc.budget + 1e-9:
-        raise ValueError("adversary bid vector exceeds the budget")
-
-    if name1 in ("uniform_random", "xos_sqrt", "truthful"):  # the policies that read gamma*
-        g = gamma_star(sc.valuation)
-    if name1 == "uniform_random":
-        if sc.price_rule != "first":
-            raise ValueError(f"the uniform_random bidder is for first price only, got {sc.price_rule!r}")
-        ratios = np.clip(bids2 / np.maximum(np.asarray(g.weights), 1e-300), 0.0, 1.0)
-        closed = simul.expected_profit_uniform_random(g, ratios)
-        n = max(sc.mc_samples, 1)
-        draws = strategies.UniformRandomBidder(g, sc.seed).draws(n)
-        wins = draws > bids2
-        profits = (np.asarray(g.weights) * wins).sum(axis=1) - (draws * wins).sum(axis=1)
-        numeric = float(profits.mean())
-        return {
-            "auction": "simultaneous",
-            "price_rule": sc.price_rule,
-            "seed": sc.seed,
-            "mc_samples": n,
-            "closed_form": closed,
-            "numeric": numeric,
-            "gap": numeric - closed,
-        }
-    if name1 == "xos_sqrt":
-        bids1 = np.sqrt(sc.budget) * np.asarray(g.weights)
-    elif name1 == "truthful":
-        bids1 = np.asarray(g.weights, dtype=float)
-    elif name1 == "fixed":
-        bids1 = np.asarray(args1, dtype=float)
-    else:
-        raise ValueError(f"unknown bidder policy: {name1!r}")
-    outcome = simul.resolve(sc.valuation, bids1, bids2, sc.price_rule)
-    return {
-        "auction": "simultaneous",
-        "price_rule": sc.price_rule,
-        "seed": sc.seed,
-        "profit": outcome.profit,
-        "allocation": list(outcome.won_by_1),
-        "closed_form": None,
-        "gap": None,
-    }
+        bids2 = np.asarray(adversary.bids)
+        if float(bids2.sum()) > sc.budget + 1e-9:
+            raise ValueError("adversary bid vector exceeds the budget")
+        if isinstance(bidder, strategies.UniformRandomBidder):  # Monte Carlo beside the closed form
+            if sc.price_rule != "first":
+                raise ValueError(f"the uniform_random bidder is for first price only, got {sc.price_rule!r}")
+            g = np.asarray(bidder.gstar.weights)
+            ratios = np.clip(bids2 / np.maximum(g, 1e-300), 0.0, 1.0)
+            closed = simul.expected_profit_uniform_random(bidder.gstar, ratios)
+            n = max(sc.mc_samples, 1)
+            draws = bidder.draws(n)
+            wins = draws > bids2
+            numeric = float(((g * wins).sum(axis=1) - (draws * wins).sum(axis=1)).mean())
+            return report | dict(mc_samples=n, closed_form=closed, numeric=numeric, gap=numeric - closed)
+        outcome = simul.resolve(sc.valuation, bidder.bids, bids2, sc.price_rule)
+    gap = None if report["closed_form"] is None else outcome.profit - report["closed_form"]
+    return report | {"profit": outcome.profit, "allocation": list(outcome.won_by_1), "gap": gap}
 
 
 # -- subcommands -----------------------------------------------------------------

@@ -264,6 +264,8 @@ def deterministic_counter(bids1_sorted: Sequence[float], B: float) -> CounterPla
 
 def optimal_counter_price(m: int, B: float) -> float:
     """Bid level maximizing the prefix-counter bound: sqrt(B / (m (m+1)))."""
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     check_budget(B)
     return math.sqrt(B / (m * (m + 1.0)))
 
@@ -273,8 +275,8 @@ def optimal_counter_price(m: int, B: float) -> float:
 
 def randomized_adversary(m: int, B: float, seed: int) -> np.ndarray:
     """One sampled bid vector: w1/m on a uniform m/2-subset, w2/m elsewhere."""
-    if m % 2 != 0:
-        raise ValueError("m must be even")
+    if m < 1 or m % 2 != 0:
+        raise ValueError(f"m must be a positive even number, got {m}")
     split = budget_split(B)
     rng = np.random.Generator(np.random.Philox(int(seed)))
     bids = np.full(m, split.w2 / m)

@@ -388,6 +388,8 @@ def random_subadditive_identical(
     polytope: each v(k) is drawn uniformly between its monotone floor v(k-1)
     and its subadditive ceiling min_i v(i) + v(k-i); the pair (i, k-i) is the
     pair (k-i, i), so i <= k // 2 suffices."""
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     t = [0.0, 1.0]
     for k in range(2, m + 1):
         h = k // 2

@@ -61,6 +61,17 @@ class TestClosedForms:
         assert A.f_bound(0.25) == pytest.approx(0.25)
         assert tangent_value(1, 0.25) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("B", [1.0, 1.5, 4.0, 1e300])
+    def test_f_bound_is_zero_from_budget_one(self, B):
+        assert A.f_bound(B) == 0.0
+
+    def test_f_bound_stays_below_every_small_ladder_level(self):
+        grid = np.linspace(0.0, 4.0, 401).tolist()
+        for m in range(1, 6):
+            fm, err = seq.uniform_additive_value(m), seq.LADDER.records(m)[m - 1].err
+            for B in grid:
+                assert A.f_bound(B) <= fm(B) + err, (m, B)
+
     def test_t_star_low_budget(self):
         val, k = A.t_star(0.1)
         assert val == pytest.approx(0.4) and k == 1

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskfree import analysis, cli, seq
+from riskfree import analysis, cli, seq, simul, strategies
 from riskfree.analysis import SweepReport
+from riskfree.valuations import AdditiveValuation, XOSValuation, gamma_star, make_s_instance
 
 
 def run(capsys, *argv):
@@ -511,6 +512,156 @@ def test_zero_mc_samples_draws_one_sample(capsys, tmp_path):
     code, out, _ = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, **MC, mc_samples=0))
     assert code == 0
     assert json.loads(out)["mc_samples"] == 1
+
+
+UNIFORM2 = {"kind": "additive", "weights": [0.5, 0.5]}
+UNIFORM4 = {"kind": "additive", "weights": [0.25] * 4}
+XOS = {"kind": "xos", "clauses": [[0.5, 0.5], [0.7, 0.2]]}
+S_VAL = {"kind": "s_instance", "x": 0.125, "m": 10}
+
+
+def seq_report(valuation, budget, bidder, adversary, price_rule="first"):
+    out = seq.simulate(valuation, bidder, adversary, price_rule, budget=budget)
+    return {"profit": out.profit, "allocation": list(out.won_by_1), "rounds": [list(r) for r in out.rounds]}
+
+
+def simul_report(valuation, bids1, bids2, price_rule):
+    out = simul.resolve(valuation, bids1, bids2, price_rule)
+    return {"profit": out.profit, "allocation": list(out.won_by_1)}
+
+
+def uniform_random_report(valuation, bids2, seed, n):
+    g = gamma_star(valuation)
+    w = np.asarray(g.weights)
+    closed = simul.expected_profit_uniform_random(g, np.clip(bids2 / w, 0.0, 1.0))
+    draws = strategies.UniformRandomBidder(g, seed).draws(n)
+    wins = draws > bids2
+    return {"closed_form": closed, "numeric": float(((w * wins).sum(axis=1) - (draws * wins).sum(axis=1)).mean())}
+
+
+def s_instance():
+    return make_s_instance(0.125, 10)
+
+
+XOS_V = XOSValuation(XOS["clauses"])
+UNIFORM2_V = AdditiveValuation(UNIFORM2["weights"])
+UNIFORM4_V = AdditiveValuation(UNIFORM4["weights"])
+
+#: (auction-side-name, the scenario, the report fields of the library call the name stands for)
+POLICY_CASES = {
+    "sequential-bidder-fixed": (
+        dict(valuation=UNIFORM2, budget=0.3, bidder="fixed(0.4,0.2)", adversary="alpha_tilde"),
+        lambda: seq_report(UNIFORM2_V, 0.3, strategies.FixedBidsPolicy((0.4, 0.2)),
+                           strategies.alpha_tilde_adversary(2, 0.3))),
+    "sequential-bidder-xos_sqrt": (
+        dict(valuation=XOS, budget=0.4, bidder="xos_sqrt", adversary="fixed(0.2,0.1)", price_rule="second"),
+        lambda: seq_report(XOS_V, 0.4, strategies.xos_sqrt_policy(gamma_star(XOS_V), 0.4),
+                           strategies.FixedBidsPolicy((0.2, 0.1)), "second")),
+    "sequential-bidder-low_budget": (
+        dict(valuation=UNIFORM2, budget=0.2, bidder="low_budget", adversary="alpha_tilde"),
+        lambda: seq_report(UNIFORM2_V, 0.2, strategies.low_budget_policy(0.2),
+                           strategies.alpha_tilde_adversary(2, 0.2))),
+    "sequential-bidder-high_budget": (
+        dict(valuation=UNIFORM2, budget=0.7, bidder="high_budget", adversary="alpha_tilde"),
+        lambda: seq_report(UNIFORM2_V, 0.7, strategies.high_budget_policy(2, 0.7),
+                           strategies.alpha_tilde_adversary(2, 0.7))),
+    "sequential-bidder-constant_price": (
+        dict(valuation=S_VAL, budget=0.125, bidder="constant_price", adversary="s_adversary"),
+        lambda: seq_report(s_instance()[0], 0.125,
+                           strategies.constant_price_policy(s_instance()[0], 0.125, strategies.choose_k(0.125))[0],
+                           strategies.s_instance_adversary(s_instance()[1]))),
+    "sequential-bidder-constant_price-k": (
+        dict(valuation=S_VAL, budget=0.125, bidder="constant_price(3)", adversary="s_adversary"),
+        lambda: seq_report(s_instance()[0], 0.125, strategies.constant_price_policy(s_instance()[0], 0.125, 3)[0],
+                           strategies.s_instance_adversary(s_instance()[1]))),
+    "sequential-adversary-fixed": (
+        dict(valuation=UNIFORM2, budget=0.3, bidder="xos_sqrt", adversary="fixed(0.1,0.15)"),
+        lambda: seq_report(UNIFORM2_V, 0.3, strategies.xos_sqrt_policy(UNIFORM2_V, 0.3),
+                           strategies.FixedBidsPolicy((0.1, 0.15)))),
+    "sequential-adversary-alpha_tilde": (
+        dict(valuation=UNIFORM4, budget=0.3, bidder="xos_sqrt", adversary="alpha_tilde", price_rule="second"),
+        lambda: seq_report(UNIFORM4_V, 0.3, strategies.xos_sqrt_policy(UNIFORM4_V, 0.3),
+                           strategies.alpha_tilde_adversary(4, 0.3), "second")),
+    "sequential-adversary-s_adversary": (
+        dict(valuation=S_VAL, budget=0.125, bidder="constant_price(2)", adversary="s_adversary"),
+        lambda: seq_report(s_instance()[0], 0.125, strategies.constant_price_policy(s_instance()[0], 0.125, 2)[0],
+                           strategies.s_instance_adversary(s_instance()[1]))),
+    "simultaneous-bidder-fixed": (
+        dict(auction="simultaneous", valuation=XOS, budget=0.4, bidder="fixed(0.3,0.1)", adversary="fixed(0.2,0.2)"),
+        lambda: simul_report(XOS_V, [0.3, 0.1], [0.2, 0.2], "first")),
+    "simultaneous-bidder-xos_sqrt": (
+        dict(auction="simultaneous", price_rule="second", valuation=XOS, budget=0.4, bidder="xos_sqrt",
+             adversary="fixed(0.2,0.2)"),
+        lambda: simul_report(XOS_V, strategies.xos_sqrt_policy(gamma_star(XOS_V), 0.4).bids, [0.2, 0.2], "second")),
+    "simultaneous-bidder-truthful": (
+        dict(auction="simultaneous", price_rule="second", valuation=XOS, budget=0.4, bidder="truthful",
+             adversary="split"),
+        lambda: simul_report(XOS_V, gamma_star(XOS_V).weights, simul.randomized_adversary(2, 0.4, 7), "second")),
+    "simultaneous-bidder-uniform_random": (
+        dict(auction="simultaneous", valuation=XOS, budget=0.4, bidder="uniform_random", adversary="fixed(0.2,0.1)",
+             mc_samples=100, seed=3),
+        lambda: uniform_random_report(XOS_V, np.array([0.2, 0.1]), 3, 100)),
+    "simultaneous-adversary-fixed": (
+        dict(auction="simultaneous", price_rule="second", valuation=XOS, budget=0.4, bidder="truthful",
+             adversary="fixed(0.1,0.25)"),
+        lambda: simul_report(XOS_V, gamma_star(XOS_V).weights, [0.1, 0.25], "second")),
+    "simultaneous-adversary-split": (
+        dict(auction="simultaneous", valuation=UNIFORM4, budget=0.3, bidder="truthful", adversary="split"),
+        lambda: simul_report(UNIFORM4_V, UNIFORM4_V.weights, simul.randomized_adversary(4, 0.3, 7), "first")),
+}
+
+
+@pytest.mark.parametrize("case", POLICY_CASES)
+def test_every_scenario_policy_plays_its_library_strategy(capsys, tmp_path, case):
+    scenario, report = POLICY_CASES[case]
+    code, out, err = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, **scenario))
+    assert code == 0, err
+    want = report()
+    assert {k: json.loads(out)[k] for k in want} == want
+
+
+def test_the_policy_cases_cover_every_name_in_the_table():
+    names = {(auction, side, name) for (auction, side), table in cli._POLICIES.items() for name in table}
+    assert {tuple(case.split("-")[:3]) for case in POLICY_CASES} == names
+
+
+#: Each case's policy given one argument too many: one bid too many for fixed.
+ONE_TOO_MANY = {
+    "sequential-bidder-fixed": "fixed(0.4,0.2,0.1)",
+    "sequential-bidder-xos_sqrt": "xos_sqrt(0.9)",
+    "sequential-bidder-low_budget": "low_budget(1)",
+    "sequential-bidder-high_budget": "high_budget(1)",
+    "sequential-bidder-constant_price-k": "constant_price(3,1)",
+    "sequential-adversary-fixed": "fixed(0.1,0.15,0.1)",
+    "sequential-adversary-alpha_tilde": "alpha_tilde(7)",
+    "sequential-adversary-s_adversary": "s_adversary(1)",
+    "simultaneous-bidder-fixed": "fixed(0.3,0.1,0.1)",
+    "simultaneous-bidder-xos_sqrt": "xos_sqrt(0.9)",
+    "simultaneous-bidder-truthful": "truthful(1)",
+    "simultaneous-bidder-uniform_random": "uniform_random(1)",
+    "simultaneous-adversary-fixed": "fixed(0.1,0.25,0.1)",
+    "simultaneous-adversary-split": "split(9)",
+}
+
+
+@pytest.mark.parametrize("case, spec", ONE_TOO_MANY.items())
+def test_a_policy_given_one_argument_too_many_exits_1(capsys, tmp_path, case, spec):
+    auction, side, name = case.split("-")[:3]
+    scenario = {**POLICY_CASES[case][0], side: spec}
+    code, out, err = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, **scenario))
+    assert (code, out) == (1, "")
+    assert err.startswith("riskfree: error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert (f"{side} bids must have one entry per item" if name == "fixed" else spec) in err
+
+
+@pytest.mark.parametrize("side", ["bidder", "adversary"])
+@pytest.mark.parametrize("auction", ["sequential", "simultaneous"])
+@pytest.mark.parametrize("spec", ["fixed(0.1,,0.2)", "fixed(0.1,)", "fixed(0.1,0.2,)"])
+def test_a_policy_spec_with_an_empty_entry_exits_1(capsys, tmp_path, side, auction, spec):
+    scenario = {**POLICY_CASES[f"{auction}-{side}-fixed"][0], side: spec}
+    code, out, err = run(capsys, "simulate", "--scenario", scenario_file(tmp_path, **scenario))
+    assert (code, out) == (1, "")
+    assert err == f"riskfree: error: empty entry in policy spec {spec!r}\n"
 
 
 def not_a_directory(tmp_path):

@@ -310,6 +310,13 @@ class TestRandomizedAdversary:
         with pytest.raises(ValueError):
             randomized_adversary(5, 0.3, seed=0)
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_item_count_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match=f"m must be .*got {m}"):
+            randomized_adversary(m, 0.3, seed=1)
+        with pytest.raises(ValueError, match=f"m must be at least 1, got {m}"):
+            optimal_counter_price(m, 0.3)
+
     def test_seed_determinism(self):
         a = randomized_adversary(10, 0.3, seed=7)
         b = randomized_adversary(10, 0.3, seed=7)

@@ -397,6 +397,14 @@ def test_random_tables_are_valid_and_normalized():
         assert v.total() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_random_table_below_one_item_rejected_before_any_draw(m):
+    rng = np.random.Generator(np.random.Philox(4))
+    with pytest.raises(ValueError, match=f"m must be at least 1, got {m}"):
+        random_subadditive_identical(m, rng)
+    assert rng.random() == np.random.Generator(np.random.Philox(4)).random()
+
+
 @pytest.mark.parametrize("rule", ["third", "First", None])
 def test_check_price_rule_rejects(rule):
     with pytest.raises(ValueError, match="price_rule must be 'first' or 'second'"):
