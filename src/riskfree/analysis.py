@@ -16,7 +16,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -130,15 +130,6 @@ _SI_ETA = 1e-8
 _SI_LADDER = seq.Ladder(eta=_SI_ETA)
 
 
-def _stream(ladder: seq.Ladder, top: int) -> Iterator[tuple[int, PiecewiseLinear, seq.LevelRecord, float]]:
-    """``ladder.stream(top)``'s ``(m, f_m, record)``, each with the seconds
-    this pass spent building f_m: its ``build_s``, or 0.0 for a level the
-    ladder held when the pass began, which the stream yields unbuilt."""
-    cached = len(ladder)
-    for m, fm, rec in ladder.stream(top):
-        yield m, fm, rec, rec.build_s if m > cached else 0.0
-
-
 def _check_grid_step(grid_step: float, below: float = math.inf) -> None:
     """Reject a budget grid step that is not finite and in (0, ``below``)."""
     if not (math.isfinite(grid_step) and 0.0 < grid_step < below):
@@ -148,8 +139,9 @@ def _check_grid_step(grid_step: float, below: float = math.inf) -> None:
 class _Sweep:
     """One family's sweep: counts the margins noted and keeps the least, at
     the first point noted that reaches it (strict ``<``).  It is timed from
-    construction; ``verify_si_upper`` moves ``t0`` past the levels its
-    stream built, and an ``_xos_pass`` sweep counts its own reads alone."""
+    construction, except a ``_LevelSweep``: every family that reads a ladder
+    streams it through ``_pass``, whose build time is the family's
+    ``setup_s``, and counts only its own work as ``runtime_s``."""
 
     def __init__(self, name: str, description: str) -> None:
         self.name, self.description = name, description
@@ -179,27 +171,26 @@ class _Sweep:
 
 
 class _LevelSweep(_Sweep):
-    """A sweep fed f_1, f_2, ... of ``seq.LADDER`` in order by ``_xos_pass``,
-    which adds the time of each ``read`` to ``runtime_s``."""
+    """A sweep fed f_1, f_2, ... of ``ladder`` in order, timed read by read, by ``_pass``."""
 
-    def __init__(self, name: str, description: str, tol: float) -> None:
+    def __init__(self, name: str, description: str, tol: float, ladder: seq.Ladder) -> None:
         super().__init__(name, description)
-        self.tol, self.ladder_err, self.runtime_s = tol, 0.0, 0.0
+        self.tol, self.ladder, self.ladder_err, self.runtime_s = tol, ladder, 0.0, 0.0
 
     def finish(self, setup_s: float) -> SweepReport:
         """Passes when the margin stays above -tol after subtracting ``ladder_err``."""
-        extra = {"ladder_err": self.ladder_err, "eta": seq.LADDER.eta}
-        return self.report(self.worst - self.ladder_err >= -self.tol, runtime_s=self.runtime_s,
-                           setup_s=setup_s, extra=extra)
+        return self.report(self.worst - self.ladder_err >= -self.tol, runtime_s=self.runtime_s, setup_s=setup_s,
+                           extra={"ladder_err": self.ladder_err, "eta": self.ladder.eta})
 
 
-def _xos_pass(top: int, *sweeps: _LevelSweep) -> float:
-    """Hand f_1..f_top to each sweep's ``read`` in one pass over
-    ``seq.LADDER.stream(top)``, which caches no level and keeps two alive at
-    a time.  Returns the seconds the pass spent building levels."""
-    setup_s = 0.0
-    for m, fm, rec, built_s in _stream(seq.LADDER, top):
-        setup_s += built_s
+def _pass(top: int, *sweeps: _LevelSweep) -> float:
+    """Hand f_1..f_top of the sweeps' ladder to each ``read`` in one pass over
+    its stream, which caches no level and keeps two alive at a time.  Returns
+    the ``build_s`` summed over the levels the ladder did not hold before."""
+    ladder = sweeps[0].ladder
+    cached, setup_s = len(ladder), 0.0
+    for m, fm, rec in ladder.stream(top):
+        setup_s += rec.build_s if m > cached else 0.0
         for sweep in sweeps:
             t0 = time.perf_counter()
             sweep.read(m, fm, rec)
@@ -211,7 +202,8 @@ class _ValueBound(_LevelSweep):
     """``verify_value_bound``'s sweep, read at f_m for m = 1..m_max."""
 
     def __init__(self, m_max: int, grid_step: float, tol: float) -> None:
-        super().__init__("xos_value_bound", f"f_m <= f + 1/sqrt(m), m <= {m_max}, step {grid_step}", tol)
+        super().__init__("xos_value_bound", f"f_m <= f + 1/sqrt(m), m <= {m_max}, step {grid_step}", tol,
+                         seq.LADDER)
         self.xs = np.arange(grid_step, 1.0, grid_step)
         self.bound_base = (1.0 - np.sqrt(self.xs)) ** 2
 
@@ -226,11 +218,11 @@ def verify_value_bound(m_max: int = 30, grid_step: float = 0.005, tol: float = 1
 
     Passes when the margin stays above -tol after subtracting the ladder's
     certified error ``extra["ladder_err"]``.  f_1..f_m_max are streamed
-    (``_xos_pass``), and ``setup_s`` is the time spent building them.
+    (``_pass``), and ``setup_s`` is the time spent building them.
     """
     _check_grid_step(grid_step)
     sweep = _ValueBound(m_max, grid_step, tol)
-    return sweep.finish(_xos_pass(m_max, sweep))
+    return sweep.finish(_pass(m_max, sweep))
 
 
 def _intermediate_grid(m: int, grid_step: float) -> np.ndarray:
@@ -256,7 +248,7 @@ class _GhBound(_LevelSweep):
 
     def __init__(self, m_max: int, grid_step: float, tol: float) -> None:
         super().__init__("gh_at_alpha_tilde", f"g, h at alpha_tilde <= f + 1/sqrt(m), m <= {m_max}, "
-                         f"step {grid_step}", tol)
+                         f"step {grid_step}", tol, seq.LADDER)
         self.m_max, self.grid_step = m_max, grid_step
 
     def read(self, k: int, fk: PiecewiseLinear, rec: seq.LevelRecord) -> None:
@@ -276,11 +268,11 @@ def verify_gh_bound(m_max: int = 30, grid_step: float = 0.002, tol: float = 1e-9
 
     g and h read f_{m-1} scaled by (m-1)/m, so the ladder's certified error
     enters ``extra["ladder_err"]`` with that factor.  f_1..f_{m_max-1} are
-    streamed (``_xos_pass``), and ``setup_s`` is the time spent building them.
+    streamed (``_pass``), and ``setup_s`` is the time spent building them.
     """
     _check_grid_step(grid_step)
     sweep = _GhBound(m_max, grid_step, tol)
-    return sweep.finish(_xos_pass(max(m_max - 1, 1), sweep))
+    return sweep.finish(_pass(max(m_max - 1, 1), sweep))
 
 
 def verify_si_lower(
@@ -370,6 +362,44 @@ def si_upper_response_value(x: float, m: int) -> dict:
     return _si_combine(m, terms, vals, records)
 
 
+class _SiUpper(_LevelSweep):
+    """``verify_si_upper``'s sweep: ``read`` keeps level k's record and reads
+    the level once at the budgets of every response that needs it."""
+
+    def __init__(self, x_list: Sequence[float], m_list: Sequence[int]) -> None:
+        if not m_list:
+            raise ValueError("si_upper_bound: m_list must hold at least one item count")
+        super().__init__("si_upper_bound", "three-phase adversary holds responses to t_1(x) + C/sqrt(m); "
+                         "margin = worst shrink of the excess between the smallest and largest m", 0.0, _SI_LADDER)
+        asked = {x: sorted({max(math.ceil(l_threshold(x)), m_list[0]), *m_list[1:]}) for x in x_list}
+        self.m_lists = {x: [m for m in asked[x] if m >= l_threshold(x)] for x in x_list}
+        self.reads = {(x, m): _si_reads(x, m) for x, ms in self.m_lists.items() for m in ms}
+        self.vals, self.records = {key: [] for key in self.reads}, []
+        self.top = max([1, *(m - 2 for _, m in self.reads)])
+
+    def read(self, k: int, fk: PiecewiseLinear, rec: seq.LevelRecord) -> None:
+        self.records.append(rec)
+        live = [key for key, (_, at) in self.reads.items() if k <= len(at)]
+        for key, pair in zip(live, fk(np.array([self.reads[key][1][k - 1] for key in live])).tolist()):
+            self.vals[key].append(pair)
+
+    def finish(self, setup_s: float) -> SweepReport:
+        """Combines the responses; passes when each gap exceeds the ladder error on its two ends."""
+        t0 = time.perf_counter()
+        rows, ladder_err = [], 0.0
+        for x, ms in self.m_lists.items():
+            resps = [_si_combine(m, self.reads[x, m][0], self.vals[x, m], self.records) for m in ms]
+            excesses = [resp["value"] - tangent_value(1, x) for resp in resps]
+            rows += [{"x": x, "m": m, "value": r["value"], "excess": e} for m, r, e in zip(ms, resps, excesses)]
+            if len(ms) >= 2:
+                ladder_err = max(ladder_err, resps[0]["ladder_err"] + resps[-1]["ladder_err"])
+                self.note(excesses[0] - excesses[-1], (x,))  # positive means shrinking excess
+        c_measured = max([0.0, *(row["excess"] * math.sqrt(row["m"]) for row in rows)])
+        extra = {"C_measured": c_measured, "ladder_err": ladder_err, "eta": self.ladder.eta, "rows": rows}
+        return self.report(self.worst - ladder_err > 0.0 and math.isfinite(c_measured), n_points=len(rows),
+                           runtime_s=self.runtime_s + time.perf_counter() - t0, setup_s=setup_s, extra=extra)
+
+
 def verify_si_upper(
     x_list: Sequence[float] = (0.05, 0.10, 0.15, 0.20),
     m_list: Sequence[int] = (50, 100, 200),
@@ -381,56 +411,15 @@ def verify_si_upper(
     of each gap is ``extra["ladder_err"]``, under 2e-6 against a margin of
     about 0.014; passing needs the margin to exceed it.  The margins are the
     gaps, one per x with two or more feasible m; ``n_points`` counts the
-    responses valued.
+    responses valued.  An empty ``m_list`` raises ValueError.
 
-    The ladder is streamed, not cached: one pass over its levels reads each
-    at the ``_si_reads`` budgets of every response that needs it and then
-    drops it, so no more than two levels are alive at once.  Each response
-    equals ``si_upper_response_value``'s to the bit.  ``setup_s`` is the
-    time that pass spent building levels and ``runtime_s`` the rest.
+    The ladder is streamed (``_pass``), so no more than two levels are alive
+    at once; each response equals ``si_upper_response_value``'s to the bit.
+    ``setup_s`` is the time the pass spent building levels and
+    ``runtime_s`` the family's own work: its reads and combining.
     """
-    m_lists = {}
-    for x in x_list:
-        ms = sorted({max(math.ceil(l_threshold(x)), m_list[0]), *m_list[1:]})
-        m_lists[x] = [m for m in ms if m >= l_threshold(x)]
-    top = max((m for ms in m_lists.values() for m in ms), default=3)
-    sweep = _Sweep(
-        "si_upper_bound",
-        "three-phase adversary holds responses to t_1(x) + C/sqrt(m); "
-        "margin = worst shrink of the excess between the smallest and largest m",
-    )
-    reads = {(x, m): _si_reads(x, m) for x, ms in m_lists.items() for m in ms}
-    vals = {key: [] for key in reads}
-    records, setup_s = [], 0.0
-    for k, fk, rec, built_s in _stream(_SI_LADDER, max(top - 2, 1)):
-        setup_s += built_s
-        records.append(rec)
-        for key, (_, at) in reads.items():
-            if k <= len(at):
-                vals[key].append(fk(at[k - 1]).tolist())
-    sweep.t0 += setup_s  # runtime_s counts the rest
-
-    rows, c_measured, ladder_err = [], 0.0, 0.0
-    for x, ms in m_lists.items():
-        t1 = tangent_value(1, x)
-        excesses, errs = [], []
-        for m in ms:
-            resp = _si_combine(m, reads[x, m][0], vals[x, m], records)
-            val = resp["value"]
-            excess = val - t1
-            c_measured = max(c_measured, excess * math.sqrt(m))
-            excesses.append(excess)
-            errs.append(resp["ladder_err"])
-            rows.append({"x": x, "m": m, "value": val, "excess": excess})
-        if len(excesses) >= 2:
-            ladder_err = max(ladder_err, errs[0] + errs[-1])
-            sweep.note(excesses[0] - excesses[-1], (x,))  # positive means shrinking excess
-    return sweep.report(
-        sweep.worst - ladder_err > 0.0 and math.isfinite(c_measured),
-        n_points=len(rows),
-        setup_s=setup_s,
-        extra={"C_measured": c_measured, "ladder_err": ladder_err, "eta": _SI_LADDER.eta, "rows": rows},
-    )
+    sweep = _SiUpper(x_list, m_list)
+    return sweep.finish(_pass(sweep.top, sweep))
 
 
 def verify_tangency(k_max: int = 50, grid_step: float = 0.001, tol: float = 1e-9) -> SweepReport:
@@ -498,10 +487,10 @@ def _random_xos(m: int, rng: np.random.Generator) -> XOSValuation:
 
 def _xos_suite(m_max: int, grid_step: float, tol: float, **_) -> list[SweepReport]:
     """The xos families in report order.  value_bound and gh read the ladder
-    in one ``_xos_pass``, whose build time value_bound carries; gh reports
+    in one ``_pass``, whose build time value_bound carries; gh reports
     after alpha_feasibility, so ``m_max`` 1 fails on alpha_feasibility first."""
     value, gh = _ValueBound(m_max, grid_step, tol), _GhBound(m_max, grid_step, tol)
-    setup_s = _xos_pass(m_max, value, gh)
+    setup_s = _pass(m_max, value, gh)
     return [value.finish(setup_s), verify_alpha_feasibility(m_max, grid_step, tol), gh.finish(0.0),
             verify_tangency(tol=tol)]
 
@@ -524,14 +513,14 @@ def verify_all(
 ) -> list[SweepReport]:
     """Run the families of the chosen suites, in ``SUITES`` order, in this process.
 
-    Each report's ``runtime_s`` times its own sweep and ``setup_s`` the
-    ladder levels it built.  The ladder's readers stream it, caching no
-    level and keeping two alive at a time: the xos families value_bound and
-    gh read f_1..f_m_max of ``seq.LADDER`` (eta 1e-9) in one shared pass,
-    and ``si_upper_bound`` reads f_1..f_198 of its own ``_SI_LADDER`` (eta
-    1e-8).  A suite name outside
-    ``SUITES``, a bare string for ``suites``, and a grid step that is not
-    finite and in (0, 1) raise ValueError.
+    Every family that reads a value ladder streams it through ``_pass``,
+    caching no level and keeping two alive at a time: value_bound and gh
+    read f_1..f_m_max of ``seq.LADDER`` (eta 1e-9) in one shared pass, and
+    si_upper_bound reads f_1..f_198 of its own ``_SI_LADDER`` (eta 1e-8).
+    A report's ``setup_s`` is the time its pass spent building levels and
+    ``runtime_s`` the family's own work.  A suite name outside ``SUITES``,
+    a bare string for ``suites``, and a grid step that is not finite and in
+    (0, 1) raise ValueError.
     """
     if isinstance(suites, str):
         raise ValueError(f"suites must be a collection of suite names, not the string {suites!r}")

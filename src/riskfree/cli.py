@@ -6,7 +6,10 @@ that cannot be read or written and on an allocation that fails, and 141
 (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended) when the
 reader of stdout closes it early, as ``riskfree solve-uniform | head``
 does; that exit prints nothing to stderr.  Every exit 1 prints one
-``riskfree: error: ...`` line to stderr, with no traceback.
+``riskfree: error: ...`` line to stderr, with no traceback.  A warning the
+library raises while a subcommand runs prints one ``riskfree: warning: ...``
+line to stderr, whatever the interpreter's warning filters, and changes
+neither stdout nor the exit code.
 
 ``simulate`` checks each side's policy spec, ``name`` or ``name(a, b, ...)``, against one
 table of names and argument counts per auction and side before anything is played.
@@ -19,6 +22,7 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -411,11 +415,22 @@ def build_parser() -> _Parser:
     return p
 
 
+def _run(args: argparse.Namespace) -> int:
+    """``args.fn(args)``, printing each distinct warning it raised as one line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.fn(args)
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"riskfree: warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.fn(args)
+        status = _run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return status
     except BrokenPipeError:

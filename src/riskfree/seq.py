@@ -44,6 +44,7 @@ are exact.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import time
 from dataclasses import dataclass
@@ -346,6 +347,8 @@ class Ladder:
     order without caching the ones it builds, for a reader that needs each
     level only until the next one exists.  ``crossing`` adds a level's
     search key, built on its first crossing read and kept beside the level.
+    Each of these takes m through ``operator.index`` before it builds
+    anything, so a numpy integer passes and a float raises TypeError.
 
     The lock guards building only, so threads sharing a ladder see each
     level and key built once.  A read of what is already built takes no
@@ -391,7 +394,7 @@ class Ladder:
 
     def levels(self, m: int) -> list[PiecewiseLinear]:
         """[f_1, ..., f_m], building missing levels."""
-        levels = self._levels
+        m, levels = operator.index(m), self._levels
         if 0 < m <= len(levels):
             return levels[:m]
         with self._lock:
@@ -399,7 +402,7 @@ class Ladder:
 
     def level(self, m: int) -> PiecewiseLinear:
         """f_m, building missing levels."""
-        levels = self._levels
+        m, levels = operator.index(m), self._levels
         if 0 < m <= len(levels):
             return levels[m - 1]
         with self._lock:
@@ -416,6 +419,7 @@ class Ladder:
         level's own arrays); ``levels``, ``records`` and ``stream`` never
         build one.  A kept key is read without the lock.
         """
+        m = operator.index(m)
         key = self._keys.get(m)
         if key is not None:
             return self._levels[m - 1], key
@@ -430,7 +434,7 @@ class Ladder:
 
     def records(self, m: int) -> list[LevelRecord]:
         """Build records of f_1, ..., f_m, building missing levels."""
-        records = self._records
+        m, records = operator.index(m), self._records
         if 0 < m <= len(records):
             return records[:m]
         with self._lock:
@@ -444,12 +448,14 @@ class Ladder:
         ``build_s``, but only the previous one is kept alive, so memory stays
         at two levels however far the stream goes.  It takes no lock: the
         cached prefix ends at the last level whose record exists.  Readers:
-        ``riskfree solve-uniform``, which keeps only f_m, and the verify
-        sweeps that read the levels in order, each level once: the xos
-        pass of ``verify_value_bound`` and ``verify_gh_bound`` over
-        ``LADDER``, and ``verify_si_upper`` over its own ladder.
+        ``riskfree solve-uniform``, which keeps only f_m, and every verify
+        family that reads a ladder, each level once, through
+        ``analysis._pass``: ``verify_value_bound`` and ``verify_gh_bound``
+        over ``LADDER`` (one pass in ``verify_all``), and ``verify_si_upper``
+        over its own ladder.  The pass's build time is a report's
+        ``setup_s``, and its sweeps' own work their ``runtime_s``.
         """
-        if m_max < 1:
+        if operator.index(m_max) < 1:
             raise ValueError("m must be at least 1")
         cached = list(zip(self._levels[:m_max], self._records[:m_max]))
         return self._stream(cached, m_max)

@@ -298,13 +298,19 @@ class TestSweeps:
             lambda: A.verify_alpha_feasibility(m_max=1),
             lambda: A.verify_gh_bound(m_max=1),
             lambda: A.verify_si_upper(x_list=(0.1,), m_list=(30,)),  # one m, so no gap
+            lambda: A.verify_si_upper(x_list=()),
             lambda: A.verify_si_lower(n_instances=0),
         ],
-        ids=["alpha_feasibility", "gh_bound", "si_upper", "si_lower"],
+        ids=["alpha_feasibility", "gh_bound", "si_upper", "si_upper_no_x", "si_lower"],
     )
     def test_a_sweep_that_checks_no_point_raises(self, sweep):
         with pytest.raises(ValueError, match="checked no point"):
             sweep()
+
+    @pytest.mark.parametrize("m_list", [(), []])
+    def test_si_upper_rejects_an_empty_m_list(self, m_list):
+        with pytest.raises(ValueError, match="m_list"):
+            A.verify_si_upper(m_list=m_list)
 
     def test_verify_all_shapes(self):
         reps = A.verify_all(suites=("simul",))
@@ -421,6 +427,20 @@ class TestVerifyAll:
         want = serial_reports(suites, m_max=6, grid_step=0.05, seed=seed)
         assert [r.name for r in got] == [r.name for r in want]
         assert [untimed(r) for r in got] == [untimed(r) for r in want]
+
+    def test_si_upper_caches_no_level_of_its_ladder(self, monkeypatch):
+        built = A._SI_LADDER  # the fixture built f_1..f_198
+        cached = len(built)
+        assert cached >= 198
+        warm = A.verify_si_upper()
+        assert len(built) == cached  # the pass built no level
+        assert warm.setup_s == 0.0
+        fresh = seq.Ladder(eta=A._SI_ETA)
+        monkeypatch.setattr(A, "_SI_LADDER", fresh)
+        streamed = A.verify_si_upper()
+        assert len(fresh) == 1
+        assert streamed.setup_s > 0.0
+        assert warm.passed and untimed(streamed) == untimed(warm)
 
     def test_worker_error_reaches_the_caller(self):
         with pytest.raises(ValueError) as direct:

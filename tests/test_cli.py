@@ -366,6 +366,20 @@ def test_reader_gone_before_output_exits_quietly():
     assert code == cli.EXIT_BROKEN_PIPE
 
 
+@pytest.mark.parametrize("flags", [[], ["-W", "error"]], ids=["default_filters", "W_error"])
+def test_a_library_warning_prints_one_line_and_keeps_the_report(capsys, tmp_path, flags):
+    # high_budget warns at B <= (m-1)/m = 1/2; a plain interpreter printed the
+    # warning with its file path, and ``-W error`` turned it into a traceback
+    path = scenario_file(tmp_path, bidder="high_budget")
+    code, out, err = run(capsys, "simulate", "--scenario", path)
+    warning = "riskfree: warning: high_budget_policy outside its intended range B > (m-1)/m\n"
+    assert (code, err) == (0, warning)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, *flags, "-m", "riskfree.cli", "simulate", "--scenario", path],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, warning)
+
+
 TABLE = {"kind": "subadditive_identical", "table": [0.0, 0.6, 1.0]}
 
 

@@ -828,6 +828,23 @@ class TestLadderStream:
         with pytest.raises(ValueError, match=str(want.value)):
             ladder.stream(0)  # on the call, before any level is read
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("entry", ["levels", "level", "records", "crossing", "stream"])
+    def test_an_m_that_is_not_an_integer_is_rejected_before_any_build(self, entry, m):
+        ladder = seq.Ladder()
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            getattr(ladder, entry)(m)
+        assert len(ladder) == 1 and ladder._keys == {}
+
+    @pytest.mark.parametrize("entry", ["levels", "level", "records", "crossing", "stream"])
+    def test_a_numpy_integer_m_passes(self, entry):
+        ladder = seq.Ladder()
+        got = getattr(ladder, entry)(np.int64(3))
+        if entry == "stream":
+            assert [m for m, _, _ in got] == [1, 2, 3] and len(ladder) == 1
+        else:
+            assert len(ladder) == 3
+
     def test_stream_holds_a_fraction_of_the_cached_build(self):
         def peak(build):
             tracemalloc.start()
