@@ -12,27 +12,25 @@ Three solvers live here:
   best response to a fixed bid vector (``best_response_to_fixed_bids``).
 
 The uniform additive recursion: after the first of m items is sold, the rest
-of the auction is a rescaled copy of the (m-1)-item auction.  With f_{m-1}
-known, the bidder's continuation values after winning / losing round one at
-adversary bid a/m are
+of the auction is a rescaled copy of the (m-1)-item auction.  With
+B(x) = r f_{m-1}(x / r), r = (m-1)/m, and the adversary's first bid a
+(``g_h``'s alpha / m), f_m = cross(1/m + B, B), where
 
-    g_m(x, a) = (1 - a)/m + ((m-1)/m) * f_{m-1}(m x / (m-1))
-    h_m(x, a) = ((m-1)/m) * f_{m-1}((m x - a)/(m-1))
+    cross(hi, lo)(x) = min over 0 <= a <= x of max(hi(x) - a, lo(x - a)).
 
-and f_m(x) minimizes max(g, h) over feasible a.  Since g is strictly
-decreasing and h non-decreasing in a, the optimum is the equalization point
-clamped to [0, min(1, mx)].  Each level is lifted segment-exactly; no
-bisection is involved, so rational breakpoints (1/9, 5/9, ...) come out to
-machine accuracy.
+The bid cap a <= 1/m never binds: for a > 1/m, hi(x) - a < B(x) <= B(x - a).
+``_cross`` is segment-exact, with no bisection, so rational breakpoints
+(1/9, 5/9, ...) come out to machine accuracy.
 
-The piece count doubles per level, so each level is then simplified.  Every
-level is convex, so a chord through kept breakpoints lies on or above the
-points it skips and its error is one-sided: a one-pass band greedy runs
-within 2 * 0.9e-9, and the kept breakpoints that span its skipping chords
-are lowered by 0.9e-9, which centres that error.  Should the lowered
-polyline miss the tolerance, the level falls back to the greedy within
-0.9e-9, then to the unsimplified lift; the measured sup error eta_m <= 1e-9
-of what is stored is the level's certificate.
+The piece count doubles per level, so each level is then simplified.  The
+exact levels are convex, so a chord through kept breakpoints lies on or
+above the points it skips: a one-pass band greedy runs within 2 * 0.9e-9,
+and the kept breakpoints that span its skipping chords are lowered by
+0.9e-9, which centres that error.  Should the lowered polyline miss the
+tolerance, the level falls back to the greedy within 0.9e-9, then to the
+unsimplified lift; the measured sup error eta_m <= 1e-9 of what is stored
+is the level's certificate, whatever its shape: a stored level need not be
+convex (see ``_store``).
 The errors do not simply add up: the lift T is monotone and
 T(f + c) = T f + r_m c with r_m = (m-1)/m, so T is an r_m-contraction in
 the sup norm (Blackwell's conditions) and the stored f_m is within
@@ -220,57 +218,40 @@ def _with_knots(xs: np.ndarray, ys: np.ndarray, knots: list[float]) -> tuple[np.
     return gx[keep], gy[keep]
 
 
-def _lift(fp: PiecewiseLinear, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The level map: f_m from f_{m-1}, exactly, as sorted raw arrays on [0, 1].
+def _cross(hx: np.ndarray, hy: np.ndarray, lx: np.ndarray, ly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints of cross(hi, lo), exactly, as sorted raw arrays: hi given
+    on its knots ``hx``, lo by ``(lx, ly)``.
 
-    f_m = max(E_g, f_cross).  E_g(x) = max(1/m - x, 0) + B(x) with
-    B(x) = r f_{m-1}(x / r) is the value of committing to win round one at
-    the adversary's cap bid.  f_cross is the equalization value: substituting
-    u = (m x - a)/(m - 1) turns g = h into phi(u) = psi(x) with
-    phi(u) = f_{m-1}(u) - u and psi(x) = (1/m + B(x) - x)/r, both strictly
-    decreasing, so the crossing u(x) is unique, f_cross = r (psi + u) and it
-    is affine between the knots of psi and the events where u(x) passes a
-    breakpoint of f_{m-1}.  Where no feasible crossing exists the minimum of
-    max(g, h) sits at alpha_max with value E_g; otherwise the equalization
-    value applies and dominates E_g.  The two regimes meet at a grid point:
-    for x >= 1/m, alpha_max = 1 and g <= h there, so the crossing is always
-    feasible; for x < 1/m, the crossing leaves the feasible range where
-    u(x) = 0, the event of f_{m-1}'s breakpoint u = 0.  Every value is
-    computed from segment coefficients; nothing is bisected.
-
-    ``fp`` must start at (0, 1) and reach 0 at its last breakpoint, at or
-    before u = 1, as every stored level does (some stop ulps short of 1).
-    Past that breakpoint f_{m-1} is 0, where f_cross is clamped to 0, so
-    ``fp`` needs no knot at u = 1.
+    lo falls weakly from lx[0] = 0 and is constant past lx[-1], hi >= lo,
+    and psi = hi - id falls strictly.  So does phi = lo - id, and
+    max(hi(x) - a, lo(x - a)) is least where phi(v) = psi(x), v = x - a, at
+    psi + v: affine between hi's knots and the events where v passes a
+    breakpoint of lo, valued lo there.  hi >= lo keeps a >= 0; where
+    psi >= phi(0), a would pass x and the all-in bid v = 0 (np.interp's
+    clip) is optimal; past lx[-1] the value is ly[-1].
     """
-    r = (m - 1.0) / m
-    # knots of psi: those of B, E_g's kink at 1/m and the window ends
-    xs, b = _with_knots(r * fp.xs, r * fp.ys, [0.0, 1.0 / m, 1.0])
-    psi = (1.0 / m + b - xs) / r
-    phi = fp.ys - fp.xs  # phi(0) = 1, and phi(u) = -u from the last breakpoint
-
-    u = np.interp(psi, phi[::-1], fp.xs[::-1])
-    cross = r * (psi + u)
-    cross[psi >= phi[0]] = r  # crossing needs a < 0: f_{m-1}(u) = 1
-    cross[psi <= phi[-1]] = 0.0  # crossing past the last breakpoint: f_{m-1}(u) = 0
-
-    # events: x where psi(x) = phi(u_k) at a breakpoint u_k of f_{m-1}; there
-    # u = u_k, f_cross = r f_{m-1}(u_k) and B = r phi(u_k) - 1/m + x
+    psi, phi = hy - hx, ly - lx
+    vals = psi + np.interp(psi, phi[::-1], lx[::-1])
+    vals[psi <= phi[-1]] = ly[-1]
+    # events and knots are each sorted, so the stable sort merges them, an
+    # event ahead of a knot at the same x
     inside = (phi < psi[0]) & (phi > psi[-1])
-    ev_phi = phi[inside]
-    ev_x = np.interp(ev_phi, psi[::-1], xs[::-1])
-    grid = np.concatenate((ev_x, xs))
-    e_g = np.concatenate((r * ev_phi - 1.0 / m + ev_x, b)) + np.maximum(1.0 / m - grid, 0.0)
-    f_cross = np.concatenate((r * fp.ys[inside], cross))
-
-    # E_g and f_cross meet only at grid points (see above), so their max is
-    # affine between grid points too; events and knots are each sorted, so
-    # the stable sort merges them, an event ahead of a knot at the same x
-    vals = np.maximum(e_g, f_cross)
+    grid = np.concatenate((np.interp(phi[inside], psi[::-1], hx[::-1]), hx))
     order = np.argsort(grid, kind="stable")
-    grid, vals = grid[order], vals[order]
+    grid, vals = grid[order], np.concatenate((ly[inside], vals))[order]
     keep = np.concatenate(([True], grid[1:] > grid[:-1]))
     return grid[keep], vals[keep]
+
+
+def _lift(fp: PiecewiseLinear, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """f_m = cross(1/m + B, B), B(x) = r f_{m-1}(x / r), exactly, as sorted
+    raw arrays on [0, 1], hi on B's knots and 0, 1/m and 1; ``fp`` starts at
+    u = 0 and never rises.  The bid cap a <= 1/m never binds: for a > 1/m,
+    hi(x) - a < B(x) <= B(x - a)."""
+    r = (m - 1.0) / m
+    lx, ly = r * fp.xs, r * fp.ys
+    hx, b = _with_knots(lx, ly, [0.0, 1.0 / m, 1.0])
+    return _cross(hx, 1.0 / m + b, lx, ly)
 
 
 def _lowered(xs: np.ndarray, gx: np.ndarray, gy: np.ndarray, band: float) -> np.ndarray:
@@ -308,6 +289,12 @@ def _store(xs: np.ndarray, exact: np.ndarray, eta: float) -> tuple[PiecewiseLine
     ``eta`` (a non-convex curve, or a skipping chord at an endpoint, never
     lowered) the ``_simplify(xs, ys, band)`` polyline is stored, and should
     its error exceed ``eta`` too, the unsimplified breakpoints.
+
+    The stored polyline need not be convex: the kept point ahead of the
+    lowered range stays put, so a short segment dx from it into the range
+    leaves a concave kink of up to band / dx there (``analysis._SI_LADDER``'s
+    f_107 drops its slope by 0.011 across 5.4e-7; rounding leaves drops near
+    3e-11 at f_142).  The error is measured, so the certificate holds.
     """
     ys = exact.copy()
     ys[np.abs(ys) <= _ZERO_SNAP] = 0.0
@@ -331,13 +318,14 @@ def _store(xs: np.ndarray, exact: np.ndarray, eta: float) -> tuple[PiecewiseLine
 class Ladder:
     """The value functions f_1, f_2, ..., built on demand and cached.
 
-    Level m lifts the stored f_{m-1} exactly and then takes lossy steps (zero
-    snap, simplification within ``eta``, canonical form) whose sup error
-    eta_m is measured.  The exact lift T is monotone in f_{m-1}, and adding
-    a constant c to f_{m-1} shifts T f_{m-1} by exactly r_m c, r_m =
-    (m-1)/m, since both continuation values g and h carry f_{m-1} with the
-    factor r_m.  By Blackwell's sufficient conditions T is an r_m-contraction
-    in the sup norm, so the stored f_m is within
+    Level m lifts the stored f_{m-1} exactly, T f_{m-1} = cross(1/m + B, B)
+    with B(x) = r_m f_{m-1}(x / r_m), r_m = (m-1)/m, and then takes lossy
+    steps (zero snap, simplification within ``eta``, canonical form) whose
+    sup error eta_m is measured.  T is monotone in f_{m-1}, and adding a
+    constant c to f_{m-1} shifts T f_{m-1} by exactly r_m c, since both
+    arguments of the crossing carry f_{m-1} through B.  By Blackwell's
+    sufficient conditions T is an r_m-contraction in the sup norm, so the
+    stored f_m is within
 
         err_m = r_m err_{m-1} + eta_m,   err_1 = 0,
 

@@ -273,10 +273,15 @@ def optimal_counter_price(m: int, B: float) -> float:
 # -- the randomized w1/w2 adversary ---------------------------------------------
 
 
-def randomized_adversary(m: int, B: float, seed: int) -> np.ndarray:
-    """One sampled bid vector: w1/m on a uniform m/2-subset, w2/m elsewhere."""
+def _check_even(m: int) -> None:
+    """The randomized adversary splits the items in halves: m > 0 and even."""
     if m < 1 or m % 2 != 0:
         raise ValueError(f"m must be a positive even number, got {m}")
+
+
+def randomized_adversary(m: int, B: float, seed: int) -> np.ndarray:
+    """One sampled bid vector: w1/m on a uniform m/2-subset, w2/m elsewhere."""
+    _check_even(m)
     split = budget_split(B)
     rng = np.random.Generator(np.random.Philox(int(seed)))
     bids = np.full(m, split.w2 / m)
@@ -292,8 +297,7 @@ def best_response_profit(m: int, B: float) -> float:
     Undominated per-item bids skip, beat w2/m (winning with probability 1/2)
     or beat w1/m (always winning); by linearity the best reply plays every
     item at the better gain, (1 - w2)/(2m) or (1 - w1)/m."""
-    if m % 2 != 0:
-        raise ValueError("m must be even")
+    _check_even(m)
     if budget_split(B).regime == "low":
         return 1.0 - 2.0 * B
     return 2.0 * (1.0 - B) / 3.0

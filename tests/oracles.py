@@ -13,6 +13,9 @@ bidder's replies to the split adversary.
 ``flat_price_scan`` is the adversary's exhaustive best response to the
 flat-price policy, which ``strategies.constant_price_worst_profit`` gives in
 closed form.
+
+``cross_oracle`` is the value ladder's crossing kernel ``seq._cross`` by
+brute force over the adversary's bid.
 """
 
 import math
@@ -155,3 +158,17 @@ def flat_price_scan(si, B: float, k: int) -> tuple[float, int]:
         if profit < worst:
             worst, worst_w = profit, w
     return float(worst), worst_w
+
+
+def cross_oracle(hi, lo, x, n: int = 4000) -> np.ndarray:
+    """cross(hi, lo) at each budget in ``x``: the minimum over the grid
+    a = x k / n, k = 0..n, of max(hi(x) - a, lo(x - a)), for callables
+    ``hi`` and ``lo`` that take arrays.
+
+    The grid holds both ends, so the minimum lies at or above the exact one
+    and above it by at most x / n times the objective's largest slope in a,
+    max(1, the largest |slope| of lo).
+    """
+    x = np.asarray(x, dtype=float)
+    a = x[:, None] * np.linspace(0.0, 1.0, n + 1)
+    return np.maximum(hi(x)[:, None] - a, lo(x[:, None] - a)).min(axis=1)

@@ -428,6 +428,15 @@ class TestVerifyAll:
         assert [r.name for r in got] == [r.name for r in want]
         assert [untimed(r) for r in got] == [untimed(r) for r in want]
 
+    def test_si_ladder_records_follow_the_contraction_bound(self):
+        # a few stored levels are not convex (f_107 kinks where its lowered
+        # range starts); each level's measured eta still certifies it
+        records = A._SI_LADDER.records(198)
+        assert [r.m for r in records] == list(range(1, 199))
+        for prev, rec in zip(records, records[1:]):
+            assert 0.0 <= rec.eta <= A._SI_ETA
+            assert rec.err == (rec.m - 1.0) / rec.m * prev.err + rec.eta
+
     def test_si_upper_caches_no_level_of_its_ladder(self, monkeypatch):
         built = A._SI_LADDER  # the fixture built f_1..f_198
         cached = len(built)

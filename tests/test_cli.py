@@ -88,6 +88,13 @@ def test_oracle_out_of_domain_exits_1(capsys, argv):
     assert err.startswith("riskfree: error: ")
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_oracle_item_count_below_one_exits_1(capsys, m):
+    code, out, err = run(capsys, "oracle", "--m", m, "--b", "0.3")
+    assert (code, out) == (1, "")
+    assert err == f"riskfree: error: --m must be at least 1, got {m}\n"
+
+
 @pytest.mark.parametrize("b", ["nan", "inf", "-0.1"])
 def test_tables_non_finite_budget_exits_1(capsys, b):
     code, out, err = run(capsys, "tables", "--m", "1", f"--b={b}")

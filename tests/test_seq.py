@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
-from oracles import alpha_params
+from oracles import alpha_params, cross_oracle
 
 from riskfree import pwl, seq
 from riskfree.errors import ContractViolationError, PolicyContractError, StateSpaceError
@@ -644,6 +644,21 @@ def composed_lift(fp, m):
     return pwl.pointwise_extreme(e_g, PiecewiseLinear(grid, cross), "max")
 
 
+#: Sorted knots in (0, 1), 1e-9 apart, and the shares of a fall between them.
+_SPACED = hst.lists(hst.floats(0.01, 0.99), max_size=6, unique=True).map(sorted).filter(
+    lambda ks: bool(np.all(np.diff(ks) >= 1e-9))
+)
+_DROPS = hst.lists(hst.floats(0.0, 1.0), min_size=7, max_size=7)
+
+
+def _falling(knots, drops, end, top, fall):
+    """Breakpoints of a polyline from (0, top) through ``knots`` to
+    (end, top (1 - fall)), falling weakly by the shares ``drops``."""
+    xs = np.array([0.0, *knots, end])
+    steps = np.asarray(drops[: len(xs) - 1])
+    return xs, top - top * fall * np.concatenate(([0.0], np.cumsum(steps))) / (steps.sum() or 1.0)
+
+
 def check_lift(fp, m):
     """``seq._lift(fp, m)`` has strictly increasing abscissae and is within
     1e-12 of ``composed_lift(fp, m)``."""
@@ -677,6 +692,36 @@ class TestLadder:
         ys = np.concatenate(([1.0], 1.0 - np.cumsum(steps) / steps.sum()))
         ys[-1] = 0.0
         check_lift(PiecewiseLinear(xs, ys), m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lo_knots=_SPACED, lo_drops=_DROPS, lo_end=hst.floats(0.2, 1.0), lo0=hst.floats(0.05, 1.0),
+        lo_fall=hst.floats(0.0, 1.0), c_knots=_SPACED, c_drops=_DROPS, c0=hst.floats(0.0, 0.5),
+        c_fall=hst.floats(0.0, 1.0),
+    )
+    # lo reaches 0 short of u = 1, hi has knots lo lacks, and hi(0) > lo(0)
+    # puts the small budgets in the all-in clip
+    @example(lo_knots=[0.5], lo_drops=[1.0] * 7, lo_end=0.6, lo0=0.8, lo_fall=1.0, c_knots=[0.25, 0.75],
+             c_drops=[1.0] * 7, c0=0.3, c_fall=0.5)
+    def test_cross_matches_brute_force(self, lo_knots, lo_drops, lo_end, lo0, lo_fall, c_knots, c_drops, c0,
+                                       c_fall):
+        # lo falls weakly from (0, lo0) to (lo_end, lo0 (1 - lo_fall)); hi =
+        # lo + c on lo's knots, c's and 1, c >= 0 falling weakly from c0
+        lx, ly = _falling([k * lo_end for k in lo_knots], lo_drops, lo_end, lo0, lo_fall)
+        cx, cy = _falling(c_knots, c_drops, 1.0, c0, c_fall)
+        # c's knots within 1e-9 of lo's would tie psi = hi - x in rounding
+        far = np.min(np.abs(cx[:, None] - lx[None, :]), axis=1) >= 1e-9
+        hx = np.union1d(lx, cx[far])
+        hy = np.interp(hx, lx, ly) + np.interp(hx, cx, cy)
+        gx, gy = seq._cross(hx, hy, lx, ly)
+        assert gx[0] == 0.0 and gx[-1] == hx[-1] and np.all(np.diff(gx) > 0.0)
+        x = np.union1d(np.concatenate((gx, (gx[1:] + gx[:-1]) / 2)), np.linspace(0.0, hx[-1], 101))
+        got = np.interp(x, gx, gy)
+        n = 4000
+        want = cross_oracle(lambda u: np.interp(u, hx, hy), lambda u: np.interp(u, lx, ly), x, n)
+        slope = max(1.0, float(np.max(np.abs(np.diff(ly) / np.diff(lx)))))
+        assert np.all(got <= want + 1e-12)
+        assert np.all(want - got <= x / n * slope + 1e-12)
 
     def test_records_follow_the_contraction_bound(self):
         records = seq.LADDER.records(198)

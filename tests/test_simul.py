@@ -317,6 +317,11 @@ class TestRandomizedAdversary:
         with pytest.raises(ValueError, match=f"m must be at least 1, got {m}"):
             optimal_counter_price(m, 0.3)
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_best_response_rejects_the_item_counts_the_adversary_does(self, m):
+        with pytest.raises(ValueError, match=f"m must be a positive even number, got {m}"):
+            best_response_profit(m, 0.3)
+
     def test_seed_determinism(self):
         a = randomized_adversary(10, 0.3, seed=7)
         b = randomized_adversary(10, 0.3, seed=7)
