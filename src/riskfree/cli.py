@@ -229,7 +229,9 @@ def run_scenario(sc: Scenario) -> dict:
         outcome = seq.simulate(sc.valuation, bidder, adversary, sc.price_rule, budget=sc.budget)
         report["rounds"] = [list(r) for r in outcome.rounds]
         if isinstance(sc.valuation, AdditiveValuation) and len(set(sc.valuation.weights)) == 1:
-            report["closed_form"] = float(seq.uniform_additive_value(sc.valuation.m)(sc.budget))
+            # f_m is the game at v(I) = 1: scaling every price by V = v(I) gives V f_m(B / V)
+            f, V = seq.uniform_additive_value(sc.valuation.m), sc.valuation.total()
+            report["closed_form"] = V * float(f(sc.budget / V)) if V else 0.0
     else:
         bids2 = np.asarray(adversary.bids)
         if float(bids2.sum()) > sc.budget + 1e-9:
@@ -329,7 +331,7 @@ def _cmd_oracle(args) -> int:
     if args.m < 1:  # before 1 / m is taken
         raise ValueError(f"--m must be at least 1, got {args.m}")
     v = AdditiveValuation((1.0 / args.m,) * args.m)
-    val = seq.solve_discretized(v, args.b, args.delta, args.price_rule, args.leader)
+    val = seq.solve_discretized(v, args.b, args.delta, args.price_rule)
     print(_fmt(val))
     return 0
 
@@ -393,7 +395,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--delta", type=float, default=0.01)
-    sp.add_argument("--leader", choices=("adversary", "bidder"), default="adversary")
     sp.add_argument("--price-rule", choices=("first", "second"), default="first")
     sp.set_defaults(fn=_cmd_oracle)
 

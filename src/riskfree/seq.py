@@ -645,72 +645,66 @@ def _is_symmetric(v: Valuation) -> bool:
 _MAX_GRID_OPS = 2e8
 
 
-def solve_discretized(
-    v: Valuation,
-    B: float,
-    delta: float,
-    price_rule: str = "first",
-    leader: str = "adversary",
-) -> float:
-    """Value of the grid game where each round the leader commits a bid on a
-    delta-grid and the follower best-responds (win or lose).
+def solve_discretized(v: Valuation, B: float, delta: float, price_rule: str = "first") -> float:
+    """Value of the grid game where each round the adversary commits a bid on
+    a delta-grid and the bidder best-responds (win or lose).
 
-    Ties are awarded to the adversary, so a winning bidder pays one grid step
-    above the adversary's bid under first price: this is the conservative
-    worst-case reading of the limit-bid convention.  ``leader='adversary'``
-    realizes the min-max order; ``leader='bidder'`` the max-min order.
+    Ties go to the adversary, so a winning bidder pays one grid step above
+    his bid under first price (the conservative reading of the limit-bid
+    convention) and his bid under second; a losing bidder matches his bid,
+    which he pays.  Backward induction over a table val[w, u], won states w
+    (counts if v is symmetric, else masks) by his budget units u, one array
+    operation per bid; rows a round cannot reach are computed but never
+    read.  With W = val[next(w), u] and first = 1 under first price, else 0:
 
-    Backward induction over a table val[w, u], won states w (counts if v is
-    symmetric, else masks) by budget units u, one array operation per bid;
-    rows a round cannot reach are computed but never read.  With won =
-    val[next(w), u]: adversary leading, min over a <= u of max(won - (a +
-    [first]) delta, val[w, u - a]); bidder leading, max over b <= min(1/delta,
-    u0 + 1) (u0 the starting units) of min(won - pay delta, val[w, u - b] if
-    b <= u), pay = b under first price and the drain min(b - 1, u) under
-    second.
+        val[w, u] = min over 0 <= a <= u of max(F(a), G(a)),
+        F(a) = W - (a + first) delta,   G(a) = val[w, u - a].
+
+    One order suffices: when v(I) <= 1 this equals, round by round and under
+    both rules, the max-min where she bids b first.  Her bid fares
+    min(F(b - 1), G(b)), G(u + 1) = inf: he takes the item at b, or lets her
+    win, at b under first price and draining min(b - 1, u) under second; a
+    bid past u + 1 does no better than u + 1.  Each round is a discrete
+    crossing:
+
+    * F falls strictly; G never falls, as more rival budget never helps her;
+    * W >= G(0), as winning an item never hurts her, so her bid 0 fares G(0);
+    * a bid above 1 never pays: F(1 / delta) <= W - 1 <= 0 <= G.
+
+    With a* the least a where F(a) <= G(a) (u + 1 if none), max(F, G) is at
+    least F(a* - 1) below a* and G(a*) from a* on, while min(F(b - 1), G(b))
+    is at most G(b) <= G(a* - 1) < F(a* - 1) and <= G(a*) below a*, and
+    F(b - 1) <= F(a*) <= G(a*) above it.  Both orders equal
+    min(F(a* - 1), G(a*)), which her bid a* <= 1 / delta attains.  For
+    v(I) > 1 the orders can differ.
     """
     check_price_rule(price_rule)
-    if leader not in ("adversary", "bidder"):
-        raise ValueError("leader must be 'adversary' or 'bidder'")
     check_budget(B)
     if not (math.isfinite(delta) and 0.0 < delta <= 1.0):
         raise ValueError(f"delta must be finite and in (0, 1], got {delta}")
     m = v.m
     if m > 6:
         raise ValueError("the game-tree oracle is capped at m = 6")
-    n_max = round(1.0 / delta)
-    if abs(n_max * delta - 1.0) > 1e-9:
+    # the grid is sized as floats: 1 / delta is inf for a subnormal delta, and
+    # B / delta can overflow to inf; clamped to the cap, it trips the check below
+    if abs(round(1.0 / delta, 0) * delta - 1.0) > 1e-9:
         raise ValueError("delta must divide the bid range [0, 1] evenly")
-    bu0 = int(math.floor(B / delta + 1e-9))
+    bu0 = math.floor(min(B / delta + 1e-9, _MAX_GRID_OPS))
 
     symmetric = _is_symmetric(v)
     final = np.array([v.value(range(k)) for k in range(m + 1)]) if symmetric else v.values_all()
-    # Bidder leading: at budget u a bid above u + 1 is worth no more than
-    # u + 1 (it pays more under first price and drains u under second), so
-    # her bids stop at bu0 + 1.
-    loop = (bu0 + 1) if leader == "adversary" else min(n_max, bu0 + 1) + 1
-    if m * len(final) * (bu0 + 1) * loop > _MAX_GRID_OPS:
+    if m * len(final) * (bu0 + 1) ** 2 > _MAX_GRID_OPS:
         raise StateSpaceError("discretized state space exceeds the cap")
-    if leader == "bidder":  # the adversary pays at most n_max units a round
-        bu0 = min(bu0, m * n_max)
 
-    w, units = np.arange(len(final)), np.arange(bu0 + 1)
+    w = np.arange(len(final))
     first = int(price_rule == "first")
     val = np.repeat(final[:, None], bu0 + 1, axis=1)
     for t in reversed(range(m)):
         won = val[np.minimum(w + 1, m) if symmetric else w | (1 << t)]
-        if leader == "adversary":
-            new = np.full_like(val, math.inf)
-            for a in range(bu0 + 1):
-                follower = np.maximum(won[:, a:] - (a + first) * delta, val[:, : bu0 + 1 - a])
-                np.minimum(new[:, a:], follower, out=new[:, a:])
-        else:
-            new = np.full_like(val, -math.inf)
-            for b in range(loop):
-                follower = won - (b if first or b == 0 else np.minimum(b - 1, units)) * delta
-                if b <= bu0:
-                    np.minimum(follower[:, b:], val[:, : bu0 + 1 - b], out=follower[:, b:])
-                np.maximum(new, follower, out=new)
+        new = np.full_like(val, math.inf)
+        for a in range(bu0 + 1):
+            follower = np.maximum(won[:, a:] - (a + first) * delta, val[:, : bu0 + 1 - a])
+            np.minimum(new[:, a:], follower, out=new[:, a:])
         val = new
     return float(val[0, bu0])
 

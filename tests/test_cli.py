@@ -74,9 +74,10 @@ def test_oracle(capsys):
     "argv",
     [
         ("--b=-0.5",),
-        ("--b=-0.5", "--leader", "bidder"),
         ("--b", "0.3", "--delta=-1"),
         ("--b", "0.3", "--delta", "0"),
+        ("--b", "0.3", "--delta", "5e-324"),
+        ("--b", "1e308", "--delta", "0.5"),
         ("--b", "inf"),
         ("--b", "nan"),
     ],
@@ -86,6 +87,15 @@ def test_oracle_out_of_domain_exits_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("riskfree: error: ")
+
+
+def test_oracle_has_no_leader_option(capsys):
+    # one order suffices (``solve_discretized``'s docstring), so --leader is gone
+    with pytest.raises(SystemExit) as e:
+        cli.main(["oracle", "--m", "2", "--b", "0.3", "--leader", "bidder"])
+    out = capsys.readouterr()
+    assert (e.value.code, out.out) == (1, "")
+    assert out.err == "riskfree: error: unrecognized arguments: --leader bidder\n"
 
 
 @pytest.mark.parametrize("m", ["0", "-1"])
@@ -184,6 +194,21 @@ def test_simulate_sequential_deterministic(capsys, tmp_path):
     rec = json.loads(out1)
     assert rec["closed_form"] == pytest.approx(0.45)
     assert {"profit", "allocation", "rounds", "gap"} <= set(rec)
+
+
+def test_simulate_closed_form_scales_with_the_total_value(capsys, tmp_path):
+    # equal weights: the game is the v(I) = 1 game with every price scaled by
+    # V = v(I), so its value is V f_m(B / V); V = 1 reads f_m(B) as it always did
+    reports = {}
+    for w in (0.5, 0.3, 0.0):
+        path = scenario_file(tmp_path, valuation={"kind": "additive", "weights": [w, w]})
+        code, out, _ = run(capsys, "simulate", "--scenario", path)
+        assert code == 0
+        reports[w] = rec = json.loads(out)
+        assert rec["gap"] == rec["profit"] - rec["closed_form"]
+    assert reports[0.5]["closed_form"] == float(seq.uniform_additive_value(2)(0.3))
+    assert reports[0.3]["closed_form"] == pytest.approx(0.15, rel=0, abs=1e-12)
+    assert reports[0.0]["closed_form"] == 0.0  # nothing to win, not a division by V = 0
 
 
 def test_simulate_s_instance(capsys, tmp_path):
