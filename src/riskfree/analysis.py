@@ -16,7 +16,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .valuations import (
     AdditiveValuation,
     XOSValuation,
     check_budget,
-    l_threshold,
     random_subadditive_identical,
     s_instance_params,
 )
@@ -124,6 +123,11 @@ def table_A(m: int, B: float) -> float:
 #: eta (1e-7) would move ``si_upper_response_value`` by about 6e-7.
 _SI_ETA = 1e-8
 
+#: The si family's budgets and item counts.  Every m is at least L(x) on
+#: every x (L is 14 at x = 0.05, the largest), so each response is feasible.
+_SI_X = (0.05, 0.10, 0.15, 0.20)
+_SI_M = (50, 100, 200)
+
 #: The si family's ladder.  ``si_upper_response_value`` reads its cached
 #: levels, built lazily on the first read; ``verify_si_upper`` streams
 #: f_1..f_198 through it (``seq.Ladder.stream``) and caches none of them.
@@ -201,7 +205,7 @@ def _pass(top: int, *sweeps: _LevelSweep) -> float:
 class _ValueBound(_LevelSweep):
     """``verify_value_bound``'s sweep, read at f_m for m = 1..m_max."""
 
-    def __init__(self, m_max: int, grid_step: float, tol: float) -> None:
+    def __init__(self, m_max: int, grid_step: float, tol: float = 1e-9) -> None:
         super().__init__("xos_value_bound", f"f_m <= f + 1/sqrt(m), m <= {m_max}, step {grid_step}", tol,
                          seq.LADDER)
         self.xs = np.arange(grid_step, 1.0, grid_step)
@@ -246,7 +250,7 @@ def verify_alpha_feasibility(m_max: int = 30, grid_step: float = 0.002, tol: flo
 class _GhBound(_LevelSweep):
     """``verify_gh_bound``'s sweep: level f_{m-1} is read for m = 2..m_max."""
 
-    def __init__(self, m_max: int, grid_step: float, tol: float) -> None:
+    def __init__(self, m_max: int, grid_step: float, tol: float = 1e-9) -> None:
         super().__init__("gh_at_alpha_tilde", f"g, h at alpha_tilde <= f + 1/sqrt(m), m <= {m_max}, "
                          f"step {grid_step}", tol, seq.LADDER)
         self.m_max, self.grid_step = m_max, grid_step
@@ -366,16 +370,11 @@ class _SiUpper(_LevelSweep):
     """``verify_si_upper``'s sweep: ``read`` keeps level k's record and reads
     the level once at the budgets of every response that needs it."""
 
-    def __init__(self, x_list: Sequence[float], m_list: Sequence[int]) -> None:
-        if not m_list:
-            raise ValueError("si_upper_bound: m_list must hold at least one item count")
+    def __init__(self) -> None:
         super().__init__("si_upper_bound", "three-phase adversary holds responses to t_1(x) + C/sqrt(m); "
                          "margin = worst shrink of the excess between the smallest and largest m", 0.0, _SI_LADDER)
-        asked = {x: sorted({max(math.ceil(l_threshold(x)), m_list[0]), *m_list[1:]}) for x in x_list}
-        self.m_lists = {x: [m for m in asked[x] if m >= l_threshold(x)] for x in x_list}
-        self.reads = {(x, m): _si_reads(x, m) for x, ms in self.m_lists.items() for m in ms}
+        self.reads = {(x, m): _si_reads(x, m) for x in _SI_X for m in _SI_M}
         self.vals, self.records = {key: [] for key in self.reads}, []
-        self.top = max([1, *(m - 2 for _, m in self.reads)])
 
     def read(self, k: int, fk: PiecewiseLinear, rec: seq.LevelRecord) -> None:
         self.records.append(rec)
@@ -387,50 +386,51 @@ class _SiUpper(_LevelSweep):
         """Combines the responses; passes when each gap exceeds the ladder error on its two ends."""
         t0 = time.perf_counter()
         rows, ladder_err = [], 0.0
-        for x, ms in self.m_lists.items():
-            resps = [_si_combine(m, self.reads[x, m][0], self.vals[x, m], self.records) for m in ms]
+        for x in _SI_X:
+            resps = [_si_combine(m, self.reads[x, m][0], self.vals[x, m], self.records) for m in _SI_M]
             excesses = [resp["value"] - tangent_value(1, x) for resp in resps]
-            rows += [{"x": x, "m": m, "value": r["value"], "excess": e} for m, r, e in zip(ms, resps, excesses)]
-            if len(ms) >= 2:
-                ladder_err = max(ladder_err, resps[0]["ladder_err"] + resps[-1]["ladder_err"])
-                self.note(excesses[0] - excesses[-1], (x,))  # positive means shrinking excess
+            rows += [{"x": x, "m": m, "value": r["value"], "excess": e} for m, r, e in zip(_SI_M, resps, excesses)]
+            ladder_err = max(ladder_err, resps[0]["ladder_err"] + resps[-1]["ladder_err"])
+            self.note(excesses[0] - excesses[-1], (x,))  # positive means shrinking excess
         c_measured = max([0.0, *(row["excess"] * math.sqrt(row["m"]) for row in rows)])
         extra = {"C_measured": c_measured, "ladder_err": ladder_err, "eta": self.ladder.eta, "rows": rows}
         return self.report(self.worst - ladder_err > 0.0 and math.isfinite(c_measured), n_points=len(rows),
                            runtime_s=self.runtime_s + time.perf_counter() - t0, setup_s=setup_s, extra=extra)
 
 
-def verify_si_upper(
-    x_list: Sequence[float] = (0.05, 0.10, 0.15, 0.20),
-    m_list: Sequence[int] = (50, 100, 200),
-) -> SweepReport:
-    """(e) hard-instance response classes stay near t_1(x); the excess over
-    t_1 is measured, reported as C = max (V - t_1) sqrt(m), and must shrink
-    between the smallest and largest m.  Subgames read ``_SI_LADDER`` (eta
-    1e-8, reported as ``extra["eta"]``), whose certified error on both ends
-    of each gap is ``extra["ladder_err"]``, under 2e-6 against a margin of
-    about 0.014; passing needs the margin to exceed it.  The margins are the
-    gaps, one per x with two or more feasible m; ``n_points`` counts the
-    responses valued.  An empty ``m_list`` raises ValueError.
+def verify_si_upper() -> SweepReport:
+    """(e) hard-instance response classes stay near t_1(x), at every budget x
+    in ``_SI_X`` and item count m in ``_SI_M``; the excess over t_1 is
+    measured, reported as C = max (V - t_1) sqrt(m), and must shrink between
+    the smallest and largest m.  Subgames read ``_SI_LADDER`` (eta 1e-8,
+    reported as ``extra["eta"]``), whose certified error on both ends of each
+    gap is ``extra["ladder_err"]``, under 2e-6 against a margin of about
+    0.014; passing needs the margin to exceed it.  The margins are the gaps,
+    one per x; ``n_points`` counts the responses valued.
 
     The ladder is streamed (``_pass``), so no more than two levels are alive
     at once; each response equals ``si_upper_response_value``'s to the bit.
     ``setup_s`` is the time the pass spent building levels and
     ``runtime_s`` the family's own work: its reads and combining.
     """
-    sweep = _SiUpper(x_list, m_list)
-    return sweep.finish(_pass(sweep.top, sweep))
+    sweep = _SiUpper()
+    return sweep.finish(_pass(_SI_M[-1] - 2, sweep))  # a response on m items reads f_1..f_(m-2)
 
 
-def verify_tangency(k_max: int = 50, grid_step: float = 0.001, tol: float = 1e-9) -> SweepReport:
-    """(f) t_k touches (1-sqrt(B))^2 exactly at (k/(k+1))^2 and t* dominates."""
-    _check_grid_step(grid_step)
+#: The tangency family's largest k and budget grid step.
+_TANGENCY_K_MAX, _TANGENCY_STEP = 50, 0.001
+
+
+def verify_tangency(tol: float = 1e-9) -> SweepReport:
+    """(f) t_k touches (1-sqrt(B))^2 exactly at (k/(k+1))^2 and t* dominates,
+    for k <= ``_TANGENCY_K_MAX`` on the budget grid of step ``_TANGENCY_STEP``."""
+    k_max = _TANGENCY_K_MAX
     sweep = _Sweep("tangency", f"t_k tangency identities and envelope dominance, k <= {k_max}")
     ks = range(1, k_max + 1)
     touch = [(k / (k + 1.0)) ** 2 for k in ks]
     gaps = [-abs(tangent_value(k, pt) - f_bound(pt)) for k, pt in zip(ks, touch)]
     sweep.note_all(np.array(gaps), lambda i: (i + 1,))
-    grid = np.arange(grid_step, 1.0, grid_step)
+    grid = np.arange(_TANGENCY_STEP, 1.0, _TANGENCY_STEP)
     budgets = grid.tolist()
     env = np.array([t_star(B)[0] for B in budgets])
     k = np.arange(1.0, k_max + 1.0)
@@ -485,22 +485,21 @@ def _random_xos(m: int, rng: np.random.Generator) -> XOSValuation:
     return XOSValuation(tuple(clauses))
 
 
-def _xos_suite(m_max: int, grid_step: float, tol: float, **_) -> list[SweepReport]:
+def _xos_suite(m_max: int, grid_step: float, **_) -> list[SweepReport]:
     """The xos families in report order.  value_bound and gh read the ladder
     in one ``_pass``, whose build time value_bound carries; gh reports
     after alpha_feasibility, so ``m_max`` 1 fails on alpha_feasibility first."""
-    value, gh = _ValueBound(m_max, grid_step, tol), _GhBound(m_max, grid_step, tol)
+    value, gh = _ValueBound(m_max, grid_step), _GhBound(m_max, grid_step)
     setup_s = _pass(m_max, value, gh)
-    return [value.finish(setup_s), verify_alpha_feasibility(m_max, grid_step, tol), gh.finish(0.0),
-            verify_tangency(tol=tol)]
+    return [value.finish(setup_s), verify_alpha_feasibility(m_max, grid_step), gh.finish(0.0), verify_tangency()]
 
 
 #: Each suite's run: ``verify_all``'s arguments by name to its families'
 #: reports, in run order.
 SUITES: dict[str, Callable[..., list[SweepReport]]] = {
     "xos": _xos_suite,
-    "si": lambda seed, tol, **_: [verify_si_lower(seed=seed, tol=tol), verify_si_upper()],
-    "simul": lambda seed, tol, **_: [verify_simul(seed=seed, tol=tol)],
+    "si": lambda seed, **_: [verify_si_lower(seed=seed), verify_si_upper()],
+    "simul": lambda seed, **_: [verify_simul(seed=seed)],
 }
 
 
@@ -508,7 +507,6 @@ def verify_all(
     suites: Iterable[str] = ("xos", "si", "simul"),
     m_max: int = 30,
     grid_step: float = 0.01,
-    tol: float = 1e-9,
     seed: int = 0,
 ) -> list[SweepReport]:
     """Run the families of the chosen suites, in ``SUITES`` order, in this process.
@@ -518,7 +516,8 @@ def verify_all(
     read f_1..f_m_max of ``seq.LADDER`` (eta 1e-9) in one shared pass, and
     si_upper_bound reads f_1..f_198 of its own ``_SI_LADDER`` (eta 1e-8).
     A report's ``setup_s`` is the time its pass spent building levels and
-    ``runtime_s`` the family's own work.  A suite name outside ``SUITES``,
+    ``runtime_s`` the family's own work.  Each family runs at its own
+    default tolerance.  A suite name outside ``SUITES``,
     a bare string for ``suites``, and a grid step that is not finite and in
     (0, 1) raise ValueError.
     """
@@ -528,7 +527,7 @@ def verify_all(
     if unknown := wanted - SUITES.keys():
         raise ValueError(f"unknown suite(s) {sorted(unknown)}; choose from {list(SUITES)}")
     _check_grid_step(grid_step, below=1.0)
-    args = dict(m_max=m_max, grid_step=grid_step, tol=tol, seed=seed)
+    args = dict(m_max=m_max, grid_step=grid_step, seed=seed)
     return [rep for suite, run in SUITES.items() if suite in wanted for rep in run(**args)]
 
 

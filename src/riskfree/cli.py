@@ -330,6 +330,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.m < 1:  # before 1 / m is taken
         raise ValueError(f"--m must be at least 1, got {args.m}")
+    if args.m > seq._MAX_GRID_M:  # before m weights are allocated
+        raise ValueError(f"the game-tree oracle is capped at m = {seq._MAX_GRID_M}")
     v = AdditiveValuation((1.0 / args.m,) * args.m)
     val = seq.solve_discretized(v, args.b, args.delta, args.price_rule)
     print(_fmt(val))

@@ -341,9 +341,10 @@ class Ladder:
     The lock guards building only, so threads sharing a ladder see each
     level and key built once.  A read of what is already built takes no
     lock: the lists and the key dict only grow, a level is appended before
-    its record and a key is stored once it is final, so each read checks
-    the length of the list it slices, or finds its key, and otherwise
-    builds under the lock.
+    its record and a key is stored once it is final.  So ``level``, which
+    ``levels``, ``records`` and ``crossing`` call before they slice or key,
+    reads f_m when record m exists and otherwise builds under the lock; a
+    kept key is found without it.
     """
 
     def __init__(self, eta: float = _ETA):
@@ -382,17 +383,14 @@ class Ladder:
 
     def levels(self, m: int) -> list[PiecewiseLinear]:
         """[f_1, ..., f_m], building missing levels."""
-        m, levels = operator.index(m), self._levels
-        if 0 < m <= len(levels):
-            return levels[:m]
-        with self._lock:
-            return self._levels[: self._upto(m)]
+        self.level(m)
+        return self._levels[:m]
 
     def level(self, m: int) -> PiecewiseLinear:
-        """f_m, building missing levels."""
-        m, levels = operator.index(m), self._levels
-        if 0 < m <= len(levels):
-            return levels[m - 1]
+        """f_m, building missing levels: the one accessor that builds."""
+        m = operator.index(m)
+        if 0 < m <= len(self._records):
+            return self._levels[m - 1]
         with self._lock:
             return self._levels[self._upto(m) - 1]
 
@@ -411,8 +409,8 @@ class Ladder:
         key = self._keys.get(m)
         if key is not None:
             return self._levels[m - 1], key
+        fm = self.level(m)
         with self._lock:
-            fm = self._levels[self._upto(m) - 1]
             key = self._keys.get(m)
             if key is None:
                 key = fm.xs - fm.ys
@@ -422,11 +420,8 @@ class Ladder:
 
     def records(self, m: int) -> list[LevelRecord]:
         """Build records of f_1, ..., f_m, building missing levels."""
-        m, records = operator.index(m), self._records
-        if 0 < m <= len(records):
-            return records[:m]
-        with self._lock:
-            return self._records[: self._upto(m)]
+        self.level(m)
+        return self._records[:m]
 
     def stream(self, m_max: int) -> Iterator[tuple[int, PiecewiseLinear, LevelRecord]]:
         """``(m, f_m, record)`` for m = 1..m_max, without caching new levels.
@@ -641,7 +636,9 @@ def _is_symmetric(v: Valuation) -> bool:
     return False
 
 
-#: Cap on the grid oracle's work: rounds * won states * budget units * bids.
+#: Caps on the grid oracle: its item count, which ``riskfree oracle`` checks
+#: before it builds a valuation, and its work: rounds * won states * budget units * bids.
+_MAX_GRID_M = 6
 _MAX_GRID_OPS = 2e8
 
 
@@ -683,8 +680,8 @@ def solve_discretized(v: Valuation, B: float, delta: float, price_rule: str = "f
     if not (math.isfinite(delta) and 0.0 < delta <= 1.0):
         raise ValueError(f"delta must be finite and in (0, 1], got {delta}")
     m = v.m
-    if m > 6:
-        raise ValueError("the game-tree oracle is capped at m = 6")
+    if m > _MAX_GRID_M:
+        raise ValueError(f"the game-tree oracle is capped at m = {_MAX_GRID_M}")
     # the grid is sized as floats: 1 / delta is inf for a subnormal delta, and
     # B / delta can overflow to inf; clamped to the cap, it trips the check below
     if abs(round(1.0 / delta, 0) * delta - 1.0) > 1e-9:

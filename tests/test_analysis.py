@@ -159,13 +159,10 @@ class TestSweeps:
         rep = A.verify_tangency()
         assert rep.passed
 
-    def test_tangency_with_an_empty_budget_grid_still_checks_the_identities(self):
-        rep = A.verify_tangency(grid_step=2.0)
-        assert rep.passed and rep.n_points == 50
-
-    @pytest.mark.parametrize("k_max, grid_step", [(50, 0.001), (7, 0.013), (1, 0.3)])
-    def test_tangency_replays_the_former_generator(self, k_max, grid_step):
+    def test_tangency_replays_the_former_generator(self):
         # the t_k grid as it was built, one tangent_value call per (B, k)
+        k_max, grid_step = A._TANGENCY_K_MAX, A._TANGENCY_STEP
+        assert (k_max, grid_step) == (50, 0.001)
         ks = range(1, k_max + 1)
         touch = [(k / (k + 1.0)) ** 2 for k in ks]
         gaps = [-abs(tangent_value(k, pt) - A.f_bound(pt)) for k, pt in zip(ks, touch)]
@@ -175,7 +172,7 @@ class TestSweeps:
         margins = np.concatenate((gaps, np.repeat(env, k_max) - t_k))
         i = int(np.argmin(margins))
         point = (i + 1,) if i < k_max else (budgets[(i - k_max) // k_max], (i - k_max) % k_max + 1)
-        rep = A.verify_tangency(k_max=k_max, grid_step=grid_step)
+        rep = A.verify_tangency()
         assert rep.n_points == len(margins)
         assert rep.min_margin.hex() == float(margins[i]).hex()
         assert rep.worst_point == point
@@ -185,31 +182,38 @@ class TestSweeps:
         assert rep.passed
 
     def test_si_upper_small(self):
-        rep = A.verify_si_upper(x_list=(0.1,), m_list=(30, 60))
+        rep = A.verify_si_upper()
         assert rep.passed
         assert rep.extra["C_measured"] >= 0.0
-        rows = rep.extra["rows"]
-        assert rows[-1]["excess"] < rows[0]["excess"]
+        excess = {(row["x"], row["m"]): row["excess"] for row in rep.extra["rows"]}
+        for x in A._SI_X:
+            assert excess[x, 200] < excess[x, 50], x
+
+    def test_every_si_item_count_is_feasible_at_every_budget(self):
+        # so the sweep values every (x, m) it names and finds a gap at each x
+        assert list(A._SI_M) == sorted(A._SI_M) and len(A._SI_M) >= 2
+        for x in A._SI_X:
+            assert A._SI_M[0] >= l_threshold(x), x
 
     def test_streamed_sweep_matches_the_response_value(self, monkeypatch):
         si_ladder = seq.Ladder(eta=A._SI_ETA)
         monkeypatch.setattr(A, "_SI_LADDER", si_ladder)
-        rep = A.verify_si_upper(x_list=(0.1,), m_list=(30, 60))
+        rep = A.verify_si_upper()
         assert len(si_ladder) == 1  # the sweep streamed the levels, caching none
-        errs = []
+        errs = {}
         for row in rep.extra["rows"]:
             resp = A.si_upper_response_value(row["x"], row["m"])
             assert row["value"] == resp["value"]
             assert row["excess"] == resp["value"] - tangent_value(1, row["x"])
-            errs.append(resp["ladder_err"])
-        assert [row["m"] for row in rep.extra["rows"]] == [30, 60]
-        assert rep.extra["ladder_err"] == errs[0] + errs[-1]
+            errs[row["x"], row["m"]] = resp["ladder_err"]
+        assert list(errs) == [(x, m) for x in A._SI_X for m in A._SI_M]
+        assert rep.extra["ladder_err"] == max(errs[x, A._SI_M[0]] + errs[x, A._SI_M[-1]] for x in A._SI_X)
 
     @pytest.mark.parametrize("grid_step", [0.0, -0.01, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "sweep",
-        [A.verify_value_bound, A.verify_alpha_feasibility, A.verify_gh_bound, A.verify_tangency],
-        ids=["value_bound", "alpha_feasibility", "gh_bound", "tangency"],
+        [A.verify_value_bound, A.verify_alpha_feasibility, A.verify_gh_bound],
+        ids=["value_bound", "alpha_feasibility", "gh_bound"],
     )
     def test_bad_grid_step_rejected(self, sweep, grid_step):
         with pytest.raises(ValueError, match="grid_step"):
@@ -223,7 +227,7 @@ class TestSweeps:
         sweeps = [
             (A.verify_value_bound, dict(m_max=8, grid_step=0.02), ladder, 8, 1),
             (A.verify_gh_bound, dict(m_max=8, grid_step=0.02), ladder, 7, 1),
-            (A.verify_si_upper, dict(x_list=(0.1,), m_list=(30, 60)), si_ladder, 58, 2),
+            (A.verify_si_upper, {}, si_ladder, 198, 2),
         ]
         reps = [fn(**kw) for fn, kw, *_ in sweeps]
         assert reps[0].setup_s > 0.0  # the first sweep built the cold ladder
@@ -297,20 +301,13 @@ class TestSweeps:
         [
             lambda: A.verify_alpha_feasibility(m_max=1),
             lambda: A.verify_gh_bound(m_max=1),
-            lambda: A.verify_si_upper(x_list=(0.1,), m_list=(30,)),  # one m, so no gap
-            lambda: A.verify_si_upper(x_list=()),
             lambda: A.verify_si_lower(n_instances=0),
         ],
-        ids=["alpha_feasibility", "gh_bound", "si_upper", "si_upper_no_x", "si_lower"],
+        ids=["alpha_feasibility", "gh_bound", "si_lower"],
     )
     def test_a_sweep_that_checks_no_point_raises(self, sweep):
         with pytest.raises(ValueError, match="checked no point"):
             sweep()
-
-    @pytest.mark.parametrize("m_list", [(), []])
-    def test_si_upper_rejects_an_empty_m_list(self, m_list):
-        with pytest.raises(ValueError, match="m_list"):
-            A.verify_si_upper(m_list=m_list)
 
     def test_verify_all_shapes(self):
         reps = A.verify_all(suites=("simul",))
@@ -380,7 +377,7 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 @pytest.fixture(scope="module")
 def si_ladder_cached():
     """Build f_1..f_198 of the si family's ladder once, for every full-size
-    ``verify_si_upper`` call below (its default m_list tops out at 200).
+    ``verify_si_upper`` call below (``_SI_M`` tops out at 200).
 
     Its stream yields cached levels unchanged, so each margin keeps its
     bits.  The cold stream is covered on fresh ladders by

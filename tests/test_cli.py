@@ -105,6 +105,18 @@ def test_oracle_item_count_below_one_exits_1(capsys, m):
     assert err == f"riskfree: error: --m must be at least 1, got {m}\n"
 
 
+@pytest.mark.parametrize("m", ["7", "4000000"])
+def test_oracle_item_count_above_the_cap_exits_1_before_building_the_valuation(capsys, monkeypatch, m):
+    with pytest.raises(ValueError) as direct:  # the library's own message, at the first m above the cap
+        seq.solve_discretized(AdditiveValuation((1.0 / 7,) * 7), 0.3, 0.05)
+    built = []
+    monkeypatch.setattr(cli, "AdditiveValuation", lambda weights: built.append(len(weights)))
+    monkeypatch.setattr(seq, "solve_discretized", lambda *args: built.append(args))
+    code, out, err = run(capsys, "oracle", "--m", m, "--b", "0.3")
+    assert (code, out, built) == (1, "", [])
+    assert err == f"riskfree: error: {direct.value}\n" == "riskfree: error: the game-tree oracle is capped at m = 6\n"
+
+
 @pytest.mark.parametrize("b", ["nan", "inf", "-0.1"])
 def test_tables_non_finite_budget_exits_1(capsys, b):
     code, out, err = run(capsys, "tables", "--m", "1", f"--b={b}")
