@@ -156,13 +156,21 @@ class TestSweeps:
         assert rep.passed
 
     def test_tangency(self):
+        assert (A._TANGENCY_K_MAX, A._TANGENCY_STEP) == (50, 0.001)
         rep = A.verify_tangency()
         assert rep.passed
 
-    def test_tangency_replays_the_former_generator(self):
-        # the t_k grid as it was built, one tangent_value call per (B, k)
-        k_max, grid_step = A._TANGENCY_K_MAX, A._TANGENCY_STEP
-        assert (k_max, grid_step) == (50, 0.001)
+    def test_tangency_with_an_empty_budget_grid_still_checks_the_identities(self, monkeypatch):
+        monkeypatch.setattr(A, "_TANGENCY_STEP", 2.0)
+        rep = A.verify_tangency()
+        assert rep.passed and rep.n_points == 50
+
+    @pytest.mark.parametrize("k_max, grid_step", [(50, 0.001), (7, 0.013), (1, 0.3)])
+    def test_tangency_replays_the_former_generator(self, monkeypatch, k_max, grid_step):
+        # the t_k grid as it was built, one tangent_value call per (B, k); the
+        # first case is the default, the others patch the family's constants
+        monkeypatch.setattr(A, "_TANGENCY_K_MAX", k_max)
+        monkeypatch.setattr(A, "_TANGENCY_STEP", grid_step)
         ks = range(1, k_max + 1)
         touch = [(k / (k + 1.0)) ** 2 for k in ks]
         gaps = [-abs(tangent_value(k, pt) - A.f_bound(pt)) for k, pt in zip(ks, touch)]
@@ -299,15 +307,32 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "sweep",
         [
-            lambda: A.verify_alpha_feasibility(m_max=1),
-            lambda: A.verify_gh_bound(m_max=1),
-            lambda: A.verify_si_lower(n_instances=0),
+            lambda mp: A.verify_alpha_feasibility(m_max=1),
+            lambda mp: A.verify_gh_bound(m_max=1),
+            lambda mp: mp.setattr(A, "_SI_X", ()) or A.verify_si_upper(),  # no budget, so no gap
+            lambda mp: A.verify_si_lower(n_instances=0),
         ],
-        ids=["alpha_feasibility", "gh_bound", "si_lower"],
+        ids=["alpha_feasibility", "gh_bound", "si_upper_no_x", "si_lower"],
     )
-    def test_a_sweep_that_checks_no_point_raises(self, sweep):
+    def test_a_sweep_that_checks_no_point_raises(self, monkeypatch, sweep):
         with pytest.raises(ValueError, match="checked no point"):
-            sweep()
+            sweep(monkeypatch)
+
+    @pytest.mark.parametrize(
+        "sweep, setting",
+        [
+            (A.verify_si_upper, "x_list"),
+            (A.verify_si_upper, "m_list"),
+            (A.verify_tangency, "k_max"),
+            (A.verify_tangency, "grid_step"),
+            (A.verify_all, "tol"),
+        ],
+        ids=["si_upper-x_list", "si_upper-m_list", "tangency-k_max", "tangency-grid_step", "verify_all-tol"],
+    )
+    def test_a_removed_setting_is_rejected_before_any_work(self, sweep, setting):
+        # the family's points and tolerances are its own (README "API changes")
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{setting}'"):
+            sweep(**{setting: 1})
 
     def test_verify_all_shapes(self):
         reps = A.verify_all(suites=("simul",))

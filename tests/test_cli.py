@@ -105,7 +105,7 @@ def test_oracle_item_count_below_one_exits_1(capsys, m):
     assert err == f"riskfree: error: --m must be at least 1, got {m}\n"
 
 
-@pytest.mark.parametrize("m", ["7", "4000000"])
+@pytest.mark.parametrize("m", ["7", "4000000", "1000000000"])
 def test_oracle_item_count_above_the_cap_exits_1_before_building_the_valuation(capsys, monkeypatch, m):
     with pytest.raises(ValueError) as direct:  # the library's own message, at the first m above the cap
         seq.solve_discretized(AdditiveValuation((1.0 / 7,) * 7), 0.3, 0.05)
