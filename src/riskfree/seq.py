@@ -41,6 +41,7 @@ are exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import threading
@@ -340,10 +341,11 @@ class Ladder:
 
     The lock guards building only, so threads sharing a ladder see each
     level and key built once.  A read of what is already built takes no
-    lock: the lists and the key dict only grow, a level is appended before
-    its record and a key is stored once it is final.  So ``level``, which
+    lock: the list of ``(f_m, record)`` entries and the key dict only grow,
+    an entry is appended whole, so a reader that sees level m sees its
+    record, and a key is stored once it is final.  So ``level``, which
     ``levels``, ``records`` and ``crossing`` call before they slice or key,
-    reads f_m when record m exists and otherwise builds under the lock; a
+    reads entry m when it exists and otherwise builds under the lock; a
     kept key is found without it.
     """
 
@@ -351,48 +353,48 @@ class Ladder:
         if not (math.isfinite(eta) and eta >= 0.0):
             raise ValueError(f"eta must be finite and non-negative, got {eta}")
         self.eta = eta
-        self._levels = [PiecewiseLinear([0.0, 1.0], [1.0, 0.0])]
-        self._records = [LevelRecord(m=1, pieces_raw=1, pieces=1, eta=0.0, err=0.0, build_s=0.0)]
+        first = LevelRecord(m=1, pieces_raw=1, pieces=1, eta=0.0, err=0.0, build_s=0.0)
+        self._built = [(PiecewiseLinear([0.0, 1.0], [1.0, 0.0]), first)]  # entry m - 1 is (f_m, record)
         self._keys: dict[int, np.ndarray] = {}  # m -> crossing key of f_m
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         """Number of levels built so far."""
-        return len(self._levels)
+        return len(self._built)
 
-    def _next(self, fp: PiecewiseLinear, prev: LevelRecord) -> tuple[PiecewiseLinear, LevelRecord]:
-        """The level ``_store`` keeps of ``fp``'s exact lift, and its record."""
-        k = prev.m + 1
-        t0 = time.perf_counter()
-        xs, exact = _lift(fp, k)
-        fk, eta_k = _store(xs, exact, self.eta)
-        err = (k - 1.0) / k * prev.err + eta_k
-        return fk, LevelRecord(
-            m=k, pieces_raw=len(xs) - 1, pieces=fk.piece_count(), eta=eta_k, err=err,
-            build_s=time.perf_counter() - t0,
-        )
-
-    def _upto(self, m: int) -> int:
-        if m < 1:
-            raise ValueError("m must be at least 1")
-        while len(self._levels) < m:
-            fk, rec = self._next(self._levels[-1], self._records[-1])
-            self._levels.append(fk)
-            self._records.append(rec)
-        return m
+    def _after(self, entry: tuple[PiecewiseLinear, LevelRecord]) -> Iterator[tuple[PiecewiseLinear, LevelRecord]]:
+        """The entries after ``entry``, without end: each level is the one
+        ``_store`` keeps of the previous level's exact lift."""
+        fm, rec = entry
+        while True:
+            k = rec.m + 1
+            t0 = time.perf_counter()
+            xs, exact = _lift(fm, k)
+            fm, eta_k = _store(xs, exact, self.eta)
+            err = (k - 1.0) / k * rec.err + eta_k
+            rec = LevelRecord(
+                m=k, pieces_raw=len(xs) - 1, pieces=fm.piece_count(), eta=eta_k, err=err,
+                build_s=time.perf_counter() - t0,
+            )
+            yield fm, rec
 
     def levels(self, m: int) -> list[PiecewiseLinear]:
         """[f_1, ..., f_m], building missing levels."""
         self.level(m)
-        return self._levels[:m]
+        return [fm for fm, _ in self._built[:m]]
 
     def level(self, m: int) -> PiecewiseLinear:
         """f_m, building missing levels: the one accessor that builds."""
         m = operator.index(m)
-        if 0 < m <= len(self._records):
-            return self._levels[m - 1]
+        if 0 < m <= len(self._built):
+            return self._built[m - 1][0]
+        if m < 1:
+            raise ValueError("m must be at least 1")
         with self._lock:
-            return self._levels[self._upto(m) - 1]
+            new = self._after(self._built[-1])
+            while len(self._built) < m:
+                self._built.append(next(new))
+            return self._built[m - 1][0]
 
     def crossing(self, m: int) -> tuple[PiecewiseLinear, np.ndarray]:
         """f_m and its crossing key ``f_m.xs - f_m.ys``, read-only, building
@@ -408,7 +410,7 @@ class Ladder:
         m = operator.index(m)
         key = self._keys.get(m)
         if key is not None:
-            return self._levels[m - 1], key
+            return self._built[m - 1][0], key
         fm = self.level(m)
         with self._lock:
             key = self._keys.get(m)
@@ -421,7 +423,7 @@ class Ladder:
     def records(self, m: int) -> list[LevelRecord]:
         """Build records of f_1, ..., f_m, building missing levels."""
         self.level(m)
-        return self._records[:m]
+        return [rec for _, rec in self._built[:m]]
 
     def stream(self, m_max: int) -> Iterator[tuple[int, PiecewiseLinear, LevelRecord]]:
         """``(m, f_m, record)`` for m = 1..m_max, without caching new levels.
@@ -429,27 +431,20 @@ class Ladder:
         The levels already cached come first, as ``levels`` holds them; the
         rest are built as ``levels`` would build them, bit for bit up to
         ``build_s``, but only the previous one is kept alive, so memory stays
-        at two levels however far the stream goes.  It takes no lock: the
-        cached prefix ends at the last level whose record exists.  Readers:
-        ``riskfree solve-uniform``, which keeps only f_m, and every verify
-        family that reads a ladder, each level once, through
+        at two levels however far the stream goes.  It takes no lock.
+        Readers: ``riskfree solve-uniform``, which keeps only f_m, and every
+        verify family that reads a ladder, each level once, through
         ``analysis._pass``: ``verify_value_bound`` and ``verify_gh_bound``
         over ``LADDER`` (one pass in ``verify_all``), and ``verify_si_upper``
         over its own ladder.  The pass's build time is a report's
         ``setup_s``, and its sweeps' own work their ``runtime_s``.
         """
-        if operator.index(m_max) < 1:
+        m_max = operator.index(m_max)
+        if m_max < 1:
             raise ValueError("m must be at least 1")
-        cached = list(zip(self._levels[:m_max], self._records[:m_max]))
-        return self._stream(cached, m_max)
-
-    def _stream(self, cached: list, m_max: int) -> Iterator[tuple[int, PiecewiseLinear, LevelRecord]]:
-        for fm, rec in cached:
-            yield rec.m, fm, rec
-        fm, rec = cached[-1]
-        while rec.m < m_max:
-            fm, rec = self._next(fm, rec)
-            yield rec.m, fm, rec
+        cached = self._built[:m_max]
+        new = itertools.islice(self._after(cached[-1]), m_max - len(cached))
+        return ((rec.m, fm, rec) for fm, rec in itertools.chain(cached, new))
 
 
 #: The process-wide ladder; ``LADDER.levels(m)`` is [f_1, ..., f_m].
@@ -467,37 +462,28 @@ def g_h(m: int, x: float, alpha: float) -> tuple[float, float]:
 
     ``alpha`` is the adversary's first-round bid in units of the per-item
     value 1/m; it must satisfy 0 <= alpha <= min(1, m*x).  ``x`` and
-    ``alpha`` may be arrays (broadcast together); g and h then are too.
-    Both read f_{m-1} from ``LADDER``; scalars read it at both budgets in
-    one ``np.interp`` call on the level's arrays, as ``equalization_alpha``
-    does, whose values are those of two scalar reads.
+    ``alpha`` are scalars; ``_g_h_at`` is the array form.  g and h read
+    f_{m-1} from ``LADDER`` at both budgets in one ``np.interp`` call on
+    the level's arrays, as ``equalization_alpha`` does, whose values are
+    those of two scalar reads.
     """
     if m < 2:
         raise ValueError("g/h need m >= 2")
-    array = isinstance(x, np.ndarray) or isinstance(alpha, np.ndarray)
-    if array:
-        finite = np.all(np.isfinite(x) & np.isfinite(alpha))
-        cap = np.minimum(1.0, m * x)
-        feasible = np.all((alpha >= -_TOL) & (alpha <= cap + 1e-9))
-    else:  # the same tests without numpy's per-call overhead on scalars
-        finite = math.isfinite(x) and math.isfinite(alpha)
-        cap = min(1.0, m * x)
-        feasible = -_TOL <= alpha <= cap + 1e-9
-    if not finite:
+    if not (math.isfinite(x) and math.isfinite(alpha)):
         raise ValueError("budget and bid ratio must be finite")
-    if not feasible:
+    cap = min(1.0, m * x)
+    if not -_TOL <= alpha <= cap + 1e-9:
         raise ContractViolationError(f"alpha = {alpha} outside the feasible range [0, min(1, m x) = {cap}]")
     fp = LADDER.level(m - 1)
-    if array:
-        return _g_h_at(fp, m, x, alpha)
     r = (m - 1.0) / m
     f_all, f_rest = np.interp((m * x / (m - 1.0), (m * x - alpha) / (m - 1.0)), fp._xs, fp._ys).tolist()
     return float((1.0 - alpha) / m + r * f_all), r * f_rest
 
 
 def _g_h_at(fp: PiecewiseLinear, m: int, x: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``g_h``'s array path at f_{m-1} = ``fp``, unchecked: the xos gh sweep
-    calls it on the level ``Ladder.stream`` yields, with feasible alphas."""
+    """The array form of ``g_h`` at f_{m-1} = ``fp``, unchecked, with the
+    values of scalar ``g_h`` calls: the xos gh sweep calls it on the level
+    ``Ladder.stream`` yields, with feasible alphas."""
     r = (m - 1.0) / m
     return (1.0 - alpha) / m + r * fp(m * x / (m - 1.0)), r * fp((m * x - alpha) / (m - 1.0))
 
@@ -508,8 +494,10 @@ def alpha_tilde(m: int, x):
     A Python ``int`` or ``float`` x (``np.float64`` included) gives a
     ``float``, checked and rooted by ``math`` without numpy's per-call
     overhead; any other x goes through numpy, as an array would.  Both
-    square roots are correctly rounded, so the two agree to the bit.
+    square roots are correctly rounded, so the two agree to the bit.  m
+    goes through ``operator.index``, so a float m raises TypeError.
     """
+    m = operator.index(m)
     scalar = isinstance(x, (int, float))
     if scalar:
         valid = math.isfinite(x) and x >= 0.0

@@ -19,6 +19,7 @@ tests, as oracles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -264,6 +265,7 @@ def deterministic_counter(bids1_sorted: Sequence[float], B: float) -> CounterPla
 
 def optimal_counter_price(m: int, B: float) -> float:
     """Bid level maximizing the prefix-counter bound: sqrt(B / (m (m+1)))."""
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     check_budget(B)

@@ -9,6 +9,7 @@ bidder carries its own seeded generator, so its draws replay exactly.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -61,6 +62,7 @@ def low_budget_policy(B: float) -> ConstantBidPolicy:
 
 def high_budget_policy(m: int, B: float) -> ConstantBidPolicy:
     """Bid B/m on every item (meant for B > (m-1)/m)."""
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     check_budget(B)
@@ -98,6 +100,7 @@ class AlphaTildeAdversary:
 
 
 def alpha_tilde_adversary(m: int, x: float) -> AlphaTildeAdversary:
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     check_budget(x)

@@ -323,15 +323,17 @@ def s_instance_params(x: float, m: int) -> SInstanceParams:
     building and checking its table.
 
     Requires x in (0, 1/4) and m >= L(x), so the table is subadditive and
-    the blocking bid is affordable.
+    the blocking bid is affordable.  m goes through ``operator.index``, so
+    a float m raises TypeError.
     """
+    m = operator.index(m)
     s = sigma_of(x)
     if m < l_threshold(x) - 1e-12:
         raise InfeasibleInstanceError(
             f"m = {m} is below the feasibility threshold L(x) = {l_threshold(x):.6g}"
         )
     d = m - 2
-    return SInstanceParams(x=float(x), m=int(m), sigma=s, d=d, phase2_bid=(1.0 + s) / (d * (2.0 + s)))
+    return SInstanceParams(x=float(x), m=m, sigma=s, d=d, phase2_bid=(1.0 + s) / (d * (2.0 + s)))
 
 
 def make_s_instance(x: float, m: int) -> tuple[SubadditiveIdenticalValuation, SInstanceParams]:

@@ -289,14 +289,15 @@ class TestSweeps:
         assert all(rep.passed for rep in streamed)
         assert [untimed(r) for r in streamed] == [untimed(r) for r in cached]
         # the least margins as the cached sweeps read them: f_m from
-        # ``levels``, g and h through the public ``g_h``
+        # ``levels``, g and h through one call of the public ``g_h`` a point
         xs = np.arange(grid_step, 1.0, grid_step)
         value = min(np.min((1.0 - np.sqrt(xs)) ** 2 + 1.0 / math.sqrt(m) - fm(xs))
                     for m, fm in enumerate(built.levels(m_max), 1))
         gh = math.inf
         for m in range(2, m_max + 1):
             xs = A._intermediate_grid(m, grid_step)
-            g, h = seq.g_h(m, xs, np.clip(seq.alpha_tilde(m, xs), 0.0, np.minimum(1.0, m * xs)))
+            alphas = np.clip(seq.alpha_tilde(m, xs), 0.0, np.minimum(1.0, m * xs))
+            g, h = np.array([seq.g_h(m, x, a) for x, a in zip(xs.tolist(), alphas.tolist())]).T
             gh = min(gh, np.min((1.0 - np.sqrt(xs)) ** 2 + 1.0 / math.sqrt(m) - np.maximum(g, h)))
         assert (streamed[0].min_margin, streamed[2].min_margin) == (value, gh)
 

@@ -25,8 +25,9 @@ from riskfree.seq import (
     solve_discretized,
     uniform_additive_value,
 )
-from riskfree.strategies import FixedBidsPolicy
-from riskfree.valuations import AdditiveValuation, SubadditiveIdenticalValuation, XOSValuation
+from riskfree.simul import optimal_counter_price
+from riskfree.strategies import FixedBidsPolicy, alpha_tilde_adversary, high_budget_policy
+from riskfree.valuations import AdditiveValuation, SubadditiveIdenticalValuation, XOSValuation, s_instance_params
 
 
 def uniform(m):
@@ -116,23 +117,15 @@ class TestGH:
                 equalization_alpha(5, x)
 
     def test_arrays_match_scalar_calls(self):
+        # the xos gh sweep reads g and h through the array form
         rng = np.random.Generator(np.random.Philox(12))
         for m in (2, 5, 17):
             xs = rng.uniform(0.0, 1.2, 64)
             alphas = rng.random(64) * np.minimum(1.0, m * xs)
-            g, h = g_h(m, xs, alphas)
+            g, h = seq._g_h_at(seq.LADDER.level(m - 1), m, xs, alphas)
             want = [g_h(m, float(x), float(a)) for x, a in zip(xs, alphas)]
             assert g.tolist() == [w[0] for w in want]
             assert h.tolist() == [w[1] for w in want]
-
-    def test_arrays_are_checked_elementwise(self):
-        xs = np.array([0.3, 0.1, 0.4])
-        with pytest.raises(ContractViolationError):
-            g_h(2, xs, np.array([0.0, 0.5, 0.0]))  # 0.5 > m x = 0.2
-        with pytest.raises(ValueError, match="finite"):
-            g_h(2, np.array([0.3, math.nan]), 0.0)
-        with pytest.raises(ValueError, match="finite"):
-            g_h(2, xs, np.array([0.0, math.inf, 0.0]))
 
 
 class TestAlphaParams:
@@ -188,6 +181,31 @@ class TestAlphaParams:
             seq.alpha_tilde(5, x)
         with pytest.raises(ValueError, match="finite budgets"):
             seq.alpha_tilde(5, np.array([0.5, x]))
+
+
+def typed_fields(obj):
+    """``(type, value)`` of each field of a dataclass, or of a plain value."""
+    values = dataclasses.astuple(obj) if dataclasses.is_dataclass(obj) else (obj,)
+    return [(type(v), v) for v in values]
+
+
+@pytest.mark.parametrize(
+    "build, m",
+    [
+        (lambda m: s_instance_params(0.1, m), 50),
+        (lambda m: seq.alpha_tilde(m, 0.3), 3),
+        (lambda m: high_budget_policy(m, 0.9), 3),
+        (lambda m: alpha_tilde_adversary(m, 0.3), 3),
+        (lambda m: optimal_counter_price(m, 0.3), 3),
+    ],
+    ids=["s_instance_params", "alpha_tilde", "high_budget_policy", "alpha_tilde_adversary", "optimal_counter_price"],
+)
+def test_item_counts_go_through_operator_index(build, m):
+    for bad in (2.5, 3.0):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build(bad)
+    # a numpy integer gives the same fields as the int, of the same types
+    assert typed_fields(build(np.int64(m))) == typed_fields(build(m))
 
 
 class TestEqualization:
@@ -761,7 +779,7 @@ class TestLadder:
         fp = uniform_additive_value(9)
         xs, exact = seq._lift(fp, 10)
         monkeypatch.setattr(seq, "_simplify", lambda xs, ys, band: (xs[[0, -1]], ys[[0, -1]]))
-        fm, rec = seq.LADDER._next(fp, seq.LADDER.records(9)[-1])
+        fm, rec = next(seq.LADDER._after((fp, seq.LADDER.records(9)[-1])))
         eta = rec.eta
         assert (rec.m, rec.pieces_raw, rec.pieces) == (10, len(xs) - 1, fm.piece_count())
         lift = PiecewiseLinear(xs, np.where(np.abs(exact) <= seq._ZERO_SNAP, 0.0, exact))
@@ -954,8 +972,8 @@ class _NoLock:
 
 
 class _LateList(list):
-    """A list whose ``append`` first sleeps, so readers run between a level's
-    append and its record's."""
+    """A list whose ``append`` first sleeps, so readers run between the
+    publication of two levels."""
 
     def append(self, item):
         time.sleep(1e-3)
@@ -965,7 +983,7 @@ class _LateList(list):
 class TestLockFreeReads:
     def test_reads_while_another_thread_extends_match_the_serial_build(self, serial_ladders):
         ladder, top, serial = seq.Ladder(eta=1e-8), 24, serial_ladders[1e-8]
-        ladder._records = _LateList(ladder._records)
+        ladder._built = _LateList(ladder._built)
         start = threading.Barrier(4)
         done = threading.Event()
         seen = [[], [], []]
