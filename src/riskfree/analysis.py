@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -85,6 +86,7 @@ def t_star(B: float) -> tuple[float, int]:
 def table_A(m: int, B: float) -> float:
     """Exact guaranteed-profit tables for the 1/2/3-item uniform auctions."""
     check_budget(B)
+    m = operator.index(m)
     if m == 1:
         return 1.0 - B if B < 1.0 else 0.0
     if m == 2:

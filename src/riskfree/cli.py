@@ -38,6 +38,7 @@ from .valuations import (
     XOSValuation,
     bid_vector,
     check_budget,
+    check_count,
     check_price_rule,
     gamma_star,
     make_s_instance,
@@ -328,8 +329,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.m < 1:  # before 1 / m is taken
-        raise ValueError(f"--m must be at least 1, got {args.m}")
+    check_count(args.m, name="--m")  # before 1 / m is taken
     if args.m > seq._MAX_GRID_M:  # before m weights are allocated
         raise ValueError(f"the game-tree oracle is capped at m = {seq._MAX_GRID_M}")
     v = AdditiveValuation((1.0 / args.m,) * args.m)

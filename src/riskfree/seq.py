@@ -63,6 +63,7 @@ from .valuations import (
     Valuation,
     bid_vector,
     check_budget,
+    check_count,
     check_price_rule,
     subset_sums,
     workspace,
@@ -388,8 +389,7 @@ class Ladder:
         m = operator.index(m)
         if 0 < m <= len(self._built):
             return self._built[m - 1][0]
-        if m < 1:
-            raise ValueError("m must be at least 1")
+        check_count(m)
         with self._lock:
             new = self._after(self._built[-1])
             while len(self._built) < m:
@@ -439,9 +439,7 @@ class Ladder:
         over its own ladder.  The pass's build time is a report's
         ``setup_s``, and its sweeps' own work their ``runtime_s``.
         """
-        m_max = operator.index(m_max)
-        if m_max < 1:
-            raise ValueError("m must be at least 1")
+        m_max = check_count(m_max)
         cached = self._built[:m_max]
         new = itertools.islice(self._after(cached[-1]), m_max - len(cached))
         return ((rec.m, fm, rec) for fm, rec in itertools.chain(cached, new))
@@ -514,14 +512,17 @@ def equalization_alpha(m: int, x: float) -> tuple[float, float]:
 
     Returns (alpha, value) where value = f_m(x).  The optimum is the
     equalization point of g and h when it is feasible, else alpha_max.  In
-    u = (m x - alpha)/(m - 1), g - h = g(0) - x - r phi(u) with
-    phi(u) = f_{m-1}(u) - u strictly decreasing, so the crossing phi(u) = c
-    is bracketed by one ``searchsorted`` of -c in the level's sorted key
-    ``xs - ys`` (``Ladder.crossing``, built on the level's first crossing
-    read and then cached) and solved exactly inside the bracketing segment,
-    on Python floats.  f_{m-1} is read at both ends of the feasible range
-    in one ``np.interp`` call on the level's arrays, whose values are those
-    of two scalar reads.
+    u = (m x - alpha)/(m - 1), g - h = r (c - phi(u)) with c = (g(0) - x)/r
+    and phi(u) = f_{m-1}(u) - u strictly decreasing, so the crossing
+    phi(u) = c is bracketed by one ``searchsorted`` of -c in the level's
+    sorted key ``xs - ys`` = -phi (``Ladder.crossing``), never past an end:
+    g < h at alpha_max and u_end >= 0 = xs[0] give c < phi(u_end) <= phi(0);
+    g - h = 1/m at u_0 = m x/(m - 1) gives c > phi(u_0) >= phi(xs[-1]), or
+    if u_0 > xs[-1] (= 1), past which f_{m-1} reads ys[-1], alpha_max = 1 and
+    c = ys[-1] - u_end > phi(xs[-1]), as u_end >= xs[-1] would give g = h.
+    The crossing is solved exactly in the segment, on Python floats, and
+    f_{m-1} is read at both ends of the feasible range in one ``np.interp``
+    call on the level's arrays, whose values are those of two scalar reads.
     """
     if m < 2:
         raise ValueError("equalization needs m >= 2")
@@ -538,13 +539,10 @@ def equalization_alpha(m: int, x: float) -> tuple[float, float]:
     if g_end - r * f_end >= -_TOL:
         return alpha_max, g_end  # g - h stays above -_TOL on the feasible range
     c = (g0 - x) / r  # the crossing solves phi(u) = c
-    i = int(key.searchsorted(-c))
-    if i == 0 or i == len(xs):  # beyond the breakpoints f_{m-1} is constant
-        u = ys.item(min(i, len(xs) - 1)) - c
-    else:
-        x0, x1, y0, y1 = xs.item(i - 1), xs.item(i), ys.item(i - 1), ys.item(i)
-        phi0, phi1 = y0 - x0, y1 - x1
-        u = x0 + (phi0 - c) / (phi0 - phi1) * (x1 - x0)
+    i = int(key.searchsorted(-c))  # 0 < i < len(xs): see the docstring
+    x0, x1, y0, y1 = xs.item(i - 1), xs.item(i), ys.item(i - 1), ys.item(i)
+    phi0, phi1 = y0 - x0, y1 - x1
+    u = x0 + (phi0 - c) / (phi0 - phi1) * (x1 - x0)
     alpha = min(max(m * x - (m - 1.0) * u, 0.0), alpha_max)
     return alpha, g0 - alpha / m
 

@@ -31,6 +31,7 @@ from .valuations import (
     XOSValuation,
     bid_vector,
     check_budget,
+    check_count,
     check_price_rule,
     gamma_star,
     item_vector,
@@ -265,9 +266,7 @@ def deterministic_counter(bids1_sorted: Sequence[float], B: float) -> CounterPla
 
 def optimal_counter_price(m: int, B: float) -> float:
     """Bid level maximizing the prefix-counter bound: sqrt(B / (m (m+1)))."""
-    m = operator.index(m)
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    m = check_count(m)
     check_budget(B)
     return math.sqrt(B / (m * (m + 1.0)))
 
@@ -277,6 +276,7 @@ def optimal_counter_price(m: int, B: float) -> float:
 
 def _check_even(m: int) -> None:
     """The randomized adversary splits the items in halves: m > 0 and even."""
+    m = operator.index(m)
     if m < 1 or m % 2 != 0:
         raise ValueError(f"m must be a positive even number, got {m}")
 

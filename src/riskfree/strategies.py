@@ -22,6 +22,7 @@ from .valuations import (
     SInstanceParams,
     SubadditiveIdenticalValuation,
     check_budget,
+    check_count,
 )
 
 
@@ -62,9 +63,7 @@ def low_budget_policy(B: float) -> ConstantBidPolicy:
 
 def high_budget_policy(m: int, B: float) -> ConstantBidPolicy:
     """Bid B/m on every item (meant for B > (m-1)/m)."""
-    m = operator.index(m)
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    m = check_count(m)
     check_budget(B)
     if B <= (m - 1) / m:
         warnings.warn("high_budget_policy outside its intended range B > (m-1)/m")
@@ -100,9 +99,7 @@ class AlphaTildeAdversary:
 
 
 def alpha_tilde_adversary(m: int, x: float) -> AlphaTildeAdversary:
-    m = operator.index(m)
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    m = check_count(m)
     check_budget(x)
     return AlphaTildeAdversary(m=m, budget=float(x))
 
@@ -133,11 +130,9 @@ def constant_price_policy(
     the target allocation; the guaranteed profit is at least
     t_{k-1}(B) - (B k / (k-1)) / m.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    m = si.m
-    if m < k:
-        raise ValueError("need m >= k")
+    k = check_count(k, least=2, name="k")
+    check_budget(B)
+    m = check_count(si.m, least=k)
     q = math.ceil(m / k)
     p = B / (m - q + 1)
     return ConstantPricePolicy(p=p, q=q), ConstantPricePlan(q=q, p=p)
@@ -148,8 +143,7 @@ def tangent_value(k: int, B: float) -> float:
 
     Defined for every finite budget B >= 0; anything else raises ValueError.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = check_count(k, name="k")
     check_budget(B)
     return 1.0 / (k + 1) - B / k
 
@@ -169,6 +163,7 @@ def tangent_peak(B: float, j_max: int) -> tuple[int, float]:
     top - 1 and top.
     """
     check_budget(B)
+    j_max = operator.index(j_max)
     top = j_max if B >= 1.0 else min(j_max, math.ceil(2.0 * B / (1.0 - B)))
     best_j = max(1, top - 1)
     best_val = tangent_value(best_j, B)

@@ -103,6 +103,14 @@ def check_budget(B: float) -> None:
         raise ValueError(f"budget must be finite and non-negative, got {B}")
 
 
+def check_count(n: int, least: int = 1, name: str = "m") -> int:
+    """``n`` as an int via ``operator.index`` (a float raises TypeError); ValueError below ``least``."""
+    n = operator.index(n)
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    return n
+
+
 def check_price_rule(price_rule: str) -> None:
     """ValueError unless ``price_rule`` is 'first' or 'second'."""
     if price_rule not in ("first", "second"):
@@ -126,8 +134,7 @@ class AdditiveValuation:
 
     def __init__(self, weights: Sequence[float]):
         w = tuple(float(x) for x in weights)
-        if not w:
-            raise ValueError("need at least one item")
+        check_count(len(w), name="the item count")
         if not all(math.isfinite(x) for x in w):
             raise ValueError("weights must be finite")
         if any(x < 0 for x in w):
@@ -323,10 +330,9 @@ def s_instance_params(x: float, m: int) -> SInstanceParams:
     building and checking its table.
 
     Requires x in (0, 1/4) and m >= L(x), so the table is subadditive and
-    the blocking bid is affordable.  m goes through ``operator.index``, so
-    a float m raises TypeError.
+    the blocking bid is affordable.
     """
-    m = operator.index(m)
+    m = check_count(m)
     s = sigma_of(x)
     if m < l_threshold(x) - 1e-12:
         raise InfeasibleInstanceError(
@@ -390,8 +396,7 @@ def random_subadditive_identical(
     polytope: each v(k) is drawn uniformly between its monotone floor v(k-1)
     and its subadditive ceiling min_i v(i) + v(k-i); the pair (i, k-i) is the
     pair (k-i, i), so i <= k // 2 suffices."""
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    m = check_count(m)
     t = [0.0, 1.0]
     for k in range(2, m + 1):
         h = k // 2

@@ -492,6 +492,29 @@ def test_simultaneous_bad_fixed_bids_exit_1(capsys, tmp_path, bidder, adversary,
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(bidder=None), "scenario is missing required key 'bidder'"),
+        (dict(auction="parallel"), "unknown auction kind: 'parallel'"),
+        (dict(bidder="xos_sqrt("), "malformed policy spec: 'xos_sqrt('"),
+        (dict(bidder="constant_price"), "constant_price needs an identical-item valuation"),
+        (dict(adversary="s_adversary"), "s_adversary needs an s_instance valuation"),
+        (dict(auction="simultaneous", bidder="truthful", adversary="fixed(0.3,0.3)"),
+         "adversary bid vector exceeds the budget"),
+    ],
+    ids=["missing-key", "unknown-auction", "malformed-spec", "constant_price-additive", "s_adversary-additive",
+         "simultaneous-over-budget"],
+)
+def test_a_bad_scenario_exits_1_with_one_error_line(capsys, tmp_path, overrides, message):
+    path = Path(scenario_file(tmp_path, **overrides))
+    # a key set to None is left out of the file
+    path.write_text(json.dumps({k: v for k, v in json.loads(path.read_text()).items() if v is not None}))
+    code, out, err = run(capsys, "simulate", "--scenario", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"riskfree: error: {message}\n"
+
+
 S_INSTANCE = dict(valuation={"kind": "s_instance", "x": 0.125, "m": 10}, budget=0.125,
                   bidder="constant_price(2)", adversary="s_adversary")
 MC = dict(auction="simultaneous", bidder="uniform_random", adversary="fixed(0.1,0.1)")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,22 @@ class TestExtreme:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             pointwise_extreme(ramp(), ramp(), "sum")
+
+
+@pytest.mark.parametrize(
+    "xs, ys, error, message",
+    [
+        ([0.0, 0.0], [1.0, 0.0], ContractViolationError, "duplicate breakpoint with conflicting values"),
+        ([0.0, 1.0], [1.0], ValueError, "need equally many breakpoints and values, at least one"),
+        ([], [], ValueError, "need equally many breakpoints and values, at least one"),
+        ([0.0, math.inf], [1.0, 0.0], ValueError, "breakpoints and values must be finite"),
+    ],
+    ids=["conflicting-duplicate", "length-mismatch", "empty", "non-finite-breakpoint"],
+)
+def test_each_boundary_raise_names_its_input(xs, ys, error, message):
+    with pytest.raises(error, match=message) as info:
+        PiecewiseLinear(xs, ys)
+    assert type(info.value) is error
 
 
 class TestCanonical:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from oracles import alpha_params, cross_oracle
 
-from riskfree import pwl, seq
+from riskfree import analysis, pwl, seq
 from riskfree.errors import ContractViolationError, PolicyContractError, StateSpaceError
 from riskfree.pwl import PiecewiseLinear
 from riskfree.seq import (
@@ -25,9 +25,23 @@ from riskfree.seq import (
     solve_discretized,
     uniform_additive_value,
 )
-from riskfree.simul import optimal_counter_price
-from riskfree.strategies import FixedBidsPolicy, alpha_tilde_adversary, high_budget_policy
-from riskfree.valuations import AdditiveValuation, SubadditiveIdenticalValuation, XOSValuation, s_instance_params
+from riskfree.simul import best_response_profit, optimal_counter_price, randomized_adversary
+from riskfree.strategies import (
+    FixedBidsPolicy,
+    alpha_tilde_adversary,
+    constant_price_policy,
+    high_budget_policy,
+    tangent_peak,
+    tangent_value,
+)
+from riskfree.valuations import (
+    AdditiveValuation,
+    SubadditiveIdenticalValuation,
+    XOSValuation,
+    make_s_instance,
+    random_subadditive_identical,
+    s_instance_params,
+)
 
 
 def uniform(m):
@@ -184,8 +198,12 @@ class TestAlphaParams:
 
 
 def typed_fields(obj):
-    """``(type, value)`` of each field of a dataclass, or of a plain value."""
-    values = dataclasses.astuple(obj) if dataclasses.is_dataclass(obj) else (obj,)
+    """``(type, value)`` of each field of a dataclass, of each entry of a
+    tuple, or of a plain value."""
+    if dataclasses.is_dataclass(obj):
+        values = dataclasses.astuple(obj)
+    else:
+        values = obj if isinstance(obj, tuple) else (obj,)
     return [(type(v), v) for v in values]
 
 
@@ -197,11 +215,20 @@ def typed_fields(obj):
         (lambda m: high_budget_policy(m, 0.9), 3),
         (lambda m: alpha_tilde_adversary(m, 0.3), 3),
         (lambda m: optimal_counter_price(m, 0.3), 3),
+        (lambda k: tangent_value(k, 0.3), 3),
+        (lambda k: constant_price_policy(make_s_instance(0.1, 20)[0], 0.3, k)[1], 3),
+        (lambda m: best_response_profit(m, 0.3), 4),
+        (lambda m: tuple(randomized_adversary(m, 0.3, 0).tolist()), 4),
+        (lambda m: analysis.table_A(m, 0.3), 2),
+        (lambda j: tangent_peak(0.3, j), 5),
+        (lambda m: random_subadditive_identical(m, np.random.Generator(np.random.Philox(4))).table, 6),
     ],
-    ids=["s_instance_params", "alpha_tilde", "high_budget_policy", "alpha_tilde_adversary", "optimal_counter_price"],
+    ids=["s_instance_params", "alpha_tilde", "high_budget_policy", "alpha_tilde_adversary", "optimal_counter_price",
+         "tangent_value", "constant_price_policy", "best_response_profit", "randomized_adversary", "table_A",
+         "tangent_peak", "random_subadditive_identical"],
 )
 def test_item_counts_go_through_operator_index(build, m):
-    for bad in (2.5, 3.0):
+    for bad in (2.5, 3.0, float(m)):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             build(bad)
     # a numpy integer gives the same fields as the int, of the same types
@@ -514,6 +541,21 @@ class TestSimulate:
         )
         assert out.won_by_1 == (0,)
         assert out.profit == pytest.approx(0.7)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: simulate(uniform(1), FixedBidsPolicy((-0.1,)), FixedBidsPolicy((0.0,)), budget=0.3),
+             PolicyContractError, "bidder emitted a negative bid"),
+            (lambda: g_h(1, 0.3, 0.0), ValueError, "g/h need m >= 2"),
+            (lambda: equalization_alpha(1, 0.3), ValueError, "equalization needs m >= 2"),
+        ],
+        ids=["negative-bidder-bid", "g_h-one-item", "equalization-one-item"],
+    )
+    def test_each_boundary_raise_names_its_input(self, call, error, message):
+        with pytest.raises(error, match=message) as info:
+            call()
+        assert type(info.value) is error
 
     def test_budget_contract_enforced(self):
         with pytest.raises(PolicyContractError):
@@ -1059,6 +1101,30 @@ def test_equalization_at_zero_and_at_alpha_max_matches_the_bisect(m):
         got = equalization_alpha(m, x)
         assert got[0] == min(1.0, m * x), (m, x)
         assert as_hex(got) == as_hex(bisect_equalization_alpha(m, x)), (m, x)
+
+
+def ulps_around(v, n):
+    """v and the n floats on either side of it."""
+    lo, hi, out = v, v, [v]
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("m", range(2, 40))
+def test_equalization_brackets_inside_the_level_next_to_every_edge(m):
+    """``equalization_alpha`` has no case for a crossing past either end of
+    f_{m-1}'s breakpoints (its docstring proves none occurs); the bisect
+    oracle keeps that case.  The budgets hug the regime edges 1/m^2, 1/m,
+    (m-1)/m and 1, and the budgets at which u_0 or u_end is a breakpoint,
+    where c comes closest to the key's ends."""
+    xs = uniform_additive_value(m - 1).xs
+    picks = xs if len(xs) <= 64 else xs[np.linspace(0, len(xs) - 1, 64).astype(int)]
+    edges = [1.0 / m**2, 1.0 / m, (m - 1.0) / m, 1.0]
+    edges += [v for p in picks.tolist() for v in ((m - 1.0) * p / m, ((m - 1.0) * p + 1.0) / m)]
+    for x in (b for v in edges for b in ulps_around(v, 2) if b >= 0.0):
+        assert as_hex(equalization_alpha(m, x)) == as_hex(bisect_equalization_alpha(m, x)), (m, x)
 
 
 @pytest.fixture(scope="module")

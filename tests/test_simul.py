@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -419,6 +420,22 @@ def test_exact_xos_expected_profit_bad_ratios_rejected(ratios):
 def test_closed_forms_reject_out_of_domain_input(call):
     with pytest.raises(ValueError, match="budget|bids|ratios"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: expected_profit_uniform_random(AdditiveValuation((0.5, 0.5)), [0.5, 1.5]), "ratios must lie in [0, 1]"),
+        (lambda: expected_profit_uniform_random(AdditiveValuation((0.5, 0.5)), [-0.1, 0.5]), "ratios must lie in [0, 1]"),
+        (lambda: adversary_qp(AdditiveValuation((0.5, 0.5)), 1.0), "B must lie in (0, 1)"),
+        (lambda: adversary_qp(AdditiveValuation((0.5, 0.5)), 0.0), "B must lie in (0, 1)"),
+    ],
+    ids=["ratio-above-1", "ratio-below-0", "qp-budget-1", "qp-budget-0"],
+)
+def test_each_boundary_raise_names_its_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is ValueError
 
 
 def test_best_response_profit_shares_the_oracle_domain():

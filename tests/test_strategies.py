@@ -210,6 +210,12 @@ class TestConstantPrice:
         with pytest.raises(ValueError):
             constant_price_policy(si, 0.2, 1)
 
+    def test_fewer_items_than_k_rejected(self):
+        si, _ = make_s_instance(0.125, 10)
+        with pytest.raises(ValueError, match="m must be at least 11, got 10") as info:
+            constant_price_policy(si, 0.2, 11)
+        assert type(info.value) is ValueError
+
     @pytest.mark.parametrize("B", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize(
         "build",
@@ -218,8 +224,10 @@ class TestConstantPrice:
             lambda B: low_budget_policy(B),
             lambda B: high_budget_policy(4, B),
             lambda B: alpha_tilde_adversary(4, B),
+            lambda B: constant_price_policy(make_s_instance(0.1, 20)[0], B, 3),
+            lambda B: constant_price_worst_profit(make_s_instance(0.1, 20)[0], B, 3),
         ],
-        ids=["xos_sqrt", "low_budget", "high_budget", "alpha_tilde"],
+        ids=["xos_sqrt", "low_budget", "high_budget", "alpha_tilde", "constant_price", "constant_price_worst"],
     )
     def test_non_finite_budget_rejected(self, build, B):
         with pytest.raises(ValueError, match="finite"):
@@ -366,6 +374,11 @@ class TestSInstanceAdversary:
     def test_infeasible_params_rejected(self):
         bad = SInstanceParams(x=0.01, m=10, sigma=8.0, d=8, phase2_bid=0.2)
         with pytest.raises(InfeasibleInstanceError):
+            s_instance_adversary(bad)
+
+    def test_params_that_are_not_subadditive_rejected(self):
+        bad = SInstanceParams(x=0.2, m=9, sigma=8.0, d=7, phase2_bid=0.1)  # m < sigma + 2
+        with pytest.raises(InfeasibleInstanceError, match="instance is not subadditive at this size"):
             s_instance_adversary(bad)
 
 

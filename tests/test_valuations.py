@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from riskfree.errors import InfeasibleInstanceError
+from riskfree.errors import DegenerateValuationError, InfeasibleInstanceError
 from riskfree.valuations import (
     _TOL,
     MAX_ENUM_M,
@@ -19,6 +19,7 @@ from riskfree.valuations import (
     XOSValuation,
     _check_certificate,
     beta_cover,
+    check_count,
     check_price_rule,
     gamma_star,
     l_threshold,
@@ -403,6 +404,46 @@ def test_random_table_below_one_item_rejected_before_any_draw(m):
     with pytest.raises(ValueError, match=f"m must be at least 1, got {m}"):
         random_subadditive_identical(m, rng)
     assert rng.random() == np.random.Generator(np.random.Philox(4)).random()
+
+
+@pytest.mark.parametrize("n, least, name", [(0, 1, "m"), (-3, 1, "m"), (1, 2, "k"), (np.int64(4), 5, "--m")])
+def test_check_count_rejects_a_count_below_least(n, least, name):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be at least {least}, got {n}")):
+        check_count(n, least, name)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None, np.float64(3.0)])
+def test_check_count_rejects_a_count_that_is_not_an_integer(n):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        check_count(n)
+
+
+@pytest.mark.parametrize("n", [1, 7, np.int64(7), np.uint8(7)])
+def test_check_count_returns_a_python_int(n):
+    got = check_count(n)
+    assert type(got) is int and got == n
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: AdditiveValuation(()), ValueError, "the item count must be at least 1, got 0"),
+        (lambda: AdditiveValuation((0.5, -0.1)), ValueError, "weights must be non-negative"),
+        (lambda: XOSValuation([]), ValueError, "an XOS valuation needs at least one clause"),
+        (lambda: XOSValuation([(0.5, 0.5), (1.0,)]), ValueError, "all clauses must cover the same item count"),
+        (lambda: SubadditiveIdenticalValuation((0.0,)), ValueError, "table must cover counts 0..m with m >= 1"),
+        (lambda: SubadditiveIdenticalValuation((0.1, 1.0)), ValueError, "v(0) must be 0"),
+        (lambda: SubadditiveIdenticalValuation((0.0, 0.6, 0.5)), ValueError, "table must be non-decreasing"),
+        (lambda: SubadditiveIdenticalValuation((0.0, 0.5, 1.0)).value_of_count(3), IndexError, "count out of range"),
+        (lambda: beta_cover(AdditiveValuation((0.0, 0.0))), DegenerateValuationError, "v(I) must be positive"),
+    ],
+    ids=["no-weights", "negative-weight", "no-clauses", "clause-lengths", "table-below-one-item", "table-v0",
+         "table-decreasing", "count-out-of-range", "cover-zero-total"],
+)
+def test_each_boundary_raise_names_its_input(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is error
 
 
 @pytest.mark.parametrize("rule", ["third", "First", None])
