@@ -22,15 +22,11 @@ The bid cap a <= 1/m never binds: for a > 1/m, hi(x) - a < B(x) <= B(x - a).
 ``_cross`` is segment-exact, with no bisection, so rational breakpoints
 (1/9, 5/9, ...) come out to machine accuracy.
 
-The piece count doubles per level, so each level is then simplified.  The
-exact levels are convex, so a chord through kept breakpoints lies on or
-above the points it skips: a one-pass band greedy runs within 2 * 0.9e-9,
-and the kept breakpoints that span its skipping chords are lowered by
-0.9e-9, which centres that error.  Should the lowered polyline miss the
-tolerance, the level falls back to the greedy within 0.9e-9, then to the
-unsimplified lift; the measured sup error eta_m <= 1e-9 of what is stored
-is the level's certificate, whatever its shape: a stored level need not be
-convex (see ``_store``).
+The piece count doubles per level, so each level is then simplified
+(``_store``): chords through kept breakpoints within 2 * 0.9e-9, lowered by
+0.9e-9 where they skip points, which centres their error.  The lift of a
+convex level is convex (``_cross``), and so, on terms ``_store`` states, is
+what it keeps; its measured sup error eta_m <= 1e-9 is the certificate.
 The errors do not simply add up: the lift T is monotone and
 T(f + c) = T f + r_m c with r_m = (m-1)/m, so T is an r_m-contraction in
 the sup norm (Blackwell's conditions) and the stored f_m is within
@@ -56,7 +52,7 @@ from .errors import (
     PolicyContractError,
     StateSpaceError,
 )
-from .pwl import PiecewiseLinear
+from .pwl import DEDUPE_TOL, PiecewiseLinear
 from .valuations import (
     AdditiveValuation,
     SubadditiveIdenticalValuation,
@@ -115,19 +111,19 @@ class SeqOutcome:
 #: The exact value function's piece count doubles with every level (1, 3,
 #: 6, 13, 27, 55, ... pieces, one fewer than its breakpoints; measured at
 #: ``Ladder(eta=0)``), so each level keeps a subset of the lift's
-#: breakpoints: the chords of a band greedy within ``2 * _BAND * eta``,
-#: lowered by ``_BAND * eta`` where they skip points (see ``_store``); the
-#: measured sup error eta_m <= eta is the level's certificate.  Genuine
+#: breakpoints, a convex polyline within eta of it (proved on ``_store``);
+#: the measured sup error eta_m <= eta is the level's certificate.  Genuine
 #: kinks at small m are macroscopic, so levels 1..3 stay exact.  The error
-#: left in f_m is certified by the contraction bound documented on
-#: ``Ladder``: err_m <= r_m err_{m-1} + eta_m <= eta (m + 1) / 2, about
-#: 1e-8 at m = 30 and under 1e-7 at m = 198 for this eta.
+#: left in f_m is certified by the contraction bound on ``Ladder``:
+#: err_m <= r_m err_{m-1} + eta_m <= eta (m + 1) / 2, about 1e-8 at m = 30
+#: and under 1e-7 at m = 198 for this eta.
 _ETA = 1e-9
 
 #: Share of eta given to the stored polyline's band.  Chords on a convex
 #: level err on one side only, so ``_simplify`` runs within twice this band
-#: and the chords are lowered by it; the rest of eta absorbs rounding in the
-#: chords, the zero snap and canonicalization.
+#: and the chords are lowered by it, which keeps the level convex
+#: (``_store``); the rest of eta absorbs rounding in the chords, the zero
+#: snap and canonicalization.
 _BAND = 0.9
 
 #: Segments per ``_simplify`` block; block ends are always kept.
@@ -155,13 +151,13 @@ def _simplify(xs: np.ndarray, ys: np.ndarray, band: float) -> tuple[np.ndarray, 
     ``band`` of every dropped point, in one pass; ``xs`` strictly increase.
 
     The breakpoints are cut into blocks of ``_BLOCK`` segments whose ends are
-    kept, and each block runs the slope-window greedy: an anchor keeps the
-    interval [lo, hi] of chord slopes that hold every point skipped since it
-    within ``band``; when the next point's chord slope leaves the interval,
-    the previous point is kept and becomes the anchor.  Each dropped point is
-    thus within ``band`` of the output's chord over it, up to the rounding of
-    one slope.  All blocks step in lockstep, as rows of a transposed
-    ``(_BLOCK + 1, blocks)`` layout.
+    kept, as are the points next to both ends (see ``_store``), and each block
+    runs the slope-window greedy: an anchor keeps the interval [lo, hi] of
+    chord slopes that hold every point skipped since it within ``band``; when
+    the next point's chord slope leaves the interval, the previous point is
+    kept and becomes the anchor.  Each dropped point is thus within ``band`` of
+    the output's chord over it, up to the rounding of one slope.  All blocks
+    step in lockstep, as rows of a transposed ``(_BLOCK + 1, blocks)`` layout.
     """
     n = len(xs) - 1
     if band <= 0.0 or n < 2:
@@ -185,6 +181,9 @@ def _simplify(xs: np.ndarray, ys: np.ndarray, band: float) -> tuple[np.ndarray, 
     lo, hi = np.full(nb, -np.inf), np.full(nb, np.inf)
     dx, dy, s, w = np.empty((4, nb))
     above = np.empty(nb, dtype=bool)
+    # the points next to both ends are kept by a forced break at their row
+    near = np.searchsorted(xs, xs[0] + DEDUPE_TOL, "right"), np.searchsorted(xs, xs[-1] - DEDUPE_TOL) - 1
+    ends = [divmod(min(max(int(p), 1), n - 1), _BLOCK) for p in near]
     for t in range(1, _BLOCK + 1):
         # blocks whose chord to point t leaves the window keep point t - 1
         brk = keep[t - 1]
@@ -194,6 +193,9 @@ def _simplify(xs: np.ndarray, ys: np.ndarray, band: float) -> tuple[np.ndarray, 
         np.less(s, lo, out=brk)
         np.greater(s, hi, out=above)
         brk |= above
+        for b, row in ends:
+            if row == t - 1:
+                brk[b] = True
         np.subtract(dy, band, out=w)
         w /= dx
         np.maximum(lo, w, out=lo)
@@ -231,6 +233,12 @@ def _cross(hx: np.ndarray, hy: np.ndarray, lx: np.ndarray, ly: np.ndarray) -> tu
     breakpoint of lo, valued lo there.  hi >= lo keeps a >= 0; where
     psi >= phi(0), a would pass x and the all-in bid v = 0 (np.interp's
     clip) is optimal; past lx[-1] the value is ly[-1].
+
+    So the value is G(psi(x)), G(s) = s + phi^-1(s).  For a convex lo, G has
+    slope 1 + 1/(lo'(v) - 1) in [0, 1), rising with s as v = phi^-1(s)
+    falls, and its clips, slope 1 from phi(0) up and 0 from phi(lx[-1])
+    down, keep it convex and non-decreasing.  A convex hi makes psi convex,
+    so cross(hi, lo) is convex, as the lift is when f_{m-1} is.
     """
     psi, phi = hy - hx, ly - lx
     vals = psi + np.interp(psi, phi[::-1], lx[::-1])
@@ -258,62 +266,69 @@ def _lift(fp: PiecewiseLinear, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _lowered(xs: np.ndarray, gx: np.ndarray, gy: np.ndarray, band: float) -> np.ndarray:
     """Values of the kept breakpoints ``(gx, gy)`` of ``xs`` lowered by
-    ``band`` from the first to the last kept segment that skips a point,
-    never at the two endpoints."""
+    ``band`` on one range [a, b] of kept indices, never at the endpoints:
+    from the first skipping kept segment's start to the last one's end,
+    widened one point at a time while the kept point just outside has a
+    kink (slope rise) kappa with kappa dx < ``band``, dx its segment in."""
     k = len(gx)
     low = gy.copy()
     if k < len(xs):
         # the kept points match xs up to the first skip, and from the end
         # back to the last one
-        first = int(np.argmax(gx != xs[:k])) - 1
-        last = k - 1 - int(np.argmax(gx[::-1] != xs[::-1][:k]))
-        low[max(first, 1) : min(last + 2, k - 1)] -= band
+        a = max(int(np.argmax(gx != xs[:k])) - 1, 1)
+        b = min(k - int(np.argmax(gx[::-1] != xs[::-1][:k])), k - 2)
+        s = np.diff(gy) / np.diff(gx)
+        while a > 1 and (s[a - 1] - s[a - 2]) * (gx[a] - gx[a - 1]) < band:
+            a -= 1
+        while b < k - 2 and (s[b + 1] - s[b]) * (gx[b + 1] - gx[b]) < band:
+            b += 1
+        low[a : b + 1] -= band
     return low
 
 
 def _store(xs: np.ndarray, exact: np.ndarray, eta: float) -> tuple[PiecewiseLinear, float]:
     """The polyline stored for the exact breakpoints ``(xs, exact)`` and its
-    measured sup error, at most ``eta``.
+    measured sup error, at most ``eta``, which counts every lossy step: the
+    zero snap, the simplification and the canonicalization in the
+    ``PiecewiseLinear`` constructor.  The stored breakpoints are a subset of
+    ``xs``, so the error peaks there and is the certificate.  A polyline
+    that drops points and misses ``eta`` raises ContractViolationError.
 
-    The error counts every lossy step: the zero snap, the simplification and
-    the canonicalization in the ``PiecewiseLinear`` constructor.  The stored
-    breakpoints are a subset of ``xs``, so the error peaks there, and the
-    measured error is the certificate.
+    With ``band = _BAND * eta``, g is ``_simplify``'s polyline within
+    ``2 band``.  g is stored if every point is within ``band`` of it (so
+    levels 1..3 stay exact), else g - band 1[a..b] on ``_lowered``'s range.
+    On a convex lift both are convex and within ``band`` of every point, up
+    to rounding, which the rest of eta absorbs:
 
-    With ``band = _BAND * eta``, the breakpoints are simplified within
-    ``2 band``.  On a convex level every chord lies on or above the points
-    it skips, by at most ``2 band``, so lowering the kept breakpoints that
-    span the skipping chords by ``band`` centres them: the lowered polyline
-    is within ``band`` of every point, with chords about sqrt 2 times as
-    long as those within ``band``.  A screen of its chords picks the
-    candidate: unlowered if within ``band`` (at levels 1..10 only
-    near-collinear points drop), else lowered.  Should its error exceed
-    ``eta`` (a non-convex curve, or a skipping chord at an endpoint, never
-    lowered) the ``_simplify(xs, ys, band)`` polyline is stored, and should
-    its error exceed ``eta`` too, the unsimplified breakpoints.
+    * g is convex, its breakpoints on the lift, so its chords lie on or
+      above the points they skip, by at most ``2 band``: within ``band`` of
+      g - band.  [a, b] holds every skipping chord; each other segment joins
+      adjacent points, each exact or ``band`` low.
+    * Lowering [a, b] keeps the slopes inside it, raises the kinks at a and
+      b, and takes band / dx off the kink of the kept point outside each
+      boundary, dx its segment into the range.  That point has kappa dx >=
+      ``band`` once ``_lowered`` has widened the range, or is x = 0, where
+      budgets start, or x = 1, past which a level is constant: there the
+      kink stays >= 0, and the level non-increasing, while
+      gy[k - 2] - band >= gy[k - 1], k = len(gx).
+    * No end chord skips a point: ``band`` could not centre it, the end
+      exact.  So ``_simplify`` keeps the points next to the ends, the first
+      and last more than ``pwl.DEDUPE_TOL`` from them: a lowered point 1 ulp
+      below x = 1 (m = 3, 7, 19, 27, 63, 171) would replace x = 1.
 
-    The stored polyline need not be convex: the kept point ahead of the
-    lowered range stays put, so a short segment dx from it into the range
-    leaves a concave kink of up to band / dx there (``analysis._SI_LADDER``'s
-    f_107 drops its slope by 0.011 across 5.4e-7; rounding leaves drops near
-    3e-11 at f_142).  The error is measured, so the certificate holds.
+    As the lift of a convex, non-increasing level is convex (``_cross``),
+    every stored level is, from f_1 on, while the x = 1 condition holds;
+    only a non-convex curve can miss ``eta``.
     """
-    ys = exact.copy()
-    ys[np.abs(ys) <= _ZERO_SNAP] = 0.0
-
-    def measured(px: np.ndarray, py: np.ndarray) -> tuple[PiecewiseLinear, float]:
-        f = PiecewiseLinear(px, py)
-        return f, float(np.max(np.abs(f(xs) - exact)))
-
+    ys = np.where(np.abs(exact) <= _ZERO_SNAP, 0.0, exact)
     band = _BAND * eta
     gx, gy = _simplify(xs, ys, 2.0 * band)
     if np.max(np.abs(np.interp(xs, gx, gy) - exact)) > band:
         gy = _lowered(xs, gx, gy, band)
-    fm, err = measured(gx, gy)
-    if err > eta:
-        fm, err = measured(*_simplify(xs, ys, band))
-    if err > eta:
-        fm, err = measured(xs, ys)
+    fm = PiecewiseLinear(gx, gy)
+    err = float(np.max(np.abs(fm(xs) - exact)))
+    if err > eta and len(gx) < len(xs):
+        raise ContractViolationError(f"a level simplified within {eta} is off by {err}")
     return fm, err
 
 
@@ -323,11 +338,11 @@ class Ladder:
     Level m lifts the stored f_{m-1} exactly, T f_{m-1} = cross(1/m + B, B)
     with B(x) = r_m f_{m-1}(x / r_m), r_m = (m-1)/m, and then takes lossy
     steps (zero snap, simplification within ``eta``, canonical form) whose
-    sup error eta_m is measured.  T is monotone in f_{m-1}, and adding a
-    constant c to f_{m-1} shifts T f_{m-1} by exactly r_m c, since both
-    arguments of the crossing carry f_{m-1} through B.  By Blackwell's
-    sufficient conditions T is an r_m-contraction in the sup norm, so the
-    stored f_m is within
+    sup error eta_m is measured; each level is convex (proved on
+    ``_store``).  T is monotone in f_{m-1}, and adding a constant c to
+    f_{m-1} shifts T f_{m-1} by exactly r_m c, since both arguments of the
+    crossing carry f_{m-1} through B.  By Blackwell's sufficient conditions
+    T is an r_m-contraction in the sup norm, so the stored f_m is within
 
         err_m = r_m err_{m-1} + eta_m,   err_1 = 0,
 
@@ -385,7 +400,8 @@ class Ladder:
         return [fm for fm, _ in self._built[:m]]
 
     def level(self, m: int) -> PiecewiseLinear:
-        """f_m, building missing levels: the one accessor that builds."""
+        """f_m, building missing levels: the one accessor that builds.  A built
+        level is read by ``operator.index`` alone, so ``level(True)`` is f_1."""
         m = operator.index(m)
         if 0 < m <= len(self._built):
             return self._built[m - 1][0]

@@ -9,7 +9,6 @@ bidder carries its own seeded generator, so its draws replay exactly.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -163,7 +162,7 @@ def tangent_peak(B: float, j_max: int) -> tuple[int, float]:
     top - 1 and top.
     """
     check_budget(B)
-    j_max = operator.index(j_max)
+    j_max = check_count(j_max, name="j_max")
     top = j_max if B >= 1.0 else min(j_max, math.ceil(2.0 * B / (1.0 - B)))
     best_j = max(1, top - 1)
     best_val = tangent_value(best_j, B)

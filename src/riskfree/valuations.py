@@ -104,7 +104,9 @@ def check_budget(B: float) -> None:
 
 
 def check_count(n: int, least: int = 1, name: str = "m") -> int:
-    """``n`` as an int via ``operator.index`` (a float raises TypeError); ValueError below ``least``."""
+    """``n`` as an int via ``operator.index`` (a float or a bool raises TypeError); ValueError below ``least``."""
+    if isinstance(n, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
     n = operator.index(n)
     if n < least:
         raise ValueError(f"{name} must be at least {least}, got {n}")

@@ -451,9 +451,15 @@ class TestVerifyAll:
         assert [r.name for r in got] == [r.name for r in want]
         assert [untimed(r) for r in got] == [untimed(r) for r in want]
 
+    @pytest.mark.parametrize("ladder", [seq.LADDER, A._SI_LADDER], ids=["LADDER", "_SI_LADDER"])
+    def test_every_cached_level_is_convex_within_the_band(self, ladder):
+        # proved on seq._store: no slope drop beyond rounding, and no level
+        # misses the band by more than rounding, so none raised
+        for fm, rec in zip(ladder.levels(198), ladder.records(198)):
+            assert float(np.min(np.diff(np.diff(fm.ys) / np.diff(fm.xs)), initial=0.0)) >= -1e-9, rec.m
+            assert rec.eta <= seq._BAND * ladder.eta * (1.0 + 1e-6), rec.m
+
     def test_si_ladder_records_follow_the_contraction_bound(self):
-        # a few stored levels are not convex (f_107 kinks where its lowered
-        # range starts); each level's measured eta still certifies it
         records = A._SI_LADDER.records(198)
         assert [r.m for r in records] == list(range(1, 199))
         for prev, rec in zip(records, records[1:]):

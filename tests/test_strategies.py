@@ -249,12 +249,17 @@ class TestConstantPrice:
                 assert choose_k(B) == choose_k_scan(B), B
 
     @settings(max_examples=300, deadline=None)
-    @given(B=budgets, k_cap=hst.integers(1, 400))
+    @given(B=budgets, k_cap=hst.integers(2, 400))  # choose_k ranges over k >= 2, so j_max >= 1
     def test_choose_k_matches_the_scan(self, B, k_cap):
         k = tangent_peak(B, k_cap - 1)[0] + 1
         assert k == choose_k_scan(B, k_cap)
         assert tangent_value(k - 1, B) == tangent_value(choose_k_scan(B, k_cap) - 1, B)
         assert choose_k(B) == choose_k_scan(B)
+
+    @pytest.mark.parametrize("j_max", [0, -5])
+    def test_tangent_peak_rejects_an_empty_range(self, j_max):
+        with pytest.raises(ValueError, match="j_max must be at least 1"):
+            tangent_peak(0.3, j_max)
 
     def test_choose_k_reaches_the_cap(self):
         assert choose_k(0.999) == choose_k_scan(0.999) == 400
