@@ -27,9 +27,7 @@ The piece count doubles per level, so each level is then simplified
 0.9e-9 where they skip points, which centres their error.  The lift of a
 convex level is convex (``_cross``), and so, on terms ``_store`` states, is
 what it keeps; its measured sup error eta_m <= 1e-9 is the certificate.
-The errors do not simply add up: the lift T is monotone and
-T(f + c) = T f + r_m c with r_m = (m-1)/m, so T is an r_m-contraction in
-the sup norm (Blackwell's conditions) and the stored f_m is within
+The lift is an r_m-contraction (``Ladder``), so the stored f_m is within
 err_m = r_m err_{m-1} + eta_m of the exact one.  ``LADDER.records(m)``
 reports err_m with each level's piece counts and build time; levels 1..3
 are exact.
@@ -317,8 +315,9 @@ def _store(xs: np.ndarray, exact: np.ndarray, eta: float) -> tuple[PiecewiseLine
       below x = 1 (m = 3, 7, 19, 27, 63, 171) would replace x = 1.
 
     As the lift of a convex, non-increasing level is convex (``_cross``),
-    every stored level is, from f_1 on, while the x = 1 condition holds;
-    only a non-convex curve can miss ``eta``.
+    every stored level is, from f_1 on, while the x = 1 condition holds (a
+    ``Ladder`` checks it before each lift); only a non-convex curve can miss
+    ``eta``.
     """
     ys = np.where(np.abs(exact) <= _ZERO_SNAP, 0.0, exact)
     band = _BAND * eta
@@ -330,6 +329,13 @@ def _store(xs: np.ndarray, exact: np.ndarray, eta: float) -> tuple[PiecewiseLine
     if err > eta and len(gx) < len(xs):
         raise ContractViolationError(f"a level simplified within {eta} is off by {err}")
     return fm, err
+
+
+def _entry(fm: PiecewiseLinear, rec: LevelRecord) -> tuple[PiecewiseLinear, LevelRecord, np.ndarray]:
+    """A ``Ladder``'s entry: ``fm``, its record and its crossing key."""
+    key = fm.xs - fm.ys
+    key.setflags(write=False)
+    return fm, rec, key
 
 
 class Ladder:
@@ -347,22 +353,19 @@ class Ladder:
         err_m = r_m err_{m-1} + eta_m,   err_1 = 0,
 
     of the exact f_m, up to floating-point rounding in the lift (a few ulps
-    per level).  ``records`` reports each level's piece counts, eta_m,
-    err_m and build time.  ``stream`` yields the same levels and records in
-    order without caching the ones it builds, for a reader that needs each
-    level only until the next one exists.  ``crossing`` adds a level's
-    search key, built on its first crossing read and kept beside the level.
+    per level), while each level falls weakly into x = 1 (``_store``): a
+    level that rises there raises ContractViolationError before its lift.
+    ``records`` reports each level's piece counts, eta_m, err_m and build
+    time.  ``stream`` yields the same levels and records in order without
+    caching the ones it builds, for a reader that needs each level only
+    until the next one exists.  ``crossing`` adds a level's search key.
     Each of these takes m through ``operator.index`` before it builds
     anything, so a numpy integer passes and a float raises TypeError.
 
     The lock guards building only, so threads sharing a ladder see each
-    level and key built once.  A read of what is already built takes no
-    lock: the list of ``(f_m, record)`` entries and the key dict only grow,
-    an entry is appended whole, so a reader that sees level m sees its
-    record, and a key is stored once it is final.  So ``level``, which
-    ``levels``, ``records`` and ``crossing`` call before they slice or key,
-    reads entry m when it exists and otherwise builds under the lock; a
-    kept key is found without it.
+    level built once.  A read of what is already built takes no lock: the
+    list of ``(f_m, record, key)`` entries only grows and an entry is
+    appended whole, so a reader that sees level m sees its record and key.
     """
 
     def __init__(self, eta: float = _ETA):
@@ -370,19 +373,20 @@ class Ladder:
             raise ValueError(f"eta must be finite and non-negative, got {eta}")
         self.eta = eta
         first = LevelRecord(m=1, pieces_raw=1, pieces=1, eta=0.0, err=0.0, build_s=0.0)
-        self._built = [(PiecewiseLinear([0.0, 1.0], [1.0, 0.0]), first)]  # entry m - 1 is (f_m, record)
-        self._keys: dict[int, np.ndarray] = {}  # m -> crossing key of f_m
+        self._built = [_entry(PiecewiseLinear([0.0, 1.0], [1.0, 0.0]), first)]  # entry m - 1 is (f_m, record, key)
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         """Number of levels built so far."""
         return len(self._built)
 
-    def _after(self, entry: tuple[PiecewiseLinear, LevelRecord]) -> Iterator[tuple[PiecewiseLinear, LevelRecord]]:
-        """The entries after ``entry``, without end: each level is the one
-        ``_store`` keeps of the previous level's exact lift."""
-        fm, rec = entry
+    def _after(self, fm: PiecewiseLinear, rec: LevelRecord) -> Iterator[tuple[PiecewiseLinear, LevelRecord]]:
+        """The levels and records after ``fm``, without end: each level is the
+        one ``_store`` keeps of the previous level's exact lift, which
+        ``_cross`` proves convex only for a level that never rises."""
         while True:
+            if fm._ys[-2] < fm._ys[-1]:
+                raise ContractViolationError(f"f_{rec.m} rises into x = 1, so its lift is not proved convex")
             k = rec.m + 1
             t0 = time.perf_counter()
             xs, exact = _lift(fm, k)
@@ -397,7 +401,7 @@ class Ladder:
     def levels(self, m: int) -> list[PiecewiseLinear]:
         """[f_1, ..., f_m], building missing levels."""
         self.level(m)
-        return [fm for fm, _ in self._built[:m]]
+        return [fm for fm, _, _ in self._built[:m]]
 
     def level(self, m: int) -> PiecewiseLinear:
         """f_m, building missing levels: the one accessor that builds.  A built
@@ -407,39 +411,28 @@ class Ladder:
             return self._built[m - 1][0]
         check_count(m)
         with self._lock:
-            new = self._after(self._built[-1])
+            new = self._after(*self._built[-1][:2])
             while len(self._built) < m:
-                self._built.append(next(new))
+                self._built.append(_entry(*next(new)))
             return self._built[m - 1][0]
 
     def crossing(self, m: int) -> tuple[PiecewiseLinear, np.ndarray]:
         """f_m and its crossing key ``f_m.xs - f_m.ys``, read-only, building
-        missing levels.
-
-        The key is ``-phi`` at the breakpoints, phi(u) = f_m(u) - u, so it is
-        sorted: xs strictly increase, ys never do, and rounding a difference
-        is monotone in both operands.  It is built under the lock on the
-        first call for level m and kept, at 8 bytes a breakpoint (half the
-        level's own arrays); ``levels``, ``records`` and ``stream`` never
-        build one.  A kept key is read without the lock.
-        """
+        missing levels.  Each cached level's key is built with it, at 8 bytes
+        a breakpoint (half the level's own arrays).  It is ``-phi`` at the
+        breakpoints, phi(u) = f_m(u) - u, so it is sorted: xs strictly
+        increase, ys never do, and rounding a difference is monotone in both
+        operands."""
         m = operator.index(m)
-        key = self._keys.get(m)
-        if key is not None:
-            return self._built[m - 1][0], key
-        fm = self.level(m)
-        with self._lock:
-            key = self._keys.get(m)
-            if key is None:
-                key = fm.xs - fm.ys
-                key.setflags(write=False)
-                self._keys[m] = key
-            return fm, key
+        if not 0 < m <= len(self._built):
+            self.level(m)
+        fm, _, key = self._built[m - 1]
+        return fm, key
 
     def records(self, m: int) -> list[LevelRecord]:
         """Build records of f_1, ..., f_m, building missing levels."""
         self.level(m)
-        return [rec for _, rec in self._built[:m]]
+        return [rec for _, rec, _ in self._built[:m]]
 
     def stream(self, m_max: int) -> Iterator[tuple[int, PiecewiseLinear, LevelRecord]]:
         """``(m, f_m, record)`` for m = 1..m_max, without caching new levels.
@@ -447,17 +440,16 @@ class Ladder:
         The levels already cached come first, as ``levels`` holds them; the
         rest are built as ``levels`` would build them, bit for bit up to
         ``build_s``, but only the previous one is kept alive, so memory stays
-        at two levels however far the stream goes.  It takes no lock.
-        Readers: ``riskfree solve-uniform``, which keeps only f_m, and every
-        verify family that reads a ladder, each level once, through
-        ``analysis._pass``: ``verify_value_bound`` and ``verify_gh_bound``
-        over ``LADDER`` (one pass in ``verify_all``), and ``verify_si_upper``
-        over its own ladder.  The pass's build time is a report's
-        ``setup_s``, and its sweeps' own work their ``runtime_s``.
+        at two levels however far the stream goes.  It takes no lock and
+        builds no crossing key.  Readers: ``riskfree solve-uniform``, which
+        keeps only f_m, and, each level once through ``analysis._pass``,
+        every verify family that reads a ladder: ``verify_value_bound`` and
+        ``verify_gh_bound`` over ``LADDER`` (one pass in ``verify_all``) and
+        ``verify_si_upper`` over its own ladder.
         """
         m_max = check_count(m_max)
-        cached = self._built[:m_max]
-        new = itertools.islice(self._after(cached[-1]), m_max - len(cached))
+        cached = [entry[:2] for entry in self._built[:m_max]]
+        new = itertools.islice(self._after(*cached[-1]), m_max - len(cached))
         return ((rec.m, fm, rec) for fm, rec in itertools.chain(cached, new))
 
 

@@ -225,6 +225,15 @@ class TestSolveEqual:
         with pytest.raises(ContractViolationError):
             solve_equal(rising, rising, 0.0, 1.0)
 
+    def test_empty_interval(self):
+        with pytest.raises(ValueError, match="empty interval"):
+            solve_equal(ramp(), ramp(), 1.0, 0.0)
+
+    def test_decreasing_rhs_contract(self):
+        # lhs falls as it should, so the rhs check is the one that raises
+        with pytest.raises(ContractViolationError, match="rhs is not non-decreasing"):
+            solve_equal(ramp(), ramp(), 0.0, 1.0)
+
     def test_leftmost_of_flat_overlap(self):
         lhs = PiecewiseLinear([0.0, 0.4, 1.0], [1.0, 0.5, 0.5])
         rhs = PiecewiseLinear([0.0, 1.0], [0.5, 0.5])

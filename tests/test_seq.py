@@ -371,23 +371,29 @@ class TestCrossingKeys:
             np.testing.assert_array_equal(key, fm.xs - fm.ys)
             assert np.all(np.diff(key) >= 0.0), m
             assert not key.flags.writeable
-            assert seq.LADDER.crossing(m)[1] is key  # built once, then kept
+            assert seq.LADDER.crossing(m)[1] is key  # built with the level, then kept
 
-    def test_levels_records_and_stream_build_no_key(self):
+    def test_every_cached_level_has_its_key_and_stream_caches_none(self, monkeypatch):
+        entry, keyed = seq._entry, []
+        monkeypatch.setattr(seq, "_entry", lambda fm, rec: keyed.append(rec.m) or entry(fm, rec))
         ladder = seq.Ladder()
-        ladder.levels(12)
-        ladder.records(12)
-        ladder.level(12)
         for _ in ladder.stream(16):
             pass
-        assert ladder._keys == {}
-        ladder.crossing(5)
-        assert list(ladder._keys) == [5]
+        assert len(ladder) == 1 and keyed == [1]
+        ladder.levels(12)
+        assert keyed == list(range(1, 13))
+        for m, (fm, rec, key) in enumerate(ladder._built, start=1):
+            got_fm, got_key = ladder.crossing(m)
+            assert rec.m == m and got_fm is fm and got_key is key
+            np.testing.assert_array_equal(key, fm.xs - fm.ys)
+            assert not key.flags.writeable
+        for _ in ladder.stream(16):
+            pass
+        assert len(ladder) == 12 and keyed == list(range(1, 13))
 
     def test_first_crossing_reads_on_two_threads_agree(self, monkeypatch):
         m = 20
-        fresh = seq.Ladder()
-        fresh.levels(m - 1)  # the level exists, its key does not
+        fresh = seq.Ladder()  # both threads' first reads build the levels
         monkeypatch.setattr(seq, "LADDER", fresh)
         budgets = [regime_budget(m, regime, u) for regime in ("low", "high") for u in np.linspace(0.0, 1.0, 15)]
         start = threading.Barrier(2)
@@ -408,7 +414,7 @@ class TestCrossingKeys:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert list(fresh._keys) == [m - 1]
+        assert len(fresh) == m - 1
         want = [as_hex(bisect_equalization_alpha(m, x)) for x in budgets]
         for got in results:
             assert [as_hex(pair) for pair in got] == want
@@ -855,6 +861,30 @@ class TestLadder:
         lines = out.err.splitlines()
         assert out.out == "" and len(lines) == 1 and lines[0].startswith("riskfree: error:"), out
 
+    def test_a_level_that_rises_into_one_is_not_lifted(self, monkeypatch, capsys):
+        # _cross needs the lifted level to fall weakly, so one that rises
+        # into x = 1 stops the ladder before its lift
+        assert seq.Ladder().records(4)[-1].pieces_raw == 13
+        store = seq._store
+
+        def store_rising_f4(xs, exact, eta):
+            fm, err = store(xs, exact, eta)
+            if len(xs) == 14:  # the lift to f_4
+                fm = PiecewiseLinear(fm.xs, np.append(fm.ys[:-2], (-1e-3, 0.0)))
+            return fm, err
+
+        monkeypatch.setattr(seq, "_store", store_rising_f4)
+        ladder = seq.Ladder()
+        assert ladder.level(4).ys[-2] < 0.0
+        with pytest.raises(ContractViolationError, match="f_4 rises into x = 1"):
+            ladder.level(5)
+        assert len(ladder) == 4
+        monkeypatch.setattr(seq, "LADDER", seq.Ladder())
+        assert cli.main(["solve-uniform", "--m", "5"]) == 1
+        out = capsys.readouterr()
+        lines = out.err.splitlines()
+        assert out.out == "" and len(lines) == 1 and lines[0].startswith("riskfree: error:"), out
+
     def test_store_keeps_the_lowered_polyline(self):
         xs, exact = seq._lift(uniform_additive_value(29), 30)
         eta, band = seq.LADDER.eta, seq._BAND * seq.LADDER.eta
@@ -963,7 +993,7 @@ class TestLadderStream:
         ladder = seq.Ladder()
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             getattr(ladder, entry)(m)
-        assert len(ladder) == 1 and ladder._keys == {}
+        assert len(ladder) == 1
 
     @pytest.mark.parametrize("entry", ["levels", "level", "records", "crossing", "stream"])
     def test_a_numpy_integer_m_passes(self, entry):
@@ -1053,7 +1083,6 @@ class TestLockFreeReads:
             while True:
                 finished = done.is_set()
                 m = len(ladder)
-                # crossing last: a key not built yet waits on the lock
                 out.append((m, ladder.level(m), ladder.levels(m), ladder.records(m), *ladder.crossing(m)))
                 if finished:
                     return
@@ -1082,33 +1111,31 @@ class TestLockFreeReads:
         # what it holds: the same objects (list equality tests identity first)
         assert_same_levels(list(ladder.stream(top)), serial)
         levels, records = ladder.levels(top), ladder.records(top)
-        for m, key in ladder._keys.items():
-            np.testing.assert_array_equal(key, levels[m - 1].xs - levels[m - 1].ys)
+        keys = [key for _, _, key in ladder._built]
+        for fm, key in zip(levels, keys):
+            np.testing.assert_array_equal(key, fm.xs - fm.ys)
         for out in seen:
             assert out[-1][0] == top
             for m, got_level, got_levels, got_records, fm, key in out:
                 assert len(got_levels) == m and len(got_records) == m
                 assert got_levels == levels[:m] and got_records == records[:m]
-                assert got_level is fm is levels[m - 1] and key is ladder._keys[m]
+                assert got_level is fm is levels[m - 1] and key is keys[m - 1]
 
     def test_reading_built_levels_and_keys_takes_no_lock(self):
         ladder = seq.Ladder()
         ladder.levels(12)
-        fm, key = ladder.crossing(7)
         ladder._lock = _NoLock()
-        for m in (1, 7, 12):
+        for m in (1, 7, 8, 12):  # a key is built with its level, so none is read first here
             assert ladder.level(m) is ladder.levels(m)[-1]
             assert len(ladder.records(m)) == m
-        got_fm, got_key = ladder.crossing(7)
-        assert got_fm is fm and got_key is key
+            fm, key = ladder.crossing(m)
+            assert fm is ladder.level(m) and ladder.crossing(m)[1] is key
         assert [m for m, _, _ in ladder.stream(12)] == list(range(1, 13))
         assert len(ladder) == 12
-        # a level or key not built yet does enter the lock
+        # a level not built yet does enter the lock
         for read in (ladder.level, ladder.levels, ladder.records, ladder.crossing):
             with pytest.raises(AssertionError, match="took the lock"):
                 read(13)
-        with pytest.raises(AssertionError, match="took the lock"):
-            ladder.crossing(8)
 
 
 @pytest.mark.parametrize("m", range(2, 40))
