@@ -231,7 +231,9 @@ def run_scenario(sc: Scenario) -> dict:
         report["rounds"] = [list(r) for r in outcome.rounds]
         if isinstance(sc.valuation, AdditiveValuation) and len(set(sc.valuation.weights)) == 1:
             # f_m is the game at v(I) = 1: scaling every price by V = v(I) gives V f_m(B / V)
-            f, V = seq.uniform_additive_value(sc.valuation.m), sc.valuation.total()
+            for _, f, _ in seq.LADDER.stream(sc.valuation.m):  # keeps f_m, not f_1..f_m
+                pass
+            V = sc.valuation.total()
             report["closed_form"] = V * float(f(sc.budget / V)) if V else 0.0
     else:
         bids2 = np.asarray(adversary.bids)
@@ -257,9 +259,9 @@ def run_scenario(sc: Scenario) -> dict:
 
 
 def _cmd_solve_uniform(args) -> int:
-    levels = seq.LADDER.stream(args.m)  # checks m before the CSV path is claimed
+    check_count(args.m, name="--m")  # before the CSV path is claimed
     with _claim_output(args.dump_csv):
-        for _, fm, _ in levels:  # keeps f_m, not f_1..f_m
+        for _, fm, _ in seq.LADDER.stream(args.m):  # keeps f_m, not f_1..f_m
             pass
         xs, ys = fm.xs, fm.ys
         slope = np.diff(ys) / np.diff(xs)
@@ -313,7 +315,10 @@ def _write_pwl_csv(fm, path: str) -> None:
 
 
 def _cmd_tables(args) -> int:
-    print(_fmt(analysis.table_A(args.m, args.b)))
+    check_budget(args.b)
+    for _, fm, _ in seq.LADDER.stream(check_count(args.m, name="--m")):  # keeps f_m, not f_1..f_m
+        pass
+    print(_fmt(fm(args.b)))
     return 0
 
 
@@ -325,16 +330,6 @@ def _cmd_simulate(args) -> int:
         if sc.out:
             Path(sc.out).write_text(text + "\n")
     print(text)
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    check_count(args.m, name="--m")  # before 1 / m is taken
-    if args.m > seq._MAX_GRID_M:  # before m weights are allocated
-        raise ValueError(f"the game-tree oracle is capped at m = {seq._MAX_GRID_M}")
-    v = AdditiveValuation((1.0 / args.m,) * args.m)
-    val = seq.solve_discretized(v, args.b, args.delta, args.price_rule)
-    print(_fmt(val))
     return 0
 
 
@@ -384,21 +379,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--dump-csv", default=None)
     sp.set_defaults(fn=_cmd_solve_uniform)
 
-    sp = sub.add_parser("tables", help="closed-form profit tables for m in {1,2,3}")
-    sp.add_argument("--m", type=int, required=True, choices=(1, 2, 3))
+    sp = sub.add_parser("tables", help="game value f_m(B) of the m-item uniform auction")
+    sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.set_defaults(fn=_cmd_tables)
 
     sp = sub.add_parser("simulate", help="run a scenario file")
     sp.add_argument("--scenario", required=True)
     sp.set_defaults(fn=_cmd_simulate)
-
-    sp = sub.add_parser("oracle", help="discretized game-tree value of the uniform auction")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=0.01)
-    sp.add_argument("--price-rule", choices=("first", "second"), default="first")
-    sp.set_defaults(fn=_cmd_oracle)
 
     sp = sub.add_parser("qp", help="adversarial QP value for a weight vector")
     sp.add_argument("--gamma-star", required=True, help="comma-separated weights")

@@ -441,11 +441,11 @@ class Ladder:
         rest are built as ``levels`` would build them, bit for bit up to
         ``build_s``, but only the previous one is kept alive, so memory stays
         at two levels however far the stream goes.  It takes no lock and
-        builds no crossing key.  Readers: ``riskfree solve-uniform``, which
-        keeps only f_m, and, each level once through ``analysis._pass``,
-        every verify family that reads a ladder: ``verify_value_bound`` and
-        ``verify_gh_bound`` over ``LADDER`` (one pass in ``verify_all``) and
-        ``verify_si_upper`` over its own ladder.
+        builds no crossing key.  Readers: ``riskfree solve-uniform``, ``tables``
+        and ``simulate``'s closed form, which keep only f_m, and, each level
+        once through ``analysis._pass``, every verify family that reads a
+        ladder: ``verify_value_bound`` and ``verify_gh_bound`` over ``LADDER``
+        (one pass in ``verify_all``) and ``verify_si_upper`` over its own ladder.
         """
         m_max = check_count(m_max)
         cached = [entry[:2] for entry in self._built[:m_max]]
@@ -630,8 +630,8 @@ def _is_symmetric(v: Valuation) -> bool:
     return False
 
 
-#: Caps on the grid oracle: its item count, which ``riskfree oracle`` checks
-#: before it builds a valuation, and its work: rounds * won states * budget units * bids.
+#: Caps on the grid oracle: its item count, checked before the valuation's
+#: values are read, and its work: rounds * won states * budget units * bids.
 _MAX_GRID_M = 6
 _MAX_GRID_OPS = 2e8
 

@@ -27,9 +27,56 @@ def test_tables(capsys):
 
 
 def test_tables_bad_m_exits_1(capsys):
+    code, _, _ = run(capsys, "tables", "--m", "0", "--b", "0.1")
+    assert code == 1
+
+
+@pytest.mark.parametrize("argv", [("tables", "--b", "0.3"), ("solve-uniform",)])
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_item_count_below_one_exits_1_before_any_level(capsys, monkeypatch, argv, m):
+    streamed = []
+    monkeypatch.setattr(seq.LADDER, "stream", streamed.append)
+    code, out, err = run(capsys, argv[0], "--m", m, *argv[1:])
+    assert (code, out, streamed) == (1, "", [])
+    assert err == f"riskfree: error: --m must be at least 1, got {m}\n"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_tables_prints_the_closed_forms(capsys, m):
+    # f_1..f_3 are exact: at m = 1 and 2 tables prints table_A's bytes; at
+    # m = 3 it prints f_3, within 2.3e-16 of table_A, so a digit may differ
+    # where f_3 < 1e-4 (at 10 of 150,001 budgets in [0, 1.5], all near B = 1)
+    fm = seq.LADDER.level(m)
+    parser = cli.build_parser()
+    for b in [*np.linspace(0.0, 1.5, 1501), *np.linspace(0.9997, 1.0, 31), 1 / 9, 1 / 6, 1 / 3, 5 / 9, 2 / 3]:
+        args = parser.parse_args(["tables", "--m", str(m), "--b", repr(float(b))])
+        assert cli._run(args) == 0
+        want = analysis.table_A(m, args.b)
+        assert capsys.readouterr().out == cli._fmt(want if m < 3 else fm(args.b)) + "\n"
+        assert abs(fm(args.b) - want) <= (0.0 if m < 3 else 2.3e-16)
+
+
+def test_tables_streams_the_ladder_at_any_m(capsys):
+    # f_m is the last level of LADDER.stream, as in solve-uniform: no level
+    # past the cache is kept
+    cached = len(seq.LADDER)
+    want = {m: fm(0.3) for m, fm, _ in seq.LADDER.stream(200) if m in (4, 30, 200)}
+    for m, value in want.items():
+        assert run(capsys, "tables", "--m", str(m), "--b", "0.3") == (0, cli._fmt(value) + "\n", "")
+    assert len(seq.LADDER) == cached
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+    for m in (30, 200):  # grid_n = 500, so entry 150 is B = 0.3
+        assert abs(want[m] - reference["ladder"]["values"][str(m)][150]) <= 1e-7
+
+
+def test_an_oracle_command_is_unknown(capsys):
+    # the grid oracle stays in the library as seq.solve_discretized
     with pytest.raises(SystemExit) as e:
-        cli.main(["tables", "--m", "5", "--b", "0.1"])
-    assert e.value.code == 1
+        cli.main(["oracle", "--m", "2", "--b", "0.3"])
+    out = capsys.readouterr()
+    assert (e.value.code, out.out) == (1, "")
+    assert out.err.startswith("riskfree: error: argument command: invalid choice: 'oracle'")
+    assert out.err.count("\n") == 1 and out.err.endswith("\n")
 
 
 def test_qp(capsys):
@@ -64,65 +111,13 @@ def test_solve_uniform_branches_reconstruct(capsys, tmp_path):
     assert len(text) == 1 + len(f3.xs)
 
 
-def test_oracle(capsys):
-    code, out, _ = run(capsys, "oracle", "--m", "2", "--b", "0.3", "--delta", "0.005")
-    assert code == 0
-    assert abs(float(out.strip()) - 0.45) <= 0.05
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("--b=-0.5",),
-        ("--b", "0.3", "--delta=-1"),
-        ("--b", "0.3", "--delta", "0"),
-        ("--b", "0.3", "--delta", "5e-324"),
-        ("--b", "1e308", "--delta", "0.5"),
-        ("--b", "inf"),
-        ("--b", "nan"),
-    ],
-)
-def test_oracle_out_of_domain_exits_1(capsys, argv):
-    code, out, err = run(capsys, "oracle", "--m", "2", *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("riskfree: error: ")
-
-
-def test_oracle_has_no_leader_option(capsys):
-    # one order suffices (``solve_discretized``'s docstring), so --leader is gone
-    with pytest.raises(SystemExit) as e:
-        cli.main(["oracle", "--m", "2", "--b", "0.3", "--leader", "bidder"])
-    out = capsys.readouterr()
-    assert (e.value.code, out.out) == (1, "")
-    assert out.err == "riskfree: error: unrecognized arguments: --leader bidder\n"
-
-
-@pytest.mark.parametrize("m", ["0", "-1"])
-def test_oracle_item_count_below_one_exits_1(capsys, m):
-    code, out, err = run(capsys, "oracle", "--m", m, "--b", "0.3")
-    assert (code, out) == (1, "")
-    assert err == f"riskfree: error: --m must be at least 1, got {m}\n"
-
-
-@pytest.mark.parametrize("m", ["7", "4000000", "1000000000"])
-def test_oracle_item_count_above_the_cap_exits_1_before_building_the_valuation(capsys, monkeypatch, m):
-    with pytest.raises(ValueError) as direct:  # the library's own message, at the first m above the cap
-        seq.solve_discretized(AdditiveValuation((1.0 / 7,) * 7), 0.3, 0.05)
-    built = []
-    monkeypatch.setattr(cli, "AdditiveValuation", lambda weights: built.append(len(weights)))
-    monkeypatch.setattr(seq, "solve_discretized", lambda *args: built.append(args))
-    code, out, err = run(capsys, "oracle", "--m", m, "--b", "0.3")
-    assert (code, out, built) == (1, "", [])
-    assert err == f"riskfree: error: {direct.value}\n" == "riskfree: error: the game-tree oracle is capped at m = 6\n"
-
-
 @pytest.mark.parametrize("b", ["nan", "inf", "-0.1"])
-def test_tables_non_finite_budget_exits_1(capsys, b):
-    code, out, err = run(capsys, "tables", "--m", "1", f"--b={b}")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("riskfree: error: ")
+def test_tables_non_finite_budget_exits_1(capsys, monkeypatch, b):
+    streamed = []
+    monkeypatch.setattr(seq.LADDER, "stream", streamed.append)
+    code, out, err = run(capsys, "tables", "--m", "1000", f"--b={b}")
+    assert (code, out, streamed) == (1, "", [])
+    assert err == f"riskfree: error: budget must be finite and non-negative, got {b}\n"
 
 
 def test_verify_quick(capsys, tmp_path):
@@ -370,6 +365,21 @@ def test_solve_uniform_streams_levels(tmp_path):
     assert peak < 6e6
     rec = json.loads((tmp_path / "out.json").read_text())
     assert rec["m"] == cached + 20 and rec["branches"][-1][1] == 1.0
+
+
+def test_simulate_closed_form_streams_levels(tmp_path):
+    # the closed form reads f_m as the last level of LADDER.stream, as
+    # solve-uniform does, so no level past the cache is kept
+    m = len(seq.LADDER) + 5
+    sc = cli.load_scenario(scenario_file(
+        tmp_path, valuation={"kind": "additive", "weights": [1.0 / m] * m}, adversary=f"fixed({','.join(['0'] * m)})"
+    ))
+    report = cli.run_scenario(sc)
+    assert len(seq.LADDER) == m - 5
+    for _, fm, _ in seq.LADDER.stream(m):
+        pass
+    V = sc.valuation.total()
+    assert report["closed_form"] == V * fm(0.3 / V)
 
 
 def cli_process(*argv, **kwargs):
@@ -786,12 +796,10 @@ def test_verify_bad_seed_exits_1_before_any_sweep(capsys, monkeypatch, seed):
 
 def test_subcommand_usage_error_names_the_program(capsys):
     with pytest.raises(SystemExit) as e:
-        cli.main(["tables", "--m", "4", "--b", "0.5"])
+        cli.main(["tables", "--m", "x", "--b", "0.5"])
     out = capsys.readouterr()
     assert e.value.code == 1 and out.out == ""
-    # argparse words the choice list differently across Python versions
-    assert out.err.startswith("riskfree: error: argument --m: invalid choice: ")
-    assert out.err.count("\n") == 1 and out.err.endswith("\n")
+    assert out.err == "riskfree: error: argument --m: invalid int value: 'x'\n"
 
 
 def test_output_files_written_on_success_only(capsys, tmp_path):
