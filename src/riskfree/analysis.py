@@ -121,8 +121,10 @@ def table_A(m: int, B: float) -> float:
 #: ladder.  Its pass rule is margin > ladder_err, with a margin of about
 #: 0.0141 at the default grid; at this eta the contraction bound
 #: err_m <= eta (m + 1) / 2 gives err_198 of about 8.9e-7, four orders below
-#: it.  Every other reader stays on ``seq.LADDER`` at ``seq._ETA``.  A coarser
-#: eta (1e-7) would move ``si_upper_response_value`` by about 6e-7.
+#: it.  Every other reader stays on ``seq.LADDER`` at ``seq._ETA``.  The
+#: family's margin falls as eta grows: it sits -4.06e-8, -7.84e-8 and
+#: -1.71e-7 off ``perfbench/reference.json`` at 1e-8, 2e-8 and 5e-8, so an
+#: eta of 5e-8 or more passes its 1e-7 tolerance and needs a re-record.
 _SI_ETA = 1e-8
 
 #: The si family's budgets and item counts.  Every m is at least L(x) on

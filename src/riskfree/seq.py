@@ -23,14 +23,13 @@ The bid cap a <= 1/m never binds: for a > 1/m, hi(x) - a < B(x) <= B(x - a).
 (1/9, 5/9, ...) come out to machine accuracy.
 
 The piece count doubles per level, so each level is then simplified
-(``_store``): chords through kept breakpoints within 2 * 0.9e-9, lowered by
-0.9e-9 where they skip points, which centres their error.  The lift of a
-convex level is convex (``_cross``), and so, on terms ``_store`` states, is
-what it keeps; its measured sup error eta_m <= 1e-9 is the certificate.
-The lift is an r_m-contraction (``Ladder``), so the stored f_m is within
-err_m = r_m err_{m-1} + eta_m of the exact one.  ``LADDER.records(m)``
-reports err_m with each level's piece counts and build time; levels 1..3
-are exact.
+(``_store``) to chords through kept breakpoints within 0.9e-9.  The lift of
+a convex level is convex (``_cross``), so those chords lie on or above it
+and are convex too; their measured sup error eta_m <= 1e-9 is the
+certificate.  The lift is a monotone r_m-contraction (``Ladder``), so the
+exact f_m lies in [stored - err_m, stored], err_m = r_m err_{m-1} + eta_m.
+``LADDER.records(m)`` reports err_m with each level's piece counts and
+build time; levels 1..3 are exact.
 """
 
 from __future__ import annotations
@@ -109,19 +108,18 @@ class SeqOutcome:
 #: The exact value function's piece count doubles with every level (1, 3,
 #: 6, 13, 27, 55, ... pieces, one fewer than its breakpoints; measured at
 #: ``Ladder(eta=0)``), so each level keeps a subset of the lift's
-#: breakpoints, a convex polyline within eta of it (proved on ``_store``);
-#: the measured sup error eta_m <= eta is the level's certificate.  Genuine
-#: kinks at small m are macroscopic, so levels 1..3 stay exact.  The error
-#: left in f_m is certified by the contraction bound on ``Ladder``:
+#: breakpoints, a convex polyline on or above it and within eta of it
+#: (proved on ``_store``); the measured sup error eta_m <= eta is the
+#: level's certificate.  Genuine kinks at small m are macroscopic, so levels
+#: 1..3 stay exact.  The error left in f_m is certified by the contraction
+#: bound on ``Ladder``:
 #: err_m <= r_m err_{m-1} + eta_m <= eta (m + 1) / 2, about 1e-8 at m = 30
 #: and under 1e-7 at m = 198 for this eta.
 _ETA = 1e-9
 
-#: Share of eta given to the stored polyline's band.  Chords on a convex
-#: level err on one side only, so ``_simplify`` runs within twice this band
-#: and the chords are lowered by it, which keeps the level convex
-#: (``_store``); the rest of eta absorbs rounding in the chords, the zero
-#: snap and canonicalization.
+#: Share of eta given to the stored polyline's band: ``_simplify``'s chords
+#: stay within it, on or above a convex lift (``_store``); the rest of eta
+#: absorbs rounding in the chords, the zero snap and canonicalization.
 _BAND = 0.9
 
 #: Segments per ``_simplify`` block; block ends are always kept.
@@ -134,13 +132,15 @@ _ZERO_SNAP = 1e-12
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """How one level f_m of a :class:`Ladder` was built."""
+    """How one level f_m of a :class:`Ladder` was built.  The stored f_m
+    lies on or above the exact one, so the exact f_m is in
+    [stored - err, stored], up to rounding."""
 
     m: int
     pieces_raw: int  # pieces of the exact lift, before the lossy steps
     pieces: int  # pieces stored
     eta: float  # measured sup error of this level's lossy steps
-    err: float  # certified bound on sup |stored f_m - exact f_m|
+    err: float  # certified: 0 <= stored f_m - exact f_m <= err
     build_s: float
 
 
@@ -262,28 +262,6 @@ def _lift(fp: PiecewiseLinear, m: int) -> tuple[np.ndarray, np.ndarray]:
     return _cross(hx, 1.0 / m + b, lx, ly)
 
 
-def _lowered(xs: np.ndarray, gx: np.ndarray, gy: np.ndarray, band: float) -> np.ndarray:
-    """Values of the kept breakpoints ``(gx, gy)`` of ``xs`` lowered by
-    ``band`` on one range [a, b] of kept indices, never at the endpoints:
-    from the first skipping kept segment's start to the last one's end,
-    widened one point at a time while the kept point just outside has a
-    kink (slope rise) kappa with kappa dx < ``band``, dx its segment in."""
-    k = len(gx)
-    low = gy.copy()
-    if k < len(xs):
-        # the kept points match xs up to the first skip, and from the end
-        # back to the last one
-        a = max(int(np.argmax(gx != xs[:k])) - 1, 1)
-        b = min(k - int(np.argmax(gx[::-1] != xs[::-1][:k])), k - 2)
-        s = np.diff(gy) / np.diff(gx)
-        while a > 1 and (s[a - 1] - s[a - 2]) * (gx[a] - gx[a - 1]) < band:
-            a -= 1
-        while b < k - 2 and (s[b + 1] - s[b]) * (gx[b + 1] - gx[b]) < band:
-            b += 1
-        low[a : b + 1] -= band
-    return low
-
-
 def _store(xs: np.ndarray, exact: np.ndarray, eta: float) -> tuple[PiecewiseLinear, float]:
     """The polyline stored for the exact breakpoints ``(xs, exact)`` and its
     measured sup error, at most ``eta``, which counts every lossy step: the
@@ -292,38 +270,22 @@ def _store(xs: np.ndarray, exact: np.ndarray, eta: float) -> tuple[PiecewiseLine
     ``xs``, so the error peaks there and is the certificate.  A polyline
     that drops points and misses ``eta`` raises ContractViolationError.
 
-    With ``band = _BAND * eta``, g is ``_simplify``'s polyline within
-    ``2 band``.  g is stored if every point is within ``band`` of it (so
-    levels 1..3 stay exact), else g - band 1[a..b] on ``_lowered``'s range.
-    On a convex lift both are convex and within ``band`` of every point, up
-    to rounding, which the rest of eta absorbs:
-
-    * g is convex, its breakpoints on the lift, so its chords lie on or
-      above the points they skip, by at most ``2 band``: within ``band`` of
-      g - band.  [a, b] holds every skipping chord; each other segment joins
-      adjacent points, each exact or ``band`` low.
-    * Lowering [a, b] keeps the slopes inside it, raises the kinks at a and
-      b, and takes band / dx off the kink of the kept point outside each
-      boundary, dx its segment into the range.  That point has kappa dx >=
-      ``band`` once ``_lowered`` has widened the range, or is x = 0, where
-      budgets start, or x = 1, past which a level is constant: there the
-      kink stays >= 0, and the level non-increasing, while
-      gy[k - 2] - band >= gy[k - 1], k = len(gx).
-    * No end chord skips a point: ``band`` could not centre it, the end
-      exact.  So ``_simplify`` keeps the points next to the ends, the first
-      and last more than ``pwl.DEDUPE_TOL`` from them: a lowered point 1 ulp
-      below x = 1 (m = 3, 7, 19, 27, 63, 171) would replace x = 1.
+    The polyline is ``_simplify``'s within ``band = _BAND * eta``, stored
+    as it is; the rest of eta absorbs rounding.  On a convex lift its
+    breakpoints are lift points, so its chords lie on or above the points
+    they skip: it is convex, non-increasing where the lift is, within
+    ``band`` of it and never below it, up to rounding and the zero snap.
+    Levels 1..3 keep every point.  ``_simplify`` keeps the points next to
+    both ends, the first and last more than ``pwl.DEDUPE_TOL`` from them,
+    so the end pieces are the lift's own: a chord into x = 1 would sit up
+    to ``band`` above a tail where f_m is about 1/m^2.
 
     As the lift of a convex, non-increasing level is convex (``_cross``),
-    every stored level is, from f_1 on, while the x = 1 condition holds (a
-    ``Ladder`` checks it before each lift); only a non-convex curve can miss
+    every stored level is, from f_1 on; only a non-convex curve can miss
     ``eta``.
     """
     ys = np.where(np.abs(exact) <= _ZERO_SNAP, 0.0, exact)
-    band = _BAND * eta
-    gx, gy = _simplify(xs, ys, 2.0 * band)
-    if np.max(np.abs(np.interp(xs, gx, gy) - exact)) > band:
-        gy = _lowered(xs, gx, gy, band)
+    gx, gy = _simplify(xs, ys, _BAND * eta)
     fm = PiecewiseLinear(gx, gy)
     err = float(np.max(np.abs(fm(xs) - exact)))
     if err > eta and len(gx) < len(xs):
@@ -344,17 +306,20 @@ class Ladder:
     Level m lifts the stored f_{m-1} exactly, T f_{m-1} = cross(1/m + B, B)
     with B(x) = r_m f_{m-1}(x / r_m), r_m = (m-1)/m, and then takes lossy
     steps (zero snap, simplification within ``eta``, canonical form) whose
-    sup error eta_m is measured; each level is convex (proved on
-    ``_store``).  T is monotone in f_{m-1}, and adding a constant c to
-    f_{m-1} shifts T f_{m-1} by exactly r_m c, since both arguments of the
-    crossing carry f_{m-1} through B.  By Blackwell's sufficient conditions
-    T is an r_m-contraction in the sup norm, so the stored f_m is within
+    sup error eta_m is measured; each level is convex, non-increasing and
+    on or above its lift (proved on ``_store``).  T is monotone in f_{m-1},
+    and adding a constant c to f_{m-1} shifts T f_{m-1} by exactly r_m c,
+    since both arguments of the crossing carry f_{m-1} through B.  By
+    Blackwell's sufficient conditions T is an r_m-contraction in the sup
+    norm, so the stored f_m is within
 
         err_m = r_m err_{m-1} + eta_m,   err_1 = 0,
 
     of the exact f_m, up to floating-point rounding in the lift (a few ulps
-    per level), while each level falls weakly into x = 1 (``_store``): a
-    level that rises there raises ContractViolationError before its lift.
+    per level).  As T is monotone and each level lies on or above T of the
+    one before, by induction from the exact f_1, the exact f_m lies in
+    [stored - err_m, stored].  A level that rises into x = 1, which
+    ``_store`` rules out, would raise ContractViolationError before its lift.
     ``records`` reports each level's piece counts, eta_m, err_m and build
     time.  ``stream`` yields the same levels and records in order without
     caching the ones it builds, for a reader that needs each level only
